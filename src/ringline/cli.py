@@ -10,6 +10,7 @@ requested check passes, 1 when a check fails, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -18,14 +19,14 @@ from dataclasses import dataclass
 
 from .condense import condensate_distant_analysis, identify_condensate
 from .constructors import SUPPORTED_FIELD_ORDERS, construct, load_ring_file
-from .errors import EmptySector, NotPartition, NonUniquePartition, RinglineError
+from .errors import EmptySector, NotPartition, RinglineError
 from .geometry import (
     SECTORS,
     cross_sector_check,
     export_graph,
     max_distant_cliques,
     max_neighbour_cliques,
-    unimodular_partition,
+    partition_from_cliques,
 )
 from .line import compute_line, line_to_json
 from .rings import FiniteRing, ISOMORPHISM_MAX_ORDER, are_isomorphic, ideal_size_census
@@ -137,7 +138,6 @@ class LineReport:
     max_neighbour: dict[str, int | None]
     partition_class_sizes: tuple[int, ...] | None
     partition_anchor_sets: int | None
-    partition_unique: bool | None
     cross_sector_all_neighbour: bool | None
     condensate_status: str
     condensate_matches: tuple[str, ...]
@@ -149,22 +149,19 @@ def build_line_report(ring: FiniteRing, catalog: tuple[str, ...] | None = None) 
     line = compute_line(ring)
     max_distant: dict[str, int | None] = {}
     max_neighbour: dict[str, int | None] = {}
+    partition = None
     for sector in SECTORS:
         try:
-            max_distant[sector] = len(max_distant_cliques(line, sector)[0])
+            distant = max_distant_cliques(line, sector)
+            max_distant[sector] = len(distant[0])
+            if sector == "unimodular":
+                with contextlib.suppress(NotPartition):
+                    partition = partition_from_cliques(line, distant)
+            del distant  # T(4) has 122 880 of them; free before the next search
             max_neighbour[sector] = len(max_neighbour_cliques(line, sector)[0])
         except EmptySector:
             max_distant[sector] = None
             max_neighbour[sector] = None
-    try:
-        partition = unimodular_partition(line)
-        sizes: tuple[int, ...] | None = partition.class_sizes
-        anchor_sets: int | None = partition.anchor_sets_checked
-        unique: bool | None = True
-    except NonUniquePartition:
-        sizes, anchor_sets, unique = None, None, False
-    except (NotPartition, EmptySector):
-        sizes, anchor_sets, unique = None, None, None
     try:
         cross, _ = cross_sector_check(line)
     except EmptySector:
@@ -180,9 +177,8 @@ def build_line_report(ring: FiniteRing, catalog: tuple[str, ...] | None = None) 
         nonunimodular=len(line.nonunimodular_points),
         max_distant=max_distant,
         max_neighbour=max_neighbour,
-        partition_class_sizes=sizes,
-        partition_anchor_sets=anchor_sets,
-        partition_unique=unique,
+        partition_class_sizes=partition.class_sizes if partition else None,
+        partition_anchor_sets=partition.anchor_sets_checked if partition else None,
         cross_sector_all_neighbour=cross,
         condensate_status=ident.status,
         condensate_matches=ident.matches,
@@ -218,8 +214,6 @@ def render_line_report(report: LineReport) -> str:
             f"partition: class sizes {sizes}, identical for all"
             f" {report.partition_anchor_sets} maximum distant cliques"
         )
-    elif report.partition_unique is False:
-        out.append("partition: NOT unique across maximum distant cliques")
     else:
         out.append("partition: n/a")
     if report.cross_sector_all_neighbour is None:
@@ -253,8 +247,6 @@ def line_report_json(report: LineReport) -> str:
             "anchor_sets_checked": report.partition_anchor_sets,
             "unique": True,
         }
-    elif report.partition_unique is False:
-        partition = {"unique": False}
     data = {
         "schema": "ringline.line_report/1",
         "ring": report.ring,
@@ -305,10 +297,16 @@ _SECTOR_FLAGS = {"u": "unimodular", "n": "nonunimodular", "all": "whole"}
 
 
 def _atomic_write(path: str, content: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(content)
-    os.replace(tmp, path)
+    """Write a unique temp file beside ``path`` (umask mode, not mkstemp's 0600), then rename it."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_line_export(args) -> int:

@@ -57,10 +57,16 @@ def condense(line: ProjectiveLine) -> IncidenceStructure:
     becomes one edge listing the classes inside it.  An empty sector gives
     the empty structure.
     """
-    points = line.nonunimodular_points
+    return _signature_quotient(
+        f"condensate({line.ring.label})", [p.orbit for p in line.nonunimodular_points]
+    )
+
+
+def _signature_quotient(label: str, edge_vectors: list) -> IncidenceStructure:
+    """Classes of vectors on the same edges; edge i lists the classes on it."""
     signatures: dict[Vector, set[int]] = {}
-    for index, point in enumerate(points):
-        for v in point.orbit:
+    for index, vectors in enumerate(edge_vectors):
+        for v in vectors:
             signatures.setdefault(v, set()).add(index)
     grouped: dict[frozenset[int], list[Vector]] = {}
     for v, sig in signatures.items():
@@ -71,11 +77,9 @@ def condense(line: ProjectiveLine) -> IncidenceStructure:
     vertices = tuple(VectorClass(members, signature) for members, signature in classes)
     edges = tuple(
         tuple(i for i, vc in enumerate(vertices) if index in vc.signature)
-        for index in range(len(points))
+        for index in range(len(edge_vectors))
     )
-    return IncidenceStructure(
-        label=f"condensate({line.ring.label})", vertices=vertices, edges=edges
-    )
+    return IncidenceStructure(label=label, vertices=vertices, edges=edges)
 
 
 def reference_structure(spec: str) -> IncidenceStructure:
@@ -101,27 +105,6 @@ def reference_structure(spec: str) -> IncidenceStructure:
         for v in covered
     )
     return IncidenceStructure(label=f"P({ring.label})", vertices=vertices, edges=edges)
-
-
-def _reduced(structure: IncidenceStructure) -> IncidenceStructure:
-    """Merge vertices with identical edge membership; signatures recomputed."""
-    signatures = [
-        frozenset(i for i, e in enumerate(structure.edges) if v in e)
-        for v in range(len(structure.vertices))
-    ]
-    grouped: dict[frozenset[int], list[Vector]] = {}
-    for v, vc in enumerate(structure.vertices):
-        if signatures[v]:
-            grouped.setdefault(signatures[v], []).extend(vc.members)
-    classes = sorted(
-        (tuple(sorted(members)), signature) for signature, members in grouped.items()
-    )
-    vertices = tuple(VectorClass(members, signature) for members, signature in classes)
-    edges = tuple(
-        tuple(i for i, vc in enumerate(vertices) if index in vc.signature)
-        for index in range(len(structure.edges))
-    )
-    return IncidenceStructure(label=structure.label, vertices=vertices, edges=edges)
 
 
 @dataclass(frozen=True)
@@ -159,7 +142,10 @@ def structures_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> Struc
         raise TooLarge(
             f"structure isomorphism is bounded to {MAX_STRUCTURE_VERTICES} vertices"
         )
-    ra, rb = _reduced(a), _reduced(b)
+    ra, rb = (
+        _signature_quotient(s.label, [[v for i in e for v in s.vertices[i].members] for e in s.edges])
+        for s in (a, b)
+    )
     if len(ra.vertices) != len(rb.vertices) or len(ra.edges) != len(rb.edges):
         return None
     m = len(ra.edges)

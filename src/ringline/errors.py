@@ -46,24 +46,8 @@ class EmptySector(RinglineError):
     """An operation needs a non-empty line sector."""
 
 
-class MixedUnimodularity(RinglineError):
-    """A free point has both unimodular and non-unimodular generators.
-
-    No ring in scope exhibits this; it is raised as a loud diagnostic
-    instead of silently picking a classification.
-    """
-
-
 class NotPartition(RinglineError):
     """Neighbourship to a maximum distant clique does not partition the sector."""
-
-    def __init__(self, message: str, witness: tuple | None = None):
-        self.witness = witness
-        super().__init__(message)
-
-
-class NonUniquePartition(RinglineError):
-    """Two maximum distant cliques induce different partitions."""
 
     def __init__(self, message: str, witness: tuple | None = None):
         self.witness = witness

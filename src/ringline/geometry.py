@@ -105,9 +105,8 @@ class SectorPartition:
     nonzero vectors; any two of them share that vector, so each class is a
     set of pairwise-neighbour points.  ``anchors`` is the lexicographically
     least maximum distant clique, ``classes[k]`` the class containing
-    ``anchors[k]``.  ``anchor_sets_checked`` counts the maximum distant
-    cliques verified to pick exactly one point per class; since the classes
-    do not depend on the clique, every clique yields this same partition.
+    ``anchors[k]``.  ``anchor_sets_checked`` is the number of maximum
+    distant cliques, each of which picks exactly one point per class.
     """
 
     anchors: tuple[CyclicSubmodule, ...]
@@ -138,17 +137,19 @@ def _vector_classes(points) -> list[frozenset[int]]:
 def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
     """Partition the unimodular sector into its most-shared-vector classes.
 
-    The classes must be pairwise disjoint and cover the sector, and every
-    maximum distant clique must consist of one point from each class
-    (its members act as the class anchors); NotPartition reports the
-    offending point or clique otherwise.  Would two maximum distant
-    cliques ever disagree about the partition, NonUniquePartition is
-    raised; the construction here is clique-independent, so that error is
-    reserved for future alternate derivations.
+    The classes must be disjoint and cover the sector (NotPartition names
+    the offending point).  Points of one class share a nonzero vector, so
+    they are pairwise neighbour; by pigeonhole a distant clique of size
+    #classes meets every class exactly once.  So the one check on the
+    maximum distant cliques is their size, and ``anchor_sets_checked`` is
+    their count.
     """
+    return partition_from_cliques(line, max_distant_cliques(line, "unimodular"))
+
+
+def partition_from_cliques(line: ProjectiveLine, cliques) -> SectorPartition:
+    """``unimodular_partition`` from the sector's maximum distant cliques."""
     points = sector_points(line, "unimodular")
-    if not points:
-        raise EmptySector(f"the unimodular sector of {line.ring.label} is empty")
     classes = _vector_classes(points)
     membership = [-1] * len(points)
     for which, cls in enumerate(classes):
@@ -165,22 +166,13 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
             f"point R{uncovered[0].generator} lies in no maximal vector class",
             witness=tuple(uncovered),
         )
-    cliques = max_distant_cliques(line, "unimodular")
-    if len(cliques[0]) != len(classes):
+    anchors = cliques[0]
+    if len(anchors) != len(classes):
         raise NotPartition(
             f"{len(classes)} classes cannot be anchored by a maximum distant"
-            f" clique of size {len(cliques[0])}"
+            f" clique of size {len(anchors)}"
         )
     by_point = {p.generator: i for i, p in enumerate(points)}
-    for clique in cliques:
-        hit = sorted(membership[by_point[p.generator]] for p in clique)
-        if hit != list(range(len(classes))):
-            raise NotPartition(
-                f"maximum distant clique {[p.generator for p in clique]} does not"
-                " pick one point per class",
-                witness=clique,
-            )
-    anchors = cliques[0]
     ordered = tuple(
         tuple(p for i, p in enumerate(points) if membership[i] == membership[by_point[a.generator]])
         for a in anchors

@@ -2,9 +2,9 @@
 
 A point of the line is the full orbit set of a generating vector under
 left multiplication, kept only when the orbit map is injective (the
-submodule is then free).  Points are deduplicated by orbit set, because
-distinct vectors generate equal points, and classified by whether some
-generating vector admits x1, x2 with r1*x1 + r2*x2 = 1.
+submodule is then free).  Distinct vectors generate equal points, so each
+point is kept once, at its canonical generator, and classified by whether
+that vector admits x1, x2 with r1*x1 + r2*x2 = 1.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MixedUnimodularity, OrderTooLarge
+from .errors import OrderTooLarge
 from .rings import FiniteRing, soft_max_order
 
 Vector = tuple[int, int]
@@ -71,25 +71,22 @@ class CyclicSubmodule:
 def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
     """Orbit of a vector under left multiplication, with classification.
 
-    The generator set is recomputed by re-orbiting every orbit member; the
-    canonical generator is its lexicographic minimum.  A point counts as
-    unimodular when one of its generators is; the generators of any one
-    point never disagree, and the assertion below fails loudly rather than
-    pick a side if a counterexample ring ever shows up.
+    The generators of R*v are its unit multiples u*v; the canonical one is
+    the least.  Finite rings have stable range 1 (Bass, *K-theory and
+    stable algebra*, Publ. IHES 22, 1964): if R*w = R*v, then w = a*v with
+    R*a + ann(v) = R, so a + t is a unit u for some t in ann(v), and
+    w = u*v.  If r1*x1 + r2*x2 = 1, then (u*r1)(x1*u^-1) + (u*r2)(x2*u^-1)
+    = 1, so the canonical generator alone decides unimodularity.
     """
-    vector = _check_vector(ring, vector)
-    orbit = _orbit(ring, vector)
-    generators = tuple(sorted(v for v in orbit if _orbit(ring, v) == orbit))
-    flags = {unimodularity_witness(ring, g) is not None for g in generators}
-    if len(flags) == 2:
-        raise MixedUnimodularity(
-            f"point {min(generators)} of {ring.label} has both unimodular and non-unimodular generators"
-        )
+    r1, r2 = _check_vector(ring, vector)
+    orbit = _orbit(ring, (r1, r2))
+    mul = ring.mul_table
+    generators = tuple(sorted({(mul[u][r1], mul[u][r2]) for u in ring.units}))
     return CyclicSubmodule(
         generator=generators[0],
         orbit=tuple(sorted(orbit)),
         free=len(orbit) == ring.order,
-        unimodular=flags == {True},
+        unimodular=is_unimodular(ring, generators[0]),
         generators=generators,
     )
 
@@ -129,9 +126,9 @@ class ProjectiveLine:
 def compute_line(ring: FiniteRing, max_order: int | None = None) -> ProjectiveLine:
     """Scan all of R^2 and assemble the generalized projective line.
 
-    The scan is row-major over (r1, r2); orbits that are not free are
-    dropped, equal orbits are kept once, and both sectors come out sorted
-    by canonical generator.  ``max_order`` (or RINGLINE_MAX_ORDER)
+    The scan is row-major over (r1, r2) and records each free point once,
+    at its canonical generator, so both sectors come out sorted by
+    canonical generator.  ``max_order`` (or RINGLINE_MAX_ORDER)
     overrides the soft bound of 32.
     """
     limit = soft_max_order() if max_order is None else max_order
@@ -140,22 +137,15 @@ def compute_line(ring: FiniteRing, max_order: int | None = None) -> ProjectiveLi
             f"line computation is bounded to order {limit} (ring has order {ring.order});"
             " pass max_order or set RINGLINE_MAX_ORDER to override"
         )
-    seen: set[frozenset[Vector]] = set()
+    mul = ring.mul_table
     unimodular: list[CyclicSubmodule] = []
     nonunimodular: list[CyclicSubmodule] = []
     for r1 in ring.elements():
         for r2 in ring.elements():
-            orbit = _orbit(ring, (r1, r2))
-            if len(orbit) != ring.order:
-                continue
-            key = frozenset(orbit)
-            if key in seen:
-                continue
-            seen.add(key)
-            point = cyclic_submodule(ring, (r1, r2))
-            (unimodular if point.unimodular else nonunimodular).append(point)
-    unimodular.sort(key=lambda p: p.generator)
-    nonunimodular.sort(key=lambda p: p.generator)
+            canonical = min((mul[u][r1], mul[u][r2]) for u in ring.units) == (r1, r2)
+            if canonical and len(_orbit(ring, (r1, r2))) == ring.order:
+                point = cyclic_submodule(ring, (r1, r2))
+                (unimodular if point.unimodular else nonunimodular).append(point)
     return ProjectiveLine(
         ring=ring,
         unimodular_points=tuple(unimodular),

@@ -61,13 +61,6 @@ class FiniteRing:
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 
-    def neg(self, a: int) -> int:
-        return self._negatives[a]
-
-    @cached_property
-    def _negatives(self) -> tuple[int, ...]:
-        return tuple(self.add_table[a].index(0) for a in self.elements())
-
     @cached_property
     def is_commutative(self) -> bool:
         mul = self.mul_table

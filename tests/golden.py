@@ -1,9 +1,9 @@
 """Golden description of the projective line over the order-8 ternion ring.
 
 Hand-transcribed orbit listing for the ring shipped as
-``rings/ternions8.ring``: each entry gives the two generating vectors of a
-point and its full orbit.  This is the reference the computed line is
-compared against, element for element.
+``src/ringline/rings/ternions8.ring``: each entry gives the two
+generating vectors of a point and its full orbit.  This is the reference
+the computed line is compared against, element for element.
 """
 
 UNIMODULAR = [

@@ -82,6 +82,12 @@ def brute_orbit(mul, vector):
     return frozenset((mul[a][r1], mul[a][r2]) for a in range(len(mul)))
 
 
+def brute_generators(mul, vector):
+    """Sorted vectors w of orbit(v) with orbit(w) == orbit(v)."""
+    orbit = brute_orbit(mul, vector)
+    return sorted(w for w in orbit if brute_orbit(mul, w) == orbit)
+
+
 def brute_line_sectors(add, mul):
     """(unimodular orbit sets, non-unimodular orbit sets) from raw tables.
 

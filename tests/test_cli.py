@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from ringline import bundled_ring_path, export_graph
-from ringline.cli import main
+import ringline.geometry
+from ringline import bundled_ring_path, construct, export_graph
+from ringline.cli import _atomic_write, build_line_report, main
 
 
 def run(capsys, *argv):
@@ -153,6 +154,40 @@ def test_line_export(capsys, tmp_path, ternion_line):
     assert out == f"wrote {out_path}\n"
     assert out_path.read_text() == export_graph(ternion_line, "nonunimodular", "dot")
     assert not out_path.with_suffix(".dot.tmp").exists()
+
+
+def test_line_export_beside_a_directory_named_like_the_old_temp_file(capsys, tmp_path):
+    out_path = tmp_path / "t2.json"
+    (tmp_path / "t2.json.tmp").mkdir()
+    code, out, _ = run(
+        capsys, "line", "export", "T(2)", "--sector", "u", "--format", "json", "--out", str(out_path),
+    )
+    assert code == 0
+    assert json.loads(out_path.read_text())["schema"] == "ringline.graph/1"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t2.json", "t2.json.tmp"]
+
+
+def test_atomic_write_removes_its_temp_file_on_error(tmp_path):
+    target = tmp_path / "out.txt"
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(str(target), "\ud800")  # a lone surrogate has no UTF-8 form
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_line_report_enumerates_each_sector_and_relation_once(monkeypatch):
+    calls = []
+    enumerate_cliques = ringline.geometry.maximum_cliques
+
+    def counted(adjacency):
+        calls.append(len(adjacency))
+        return enumerate_cliques(adjacency)
+
+    monkeypatch.setattr(ringline.geometry, "maximum_cliques", counted)
+    report = build_line_report(construct("T(2)"))
+    # 3 sectors x 2 relations; the partition reads the unimodular distant list
+    assert len(calls) == 6
+    assert report.partition_class_sizes == (6, 6, 6)
+    assert report.partition_anchor_sets == 48
 
 
 def test_condense_command(capsys):

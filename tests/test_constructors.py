@@ -37,17 +37,6 @@ def test_bundled_file_reproduces_tables_digit_for_digit(ternions8):
     assert ternions8.mul_table == TERNION_MUL
 
 
-def test_repo_level_copy_matches_bundled():
-    from pathlib import Path
-
-    repo_copy = Path(__file__).resolve().parents[1] / "rings" / "ternions8.ring"
-    if not repo_copy.exists():
-        pytest.skip("repo-level rings/ directory not present in this install")
-    ring = load_ring_file(repo_copy)
-    assert ring.add_table == TERNION_ADD
-    assert ring.mul_table == TERNION_MUL
-
-
 def test_ternions_have_expected_counts():
     for q, order, units in ((2, 8, 2), (3, 27, 12)):
         ring = construct(f"T({q})")

@@ -5,7 +5,6 @@ import pytest
 import golden
 import oracles
 from ringline import (
-    MixedUnimodularity,
     OrderTooLarge,
     compute_line,
     construct,
@@ -79,6 +78,17 @@ def test_unimodular_implies_free_everywhere(catalog):
                 if is_unimodular(ring, (r1, r2)):
                     assert point.free, (spec, (r1, r2))
                 assert (0, 0) in point.orbit
+
+
+def test_generators_match_brute_force(catalog, amphibian16):
+    # the unit multiples of a vector are exactly the vectors that regenerate
+    # its orbit, non-free orbits included
+    for ring in (*catalog.values(), amphibian16):
+        mul = [list(row) for row in ring.mul_table]
+        for r1 in ring.elements():
+            for r2 in ring.elements():
+                expected = tuple(oracles.brute_generators(mul, (r1, r2)))
+                assert cyclic_submodule(ring, (r1, r2)).generators == expected, (ring.label, r1, r2)
 
 
 def test_ternion_line_counts(ternion_line):
@@ -184,12 +194,11 @@ def test_order_bound_and_overrides(monkeypatch):
 
 
 def test_no_mixed_generator_classification(catalog):
-    # sweeping every vector of the catalog also proves the classification
-    # homogeneity assertion never fires
+    # the point is classified by its canonical generator; every other
+    # generator must agree
     for ring in catalog.values():
         for r1 in ring.elements():
             for r2 in ring.elements():
-                try:
-                    cyclic_submodule(ring, (r1, r2))
-                except MixedUnimodularity as err:  # pragma: no cover
-                    pytest.fail(str(err))
+                point = cyclic_submodule(ring, (r1, r2))
+                for g in point.generators:
+                    assert is_unimodular(ring, g) == point.unimodular, (ring.label, g)
