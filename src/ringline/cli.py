@@ -28,7 +28,7 @@ from .geometry import (
     max_neighbour_cliques,
     partition_from_cliques,
 )
-from .line import compute_line, line_to_json
+from .line import ProjectiveLine, compute_line, line_to_json
 from .rings import FiniteRing, ISOMORPHISM_MAX_ORDER, are_isomorphic, ideal_size_census
 
 
@@ -143,14 +143,27 @@ class LineReport:
     condensate_matches: tuple[str, ...]
     condensate_classes: int
     condensate_edges: int
+    line: ProjectiveLine
 
 
 def build_line_report(ring: FiniteRing, catalog: tuple[str, ...] | None = None) -> LineReport:
+    """Report both sectors; the whole line follows from them.
+
+    Every non-unimodular point is neighbour to every unimodular one: (1) by
+    stable range 1 of finite rings (Bass, Publ. IHES 22, 1964) a unimodular
+    (c, d), cR + dR = R, has c + d*t = u a unit for some t, so (c, d)[[1, 0],
+    [t, 1]][[u^-1, -u^-1*d], [0, 1]] = (1, 0); (2) right multiplication by
+    GL2(R) keeps freeness, unimodularity and intersections; (3) a free
+    (a', b') distant from R(1, 0) has ann_l(b') = 0, so b' is a unit of the
+    finite ring and (a', b') is unimodular, so it is not the image of a
+    non-unimodular point.  So the whole line's max distant size is the
+    larger sector value and its max neighbour size their sum.
+    """
     line = compute_line(ring)
     max_distant: dict[str, int | None] = {}
     max_neighbour: dict[str, int | None] = {}
     partition = None
-    for sector in SECTORS:
+    for sector in ("unimodular", "nonunimodular"):
         try:
             distant = max_distant_cliques(line, sector)
             max_distant[sector] = len(distant[0])
@@ -166,6 +179,11 @@ def build_line_report(ring: FiniteRing, catalog: tuple[str, ...] | None = None) 
         cross, _ = cross_sector_check(line)
     except EmptySector:
         cross = None
+    if cross is False:  # would contradict the proof above; report n/a, not a wrong size
+        max_distant["whole"] = max_neighbour["whole"] = None
+    else:  # None: the non-unimodular sector is empty
+        max_distant["whole"] = max(max_distant["unimodular"], max_distant["nonunimodular"] or 0)
+        max_neighbour["whole"] = max_neighbour["unimodular"] + (max_neighbour["nonunimodular"] or 0)
     ident = identify_condensate(line, catalog)
     return LineReport(
         ring=ring.label,
@@ -184,6 +202,7 @@ def build_line_report(ring: FiniteRing, catalog: tuple[str, ...] | None = None) 
         condensate_matches=ident.matches,
         condensate_classes=len(ident.condensate.vertices),
         condensate_edges=len(ident.condensate.edges),
+        line=line,
     )
 
 
@@ -286,7 +305,7 @@ def cmd_line_compute(args) -> int:
     if args.fixtures:
         os.makedirs(args.fixtures, exist_ok=True)
         path = os.path.join(args.fixtures, f"{_label_slug(ring.label)}.line.json")
-        _atomic_write(path, line_to_json(compute_line(ring)))
+        _atomic_write(path, line_to_json(report.line))
         print(f"fixture written to {path}", file=sys.stderr)
     if args.timing:
         print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .cliques import maximum_cliques
 from .constructors import construct
 from .errors import EmptyStructure, OrderTooLarge, TooLarge
-from .line import ProjectiveLine, Vector, compute_line
+from .line import ProjectiveLine, Vector, compute_line, incidence, mask_indices
 
 MAX_STRUCTURE_VERTICES = 200
 
@@ -64,19 +64,13 @@ def condense(line: ProjectiveLine) -> IncidenceStructure:
 
 def _signature_quotient(label: str, edge_vectors: list) -> IncidenceStructure:
     """Classes of vectors on the same edges; edge i lists the classes on it."""
-    signatures: dict[Vector, set[int]] = {}
-    for index, vectors in enumerate(edge_vectors):
-        for v in vectors:
-            signatures.setdefault(v, set()).add(index)
-    grouped: dict[frozenset[int], list[Vector]] = {}
-    for v, sig in signatures.items():
-        grouped.setdefault(frozenset(sig), []).append(v)
-    classes = sorted(
-        (tuple(sorted(members)), signature) for signature, members in grouped.items()
-    )
-    vertices = tuple(VectorClass(members, signature) for members, signature in classes)
+    grouped: dict[int, list[Vector]] = {}
+    for v, mask in incidence(edge_vectors).items():
+        grouped.setdefault(mask, []).append(v)
+    classes = sorted((tuple(sorted(members)), mask) for mask, members in grouped.items())
+    vertices = tuple(VectorClass(members, frozenset(mask_indices(mask))) for members, mask in classes)
     edges = tuple(
-        tuple(i for i, vc in enumerate(vertices) if index in vc.signature)
+        tuple(i for i, (_, mask) in enumerate(classes) if mask >> index & 1)
         for index in range(len(edge_vectors))
     )
     return IncidenceStructure(label=label, vertices=vertices, edges=edges)
@@ -92,18 +86,12 @@ def reference_structure(spec: str) -> IncidenceStructure:
     ring = construct(spec)
     if ring.order > 16:
         raise OrderTooLarge(f"reference lines are bounded to ring order 16, got {ring.order}")
-    line = compute_line(ring)
-    points = line.unimodular_points
-    covered = sorted({v for p in points for v in p.orbit})
+    points = compute_line(ring).unimodular_points
+    masks = incidence(p.orbit for p in points)
+    covered = sorted(masks)
     position = {v: i for i, v in enumerate(covered)}
-    edges = tuple(tuple(sorted(position[v] for v in p.orbit)) for p in points)
-    vertices = tuple(
-        VectorClass(
-            members=(v,),
-            signature=frozenset(i for i, e in enumerate(edges) if position[v] in e),
-        )
-        for v in covered
-    )
+    edges = tuple(tuple(position[v] for v in p.orbit) for p in points)
+    vertices = tuple(VectorClass((v,), frozenset(mask_indices(masks[v]))) for v in covered)
     return IncidenceStructure(label=f"P({ring.label})", vertices=vertices, edges=edges)
 
 

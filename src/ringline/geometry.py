@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .cliques import maximum_cliques
 from .errors import EmptySector, NotPartition, SamePoint, UnknownFormat
-from .line import CyclicSubmodule, ProjectiveLine, Vector
+from .line import CyclicSubmodule, ProjectiveLine, Vector, incidence, mask_indices
 
 SECTORS = ("unimodular", "nonunimodular", "whole")
 
@@ -118,22 +118,6 @@ class SectorPartition:
         return tuple(len(c) for c in self.classes)
 
 
-def _vector_classes(points) -> list[frozenset[int]]:
-    """Distinct maximum-size point sets of the form {p : v in orbit(p)}, v != 0."""
-    through: dict = {}
-    for index, point in enumerate(points):
-        for v in point.orbit:
-            if v != (0, 0):
-                through.setdefault(v, set()).add(index)
-    if not through:
-        return []
-    best = max(len(s) for s in through.values())
-    return sorted(
-        {frozenset(s) for s in through.values() if len(s) == best},
-        key=sorted,
-    )
-
-
 def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
     """Partition the unimodular sector into its most-shared-vector classes.
 
@@ -150,17 +134,20 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
 def partition_from_cliques(line: ProjectiveLine, cliques) -> SectorPartition:
     """``unimodular_partition`` from the sector's maximum distant cliques."""
     points = sector_points(line, "unimodular")
-    classes = _vector_classes(points)
-    membership = [-1] * len(points)
-    for which, cls in enumerate(classes):
-        for index in cls:
-            if membership[index] != -1:
-                raise NotPartition(
-                    f"point R{points[index].generator} lies in two maximal vector classes",
-                    witness=(points[index],),
-                )
-            membership[index] = which
-    uncovered = [points[i] for i, cls in enumerate(membership) if cls == -1]
+    masks = incidence(p.orbit for p in points)
+    masks.pop((0, 0), None)
+    best = max((m.bit_count() for m in masks.values()), default=0)
+    classes = sorted({m for m in masks.values() if m.bit_count() == best}, key=mask_indices)
+    covered = 0
+    for cls in classes:
+        if covered & cls:
+            twice = points[mask_indices(covered & cls)[0]]
+            raise NotPartition(
+                f"point R{twice.generator} lies in two maximal vector classes",
+                witness=(twice,),
+            )
+        covered |= cls
+    uncovered = [points[i] for i in mask_indices(~covered & ((1 << len(points)) - 1))]
     if uncovered:
         raise NotPartition(
             f"point R{uncovered[0].generator} lies in no maximal vector class",
@@ -172,9 +159,8 @@ def partition_from_cliques(line: ProjectiveLine, cliques) -> SectorPartition:
             f"{len(classes)} classes cannot be anchored by a maximum distant"
             f" clique of size {len(anchors)}"
         )
-    by_point = {p.generator: i for i, p in enumerate(points)}
     ordered = tuple(
-        tuple(p for i, p in enumerate(points) if membership[i] == membership[by_point[a.generator]])
+        next(tuple(points[i] for i in mask_indices(c)) for c in classes if c >> points.index(a) & 1)
         for a in anchors
     )
     return SectorPartition(anchors=anchors, classes=ordered, anchor_sets_checked=len(cliques))
@@ -204,13 +190,10 @@ def private_vectors(line: ProjectiveLine, sector: str) -> dict[Vector, tuple[Vec
     points = sector_points(line, sector)
     if not points:
         raise EmptySector(f"the {sector} sector of {line.ring.label} is empty")
-    counts: dict[Vector, int] = {}
-    for point in points:
-        for v in point.orbit:
-            counts[v] = counts.get(v, 0) + 1
+    masks = incidence(p.orbit for p in points)
     return {
-        point.generator: tuple(v for v in point.orbit if counts[v] == 1)
-        for point in points
+        point.generator: tuple(v for v in point.orbit if masks[v] == 1 << i)
+        for i, point in enumerate(points)
     }
 
 
@@ -230,19 +213,17 @@ def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
     if fmt not in ("dot", "json"):
         raise UnknownFormat(f"unknown export format {fmt!r}; expected 'dot' or 'json'")
     points = sector_points(line, sector)
-    weights: dict[Vector, int] = {}
+    masks = incidence(p.orbit for p in points)
     edges: set[tuple[Vector, Vector]] = set()
     for point in points:
-        for v in point.orbit:
-            weights[v] = weights.get(v, 0) + 1
         edges.update(combinations(point.orbit, 2))
-    vertices = sorted(weights)
+    vertices = sorted(masks)
     order = line.ring.order
     if fmt == "dot":
         name = f"{line.ring.label} {sector}"
         out = [f'graph "{name}" {{']
         for v in vertices:
-            out.append(f'  "{_vertex_id(order, v)}" [weight={weights[v]}];')
+            out.append(f'  "{_vertex_id(order, v)}" [weight={masks[v].bit_count()}];')
         for a, b in sorted(edges):
             out.append(f'  "{_vertex_id(order, a)}" -- "{_vertex_id(order, b)}";')
         out.append("}")
@@ -252,7 +233,7 @@ def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
         "ring": line.ring.label,
         "sector": sector,
         "vertices": [
-            {"id": _vertex_id(order, v), "vector": list(v), "weight": weights[v]}
+            {"id": _vertex_id(order, v), "vector": list(v), "weight": masks[v].bit_count()}
             for v in vertices
         ],
         "edges": [

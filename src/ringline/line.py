@@ -123,6 +123,25 @@ class ProjectiveLine:
         )
 
 
+def incidence(orbits) -> dict[Vector, int]:
+    """Each vector lying on some orbit, mapped to the mask of those orbits.
+
+    Bit i is set when the vector lies on the i-th orbit, so a vector lies
+    on k points when its mask has k bits.
+    """
+    masks: dict[Vector, int] = {}
+    for index, orbit in enumerate(orbits):
+        bit = 1 << index
+        for v in orbit:
+            masks[v] = masks.get(v, 0) | bit
+    return masks
+
+
+def mask_indices(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def compute_line(ring: FiniteRing, max_order: int | None = None) -> ProjectiveLine:
     """Scan all of R^2 and assemble the generalized projective line.
 

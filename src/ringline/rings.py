@@ -44,14 +44,6 @@ class FiniteRing:
     zero_divisors: frozenset[int]
     label: str
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def elements(self) -> range:
         return range(self.order)
 

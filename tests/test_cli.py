@@ -2,8 +2,19 @@ import json
 
 import pytest
 
+import oracles
+import ringline.cli
 import ringline.geometry
-from ringline import bundled_ring_path, construct, export_graph
+from conftest import DATA
+from ringline import (
+    RelationGraph,
+    bundled_ring_path,
+    construct,
+    cross_sector_check,
+    export_graph,
+    max_distant_cliques,
+    max_neighbour_cliques,
+)
 from ringline.cli import _atomic_write, build_line_report, main
 
 
@@ -184,10 +195,49 @@ def test_line_report_enumerates_each_sector_and_relation_once(monkeypatch):
 
     monkeypatch.setattr(ringline.geometry, "maximum_cliques", counted)
     report = build_line_report(construct("T(2)"))
-    # 3 sectors x 2 relations; the partition reads the unimodular distant list
-    assert len(calls) == 6
+    # 2 sectors x 2 relations; the whole line follows from the two sectors
+    # and the partition reads the unimodular distant list
+    assert len(calls) == 4
     assert report.partition_class_sizes == (6, 6, 6)
     assert report.partition_anchor_sets == 48
+
+
+def test_line_report_derives_the_whole_line_from_its_sectors(catalog, amphibian16):
+    rings = dict(catalog, amphibian16=amphibian16)
+    rings.update((spec, construct(spec)) for spec in ("GF(3)*T(2)", "T(3)"))
+    for spec, ring in rings.items():
+        report = build_line_report(ring)
+        line = report.line
+        graph = RelationGraph.from_line(line, "whole")
+        for derived, enumerate_cliques, adjacency in (
+            (report.max_distant, max_distant_cliques, graph.distant_adjacency()),
+            (report.max_neighbour, max_neighbour_cliques, graph.neighbour_adjacency()),
+        ):
+            size = len(enumerate_cliques(line, "whole")[0])
+            assert derived["whole"] == size == oracles.nx_maximum_cliques(adjacency)[0], spec
+        if line.unimodular_points and line.nonunimodular_points:
+            assert cross_sector_check(line) == (True, None), spec
+            assert report.cross_sector_all_neighbour is True, spec
+
+
+def test_line_compute_fixture_reuses_the_reported_line(capsys, tmp_path, monkeypatch):
+    calls = []
+    scan = ringline.cli.compute_line
+
+    def counted(ring, *args):
+        calls.append(ring.label)
+        return scan(ring, *args)
+
+    monkeypatch.setattr(ringline.cli, "compute_line", counted)
+    # the bundled tables carry the committed fixture's element labels
+    spec = f"file:{bundled_ring_path()}"
+    code, _, err = run(capsys, "line", "compute", spec, "--fixtures", str(tmp_path))
+    assert code == 0 and "fixture written" in err
+    assert len(calls) == 1
+    [path] = tmp_path.glob("*.line.json")
+    written = json.loads(path.read_text())
+    committed = json.loads((DATA / "ternions8_line.json").read_text())
+    assert written["points"] == committed["points"]
 
 
 def test_condense_command(capsys):

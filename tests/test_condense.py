@@ -3,7 +3,9 @@ import random
 import pytest
 
 import golden
+import oracles
 from ringline import (
+    DEFAULT_CATALOG,
     EmptyStructure,
     IncidenceStructure,
     OrderTooLarge,
@@ -67,6 +69,25 @@ def test_reference_structures():
     assert len(z4.edges) == 6 and all(len(e) == 4 for e in z4.edges)
     z6 = reference_structure("Z(6)")
     assert len(z6.edges) == 12 and all(len(e) == 6 for e in z6.edges)
+
+
+def test_vertex_signatures_match_brute_force_orbits(catalog_lines, gf3_t2_line, amphibian16):
+    # a vertex's signature is the set of edges whose brute-force orbit holds
+    # its vectors, and the set of edges that list the vertex
+    cases = [
+        (reference_structure(spec), catalog_lines[spec], catalog_lines[spec].unimodular_points)
+        for spec in DEFAULT_CATALOG
+    ]
+    for line in (catalog_lines["T(2)"], catalog_lines["GF(2)*T(2)"], gf3_t2_line, compute_line(amphibian16)):
+        cases.append((condense(line), line, line.nonunimodular_points))
+    for structure, line, points in cases:
+        mul = [list(row) for row in line.ring.mul_table]
+        orbits = [oracles.brute_orbit(mul, p.generator) for p in points]
+        assert len(structure.edges) == len(orbits)
+        for i, vc in enumerate(structure.vertices):
+            assert vc.signature == {e for e, edge in enumerate(structure.edges) if i in edge}
+            for v in vc.members:
+                assert vc.signature == {e for e, orbit in enumerate(orbits) if v in orbit}, structure.label
 
 
 def test_reference_structure_order_bound():

@@ -1,10 +1,12 @@
 import json
+from itertools import product
 
 import pytest
 
 import golden
 import oracles
 from ringline import (
+    SECTORS,
     OrderTooLarge,
     compute_line,
     construct,
@@ -12,8 +14,10 @@ from ringline import (
     is_unimodular,
     line_to_dict,
     line_to_json,
+    sector_points,
     unimodularity_witness,
 )
+from ringline.line import incidence, mask_indices
 from conftest import COMMUTATIVE_SPECS, DATA
 
 
@@ -89,6 +93,31 @@ def test_generators_match_brute_force(catalog, amphibian16):
             for r2 in ring.elements():
                 expected = tuple(oracles.brute_generators(mul, (r1, r2)))
                 assert cyclic_submodule(ring, (r1, r2)).generators == expected, (ring.label, r1, r2)
+
+
+def test_incidence_matches_brute_force(catalog_lines, amphibian16):
+    # each vector of R^2 lying on some point of the sector, mapped to the
+    # bitmask of the points (by position) whose brute-force orbit holds it
+    lines = dict(catalog_lines, amphibian16=compute_line(amphibian16))
+    for spec, line in lines.items():
+        n = line.ring.order
+        mul = [list(row) for row in line.ring.mul_table]
+        for sector in SECTORS:
+            points = sector_points(line, sector)
+            orbits = [oracles.brute_orbit(mul, p.generator) for p in points]
+            expected = {}
+            for v in product(range(n), repeat=2):
+                mask = sum(1 << i for i, orbit in enumerate(orbits) if v in orbit)
+                if mask:
+                    expected[v] = mask
+            assert incidence(p.orbit for p in points) == expected, (spec, sector)
+
+
+def test_mask_indices():
+    assert mask_indices(0) == ()
+    for mask in range(1, 1 << 10):
+        assert mask_indices(mask) == tuple(i for i in range(10) if mask >> i & 1)
+    assert mask_indices(1 << 500 | 1 << 3) == (3, 500)
 
 
 def test_ternion_line_counts(ternion_line):

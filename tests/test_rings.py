@@ -21,7 +21,6 @@ def test_z2_valid():
     assert ring.order == 2
     assert ring.units == {1}
     assert ring.zero_divisors == {0}
-    assert ring.zero == 0 and ring.one == 1
     assert ring.is_commutative
 
 
