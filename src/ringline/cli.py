@@ -146,7 +146,7 @@ class LineReport:
     line: ProjectiveLine
 
 
-def build_line_report(ring: FiniteRing, catalog: tuple[str, ...] | None = None) -> LineReport:
+def build_line_report(ring: FiniteRing) -> LineReport:
     """Report both sectors; the whole line follows from them.
 
     Every non-unimodular point is neighbour to every unimodular one: (1) by
@@ -184,7 +184,7 @@ def build_line_report(ring: FiniteRing, catalog: tuple[str, ...] | None = None) 
     else:  # None: the non-unimodular sector is empty
         max_distant["whole"] = max(max_distant["unimodular"], max_distant["nonunimodular"] or 0)
         max_neighbour["whole"] = max_neighbour["unimodular"] + (max_neighbour["nonunimodular"] or 0)
-    ident = identify_condensate(line, catalog)
+    ident = identify_condensate(line)
     return LineReport(
         ring=ring.label,
         order=ring.order,

@@ -7,10 +7,10 @@ order-8 ternion line this collapses the three non-unimodular points onto
 four quadruples of vectors arranged exactly like the projective line over
 GF(2).
 
-Structure comparison works on membership-distinct vertices: vertices of
-either side that lie in exactly the same edges are merged first, so a
-class of four vectors can match a single vector of a reference line.
-Class sizes are structural multiplicities, not identity.
+Reference lines over catalog rings are condensed the same way, from
+their unimodular sector, and comparison merges vertices on exactly the
+same edges again, so structures match up to repeated vertices.  Class
+sizes are structural multiplicities, not identity.
 """
 
 from __future__ import annotations
@@ -77,22 +77,16 @@ def _signature_quotient(label: str, edge_vectors: list) -> IncidenceStructure:
 
 
 def reference_structure(spec: str) -> IncidenceStructure:
-    """Incidence structure of the line over a catalog ring.
+    """Unimodular sector of the line over a catalog ring, condensed.
 
-    Vertices are all vectors covered by the unimodular points, each its
-    own singleton class (the zero vector included, so a condensate's
-    universal class has a counterpart); edges are the point orbits.
+    Built like a condensate: vectors on the same points form one vertex
+    (the zero vector's class lies on every point), one edge per point.
     """
     ring = construct(spec)
     if ring.order > 16:
         raise OrderTooLarge(f"reference lines are bounded to ring order 16, got {ring.order}")
     points = compute_line(ring).unimodular_points
-    masks = incidence(p.orbit for p in points)
-    covered = sorted(masks)
-    position = {v: i for i, v in enumerate(covered)}
-    edges = tuple(tuple(position[v] for v in p.orbit) for p in points)
-    vertices = tuple(VectorClass((v,), frozenset(mask_indices(masks[v]))) for v in covered)
-    return IncidenceStructure(label=f"P({ring.label})", vertices=vertices, edges=edges)
+    return _signature_quotient(f"P({ring.label})", [p.orbit for p in points])
 
 
 @dataclass(frozen=True)
@@ -124,18 +118,17 @@ def structures_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> Struc
     the search then backtracks over edge bijections, pruned by edge size,
     vertex-degree profile and pairwise intersection sizes, and accepts
     when the induced signature correspondence is a vertex bijection.  The
-    witness is the lexicographically least edge mapping.
+    witness is the lexicographically least edge mapping.  TooLarge only for
+    equal reduced sizes above MAX_STRUCTURE_VERTICES.
     """
-    if len(a.vertices) > MAX_STRUCTURE_VERTICES or len(b.vertices) > MAX_STRUCTURE_VERTICES:
-        raise TooLarge(
-            f"structure isomorphism is bounded to {MAX_STRUCTURE_VERTICES} vertices"
-        )
     ra, rb = (
         _signature_quotient(s.label, [[v for i in e for v in s.vertices[i].members] for e in s.edges])
         for s in (a, b)
     )
     if len(ra.vertices) != len(rb.vertices) or len(ra.edges) != len(rb.edges):
         return None
+    if len(ra.vertices) > MAX_STRUCTURE_VERTICES:
+        raise TooLarge(f"structure isomorphism is bounded to {MAX_STRUCTURE_VERTICES} reduced vertices")
     m = len(ra.edges)
     if m == 0:
         return StructureIsomorphism(ra, rb, vertex_map=(), edge_map=())
@@ -145,6 +138,8 @@ def structures_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> Struc
     degrees_a = [len(vc.signature) for vc in ra.vertices]
     degrees_b = [len(vc.signature) for vc in rb.vertices]
 
+    # Not implied by the exact search: without these invariants, structures
+    # that differ by one incidence cost seconds to minutes of backtracking.
     def invariant(sets, degrees, i):
         profile = tuple(sorted(degrees[v] for v in sets[i]))
         meets = tuple(sorted(len(sets[i] & sets[j]) for j in range(m) if j != i))

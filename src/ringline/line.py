@@ -142,19 +142,18 @@ def mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def compute_line(ring: FiniteRing, max_order: int | None = None) -> ProjectiveLine:
+def compute_line(ring: FiniteRing) -> ProjectiveLine:
     """Scan all of R^2 and assemble the generalized projective line.
 
     The scan is row-major over (r1, r2) and records each free point once,
     at its canonical generator, so both sectors come out sorted by
-    canonical generator.  ``max_order`` (or RINGLINE_MAX_ORDER)
-    overrides the soft bound of 32.
+    canonical generator.  RINGLINE_MAX_ORDER overrides the soft bound of 32.
     """
-    limit = soft_max_order() if max_order is None else max_order
+    limit = soft_max_order()
     if ring.order > limit:
         raise OrderTooLarge(
             f"line computation is bounded to order {limit} (ring has order {ring.order});"
-            " pass max_order or set RINGLINE_MAX_ORDER to override"
+            " set RINGLINE_MAX_ORDER to override"
         )
     mul = ring.mul_table
     unimodular: list[CyclicSubmodule] = []

@@ -218,40 +218,13 @@ def ideal_size_census(ring: FiniteRing) -> dict[int, int]:
     return dict(sorted(census.items()))
 
 
-def _additive_order(ring: FiniteRing, x: int) -> int:
-    k, acc = 1, x
-    while acc != 0:
-        acc = ring.add_table[acc][x]
-        k += 1
-    return k
-
-
-def _nilpotency_index(ring: FiniteRing, x: int) -> int:
-    """Least k >= 1 with x^k = 0, or 0 if x is not nilpotent."""
-    p = x
-    for k in range(1, ring.order + 1):
-        if p == 0:
-            return k
-        p = ring.mul_table[p][x]
-    return 0
-
-
-def _fingerprint(ring: FiniteRing, x: int) -> tuple[int, bool, bool, int]:
-    return (
-        _additive_order(ring, x),
-        x in ring.units,
-        ring.mul_table[x][x] == x,
-        _nilpotency_index(ring, x),
-    )
-
-
 def are_isomorphic(ring_a: FiniteRing, ring_b: FiniteRing) -> tuple[int, ...] | None:
     """Search for a bijection preserving both tables.
 
     Returns the mapping (index in ring_a -> index in ring_b) or None.
-    Backtracking assigns elements in index order inside classes of equal
-    fingerprint (additive order, unit flag, idempotency, nilpotency index),
-    so the returned witness is the lexicographically least one.
+    Backtracking assigns elements in index order, tries images in index
+    order and keeps only partial homomorphisms, so the returned witness
+    is the lexicographically least one.
     """
     bound = ISOMORPHISM_MAX_ORDER
     if ring_a.order > bound or ring_b.order > bound:
@@ -259,11 +232,6 @@ def are_isomorphic(ring_a: FiniteRing, ring_b: FiniteRing) -> tuple[int, ...] | 
     n = ring_a.order
     if n != ring_b.order:
         return None
-    fp_a = [_fingerprint(ring_a, x) for x in range(n)]
-    fp_b = [_fingerprint(ring_b, x) for x in range(n)]
-    if sorted(fp_a) != sorted(fp_b):
-        return None
-    candidates = [[y for y in range(n) if fp_b[y] == fp_a[x]] for x in range(n)]
 
     add_a, mul_a = ring_a.add_table, ring_a.mul_table
     add_b, mul_b = ring_b.add_table, ring_b.mul_table
@@ -298,7 +266,7 @@ def are_isomorphic(ring_a: FiniteRing, ring_b: FiniteRing) -> tuple[int, ...] | 
     def extend(k: int) -> bool:
         if k == n:
             return complete()
-        for y in candidates[k]:
+        for y in range(n):
             if taken[y]:
                 continue
             image[k] = y

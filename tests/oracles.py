@@ -4,7 +4,7 @@ Everything here works straight off raw Cayley tables (lists of lists) so
 that checks do not share code paths with the package being tested.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 
 def axiom_failure(add, mul):
@@ -67,6 +67,27 @@ def all_ideals_by_subsets(add, mul):
             if is_two_sided_ideal(add, mul, subset):
                 found.add(subset)
     return found
+
+
+def brute_isomorphism(add_a, mul_a, add_b, mul_b):
+    """Least table-preserving bijection a -> b, or None.
+
+    An isomorphism fixes 0 and 1, so it tries the (n-2)! permutations of
+    the other elements in lexicographic order.
+    """
+    n = len(add_a)
+    if n != len(add_b):
+        return None
+    for rest in permutations(range(2, n)):
+        image = (0, 1) + rest
+        if all(
+            image[add_a[x][y]] == add_b[image[x]][image[y]]
+            and image[mul_a[x][y]] == mul_b[image[x]][image[y]]
+            for x in range(n)
+            for y in range(n)
+        ):
+            return image
+    return None
 
 
 def brute_unimodular(add, mul, vector):

@@ -256,6 +256,21 @@ def test_condense_json_custom_catalog(capsys):
     assert data["status"] == "no catalog match"
     assert data["matches"] == []
     assert len(data["classes"]) == 4
+    catalog = "GF(4)*GF(4),Z(16),GF(2)*GF(2)*GF(4),GF(2)"
+    code, out, _ = run(capsys, "condense", "T(2)", "--json", "--catalog", catalog)
+    assert code == 0
+    assert json.loads(out)["matches"] == ["GF(2)"]
+
+
+def test_condense_larger_than_every_reference(capsys, monkeypatch):
+    # 340 condensate classes against references of at most 20: no match,
+    # and no size bound, since no reference has 340 classes
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    code, out, _ = run(capsys, "condense", "T(2)*T(2)", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "no catalog match"
+    assert len(data["classes"]) == 340
 
 
 def test_table2_default(capsys):

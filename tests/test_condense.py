@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -59,16 +60,43 @@ def test_gf3_ternion_condensate_shape(gf3_t2_line):
     assert all(len(edge) == 4 for edge in structure.edges)
 
 
-def test_reference_structures():
+def _brute_reference_shape(ring):
+    """(class count, sorted edge sizes, sorted class sizes) from brute-force orbits."""
+    add, mul = [list(r) for r in ring.add_table], [list(r) for r in ring.mul_table]
+    orbits = list(oracles.brute_line_sectors(add, mul)[0])
+    signature = {}
+    for i, orbit in enumerate(orbits):
+        for v in orbit:
+            signature.setdefault(v, set()).add(i)
+    classes = Counter(frozenset(s) for s in signature.values())
+    edge_sizes = sorted(sum(1 for c in classes if i in c) for i in range(len(orbits)))
+    return len(classes), edge_sizes, sorted(classes.values())
+
+
+def test_reference_structures(catalog):
+    # a reference line is condensed like a condensate: one vertex per set of
+    # unimodular points holding the same vectors
+    for spec in DEFAULT_CATALOG:
+        ref = reference_structure(spec)
+        shape = (
+            len(ref.vertices),
+            sorted(len(e) for e in ref.edges),
+            sorted(len(vc.members) for vc in ref.vertices),
+        )
+        assert shape == _brute_reference_shape(catalog[spec]), spec
     gf2 = reference_structure("GF(2)")
     assert len(gf2.vertices) == 4
     assert all(len(vc.members) == 1 for vc in gf2.vertices)
     assert len(gf2.edges) == 3 and all(len(e) == 2 for e in gf2.edges)
+    # Z(4): the zero class, one class of two unimodular vectors per point, and
+    # {(2,0)}, {(0,2)}, {(2,2)} on two points each
     z4 = reference_structure("Z(4)")
-    assert len(z4.vertices) == 16
-    assert len(z4.edges) == 6 and all(len(e) == 4 for e in z4.edges)
+    assert len(z4.vertices) == 10
+    assert len(z4.edges) == 6 and all(len(e) == 3 for e in z4.edges)
+    # Z(6) = GF(2) x GF(3): 4 x 5 classes, each point holding 2 x 2 of them
     z6 = reference_structure("Z(6)")
-    assert len(z6.edges) == 12 and all(len(e) == 6 for e in z6.edges)
+    assert len(z6.vertices) == 20
+    assert len(z6.edges) == 12 and all(len(e) == 4 for e in z6.edges)
 
 
 def test_vertex_signatures_match_brute_force_orbits(catalog_lines, gf3_t2_line, amphibian16):
@@ -180,13 +208,44 @@ def test_isomorphism_distinguishes_unequal_structures():
 
 
 def test_structure_size_bound():
-    edges = (tuple(range(201)),)
-    vertices = tuple(
-        VectorClass(members=((v, 0),), signature=frozenset({0})) for v in range(201)
-    )
-    big = IncidenceStructure(label="big", vertices=vertices, edges=edges)
+    # P(GF(2)^4) = P(GF(2))^4: 3^4 points, 4^4 distinct vector signatures
+    big = reference_structure("GF(2)*GF(2)*GF(2)*GF(2)")
+    assert (len(big.vertices), len(big.edges)) == (256, 81)
     with pytest.raises(TooLarge):
         structures_isomorphic(big, big)
+    # the bound needs equal sizes: 201 classes, each alone on its own edge,
+    # cannot match 4 classes
+    vertices = tuple(
+        VectorClass(members=((v, 0),), signature=frozenset({v})) for v in range(201)
+    )
+    edges = tuple((v,) for v in range(201))
+    single = IncidenceStructure(label="single", vertices=vertices, edges=edges)
+    assert structures_isomorphic(single, reference_structure("GF(2)")) is None
+
+
+def test_one_moved_incidence_is_not_isomorphic():
+    # every edge of P(GF(2) x GF(7)) lists 2 x 2 of its 4 x 9 classes; moving
+    # one class to an edge that lacks it gives edge sizes 3 and 5, so the
+    # structures differ, and the edge invariants say so without a search
+    ref = reference_structure("GF(2)*GF(7)")
+    assert len(ref.vertices) == 36 and all(len(e) == 4 for e in ref.edges)
+    edges = [set(e) for e in ref.edges]
+    # a class (0, w) on the 3 points over one GF(7) point; a class on one
+    # point would merge with the target edge's own class
+    moved = next(v for v in sorted(edges[0]) if len(ref.vertices[v].signature) == 3)
+    target = next(i for i, e in enumerate(edges) if moved not in e)
+    edges[0].discard(moved)
+    edges[target].add(moved)
+    edges = tuple(tuple(sorted(e)) for e in edges)
+    vertices = tuple(
+        VectorClass(vc.members, frozenset(i for i, e in enumerate(edges) if v in e))
+        for v, vc in enumerate(ref.vertices)
+    )
+    assert len({vc.signature for vc in vertices}) == 36  # no classes merge
+    mutated = IncidenceStructure(label="moved", vertices=vertices, edges=edges)
+    assert sorted(map(len, edges)) != sorted(map(len, ref.edges))
+    assert structures_isomorphic(ref, mutated) is None
+    assert structures_isomorphic(mutated, ref) is None
 
 
 def test_identify_condensate(ternion_line, catalog_lines, gf3_t2_line):
@@ -202,6 +261,9 @@ def test_identify_condensate(ternion_line, catalog_lines, gf3_t2_line):
 def test_identify_with_custom_catalog(ternion_line):
     result = identify_condensate(ternion_line, catalog=("Z(4)", "D(2)"))
     assert result.status == "no catalog match"
+    # order-16 references are condensed, so they stay under the size bound
+    catalog = ("GF(4)*GF(4)", "Z(16)", "GF(2)*GF(2)*GF(4)", "GF(2)")
+    assert identify_condensate(ternion_line, catalog=catalog).matches == ("GF(2)",)
 
 
 def test_condensate_distant_sizes(ternion_line, catalog_lines, gf3_t2_line):

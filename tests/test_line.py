@@ -209,9 +209,11 @@ def test_point_lookup(ternion_line):
 
 def test_order_bound_and_overrides(monkeypatch):
     ring = construct("Z(33)")
+    monkeypatch.delenv("RINGLINE_MAX_ORDER", raising=False)
     with pytest.raises(OrderTooLarge):
         compute_line(ring)
-    line = compute_line(ring, max_order=33)
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "33")
+    line = compute_line(ring)
     assert len(line.unimodular_points) > 0
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "40")
     assert compute_line(ring).unimodular_points == line.unimodular_points

@@ -1,3 +1,6 @@
+import random
+from itertools import permutations
+
 import pytest
 
 import oracles
@@ -183,6 +186,42 @@ def test_isomorphism_reflexive_and_symmetric(catalog):
             forward = are_isomorphic(left, right)
             backward = are_isomorphic(right, left)
             assert (forward is None) == (backward is None)
+
+
+def _relabelled(ring, seed):
+    rng = random.Random(seed)
+    rest = list(range(2, ring.order))
+    rng.shuffle(rest)
+    perm = [0, 1] + rest
+    tables = []
+    for table in (ring.add_table, ring.mul_table):
+        out = [[0] * ring.order for _ in range(ring.order)]
+        for a in ring.elements():
+            for b in ring.elements():
+                out[perm[a]][perm[b]] = perm[table[a][b]]
+        tables.append(out)
+    return validate_tables(*tables)
+
+
+def _brute_isomorphism(ring_a, ring_b):
+    return oracles.brute_isomorphism(
+        ring_a.add_table, ring_a.mul_table, ring_b.add_table, ring_b.mul_table
+    )
+
+
+def test_isomorphism_matches_brute_force(catalog):
+    # verdict and least witness against all (n-2)! bijections fixing 0 and 1
+    small = {spec: ring for spec, ring in catalog.items() if ring.order <= 9}
+    for spec, ring in small.items():
+        for seed in (3, 11):
+            relabelled = _relabelled(ring, seed)
+            witness = are_isomorphic(ring, relabelled)
+            assert witness is not None, spec
+            assert witness == _brute_isomorphism(ring, relabelled), spec
+    for left, right in permutations(small, 2):
+        if small[left].order == small[right].order:
+            expected = _brute_isomorphism(small[left], small[right])
+            assert are_isomorphic(small[left], small[right]) == expected, (left, right)
 
 
 def test_isomorphism_order_bound():
