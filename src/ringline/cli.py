@@ -32,11 +32,6 @@ from .line import ProjectiveLine, compute_line, line_to_json
 from .rings import FiniteRing, ISOMORPHISM_MAX_ORDER, are_isomorphic, ideal_size_census
 
 
-def _census_text(ring: FiniteRing) -> str:
-    census = ideal_size_census(ring)
-    return ", ".join(f"{size}:{count}" for size, count in census.items())
-
-
 def _named_candidates(order: int) -> list[str]:
     specs = [f"Z({order})"]
     if order in SUPPORTED_FIELD_ORDERS:
@@ -85,7 +80,8 @@ def cmd_ring_info(args) -> int:
     print(f"units: {len(ring.units)}")
     print(f"zero divisors: {len(ring.zero_divisors)}")
     print(f"commutative: {'yes' if ring.is_commutative else 'no'}")
-    print(f"ideals by size: {_census_text(ring)}")
+    census = ", ".join(f"{size}:{count}" for size, count in data["ideals_by_size"].items())
+    print(f"ideals by size: {census}")
     if is_file_spec:
         found = data["isomorphic_to"]
         print(f"isomorphic to: {', '.join(found) if found else 'no named construction of this order'}")

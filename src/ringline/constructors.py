@@ -9,14 +9,17 @@ Grammar::
 ``Z(n)`` are the integers mod n, ``GF(q)`` the fields of order
 q in {2, 3, 4, 5, 7}, ``T(q)`` the upper-triangular 2x2 matrices over
 GF(q), ``D(q)`` the dual numbers GF(q)[x]/(x^2), and products combine
-Cayley tables componentwise.  Raw encodings rarely place the
-multiplicative identity at index 1, so every constructor finishes with
-the single label transposition that moves it there; element 0 stays the
-additive identity throughout.
+Cayley tables componentwise.  Each construction lists its elements zero
+first and labels them by list position: residues for ``Z(n)`` and
+``GF(p)``, bit masks of polynomials over GF(2) for ``GF(4)``, pairs
+(a, b) at a*q + b for ``D(q)``, digit triples for ``T(q)`` and pairs
+(i, j) at i*|right| + j for products.  The identity then swaps labels
+with the element listed second, so 0 and 1 are the two identities.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from importlib import resources
 from pathlib import Path
@@ -69,33 +72,26 @@ def _field_enumeration(q: int, mul: Table) -> list[int]:
     return seq
 
 
-def _relabel_identity_to_one(add: Table, mul: Table) -> tuple[Table, Table]:
-    """Swap labels so the two-sided multiplicative identity sits at index 1."""
-    n = len(mul)
-    identity = next(
-        e for e in range(n) if all(mul[e][j] == j and mul[j][e] == j for j in range(n))
-    )
-    if identity == 1:
-        return add, mul
+def _ring(label: str, elements, one, add, mul) -> FiniteRing:
+    """Validate the tables of ``add`` and ``mul`` on a listed element set.
 
-    def swap(x: int) -> int:
-        if x == 1:
-            return identity
-        if x == identity:
-            return 1
-        return x
-
-    new_add = tuple(tuple(swap(add[swap(i)][swap(j)]) for j in range(n)) for i in range(n))
-    new_mul = tuple(tuple(swap(mul[swap(i)][swap(j)]) for j in range(n)) for i in range(n))
-    return new_add, new_mul
+    ``elements`` lists the ring zero first.  Each element is labelled by
+    its list position, except that ``one`` and the element listed second
+    swap labels, so the identity gets label 1.
+    """
+    elements = list(elements)
+    k = elements.index(one)
+    elements[1], elements[k] = elements[k], elements[1]
+    index = {x: i for i, x in enumerate(elements)}
+    add_table = tuple(tuple([index[add(x, y)] for y in elements]) for x in elements)
+    mul_table = tuple(tuple([index[mul(x, y)] for y in elements]) for x in elements)
+    return validate_tables(add_table, mul_table, label=label)
 
 
 def integers_mod(n: int) -> FiniteRing:
     if n < 2:
         raise ParseError(f"Z({n}) is not a ring with 1 != 0; n must be at least 2")
-    add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    mul = tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
-    return validate_tables(add, mul, label=f"Z({n})")
+    return _ring(f"Z({n})", range(n), 1, lambda x, y: (x + y) % n, lambda x, y: x * y % n)
 
 
 def galois_field(q: int) -> FiniteRing:
@@ -104,92 +100,46 @@ def galois_field(q: int) -> FiniteRing:
 
 
 def dual_numbers(q: int) -> FiniteRing:
-    """GF(q)[x]/(x^2): pairs a + b*x with (a,b)(c,d) = (ac, ad + bc)."""
+    """GF(q)[x]/(x^2): pairs a + b*x with (a,b)(c,d) = (ac, ad + bc).
+
+    The pair (a, b) of field labels is listed at a*q + b; the identity
+    (1, 0) then swaps labels with the pair listed second.
+    """
     fadd, fmul = _field_tables(q)
-    n = q * q
-
-    def decode(i: int) -> tuple[int, int]:
-        return divmod(i, q)
-
-    def encode(a: int, b: int) -> int:
-        return a * q + b
-
-    add_rows = []
-    mul_rows = []
-    for i in range(n):
-        a, b = decode(i)
-        add_rows.append(
-            tuple(encode(fadd[a][c], fadd[b][d]) for c, d in map(decode, range(n)))
-        )
-        mul_rows.append(
-            tuple(
-                encode(fmul[a][c], fadd[fmul[a][d]][fmul[b][c]])
-                for c, d in map(decode, range(n))
-            )
-        )
-    add, mul = _relabel_identity_to_one(tuple(add_rows), tuple(mul_rows))
-    return validate_tables(add, mul, label=f"D({q})")
+    return _ring(
+        f"D({q})", itertools.product(range(q), repeat=2), (1, 0),
+        lambda x, y: (fadd[x[0]][y[0]], fadd[x[1]][y[1]]),
+        lambda x, y: (fmul[x[0]][y[0]], fadd[fmul[x[0]][y[1]]][fmul[x[1]][y[0]]]),
+    )
 
 
 def ternions(q: int) -> FiniteRing:
     """Upper-triangular 2x2 matrices (a b; 0 c) over GF(q).
 
-    The matrix with digits (a, b, c) gets the row-major index
-    pos(a)*q^2 + pos(b)*q + pos(c), where pos enumerates the field as
-    0, 1, then generator powers; the identity is then relabeled to 1.
+    The matrix with digits (a, b, c) is listed at pos(a)*q^2 + pos(b)*q
+    + pos(c), where pos lists the field as 0, 1, then generator powers;
+    the identity (1, 0, 1) then swaps labels with the matrix listed second.
     """
     fadd, fmul = _field_tables(q)
-    enum = _field_enumeration(q, fmul)
-    pos = {element: k for k, element in enumerate(enum)}
-    n = q * q * q
-
-    def decode(i: int) -> tuple[int, int, int]:
-        d2, rest = divmod(i, q * q)
-        d1, d0 = divmod(rest, q)
-        return enum[d2], enum[d1], enum[d0]
-
-    def encode(a: int, b: int, c: int) -> int:
-        return pos[a] * q * q + pos[b] * q + pos[c]
-
-    triples = [decode(i) for i in range(n)]
-    add_rows = []
-    mul_rows = []
-    for a, b, c in triples:
-        add_rows.append(
-            tuple(encode(fadd[a][x], fadd[b][y], fadd[c][z]) for x, y, z in triples)
-        )
-        mul_rows.append(
-            tuple(
-                encode(fmul[a][x], fadd[fmul[a][y]][fmul[b][z]], fmul[c][z])
-                for x, y, z in triples
-            )
-        )
-    add, mul = _relabel_identity_to_one(tuple(add_rows), tuple(mul_rows))
-    return validate_tables(add, mul, label=f"T({q})")
+    return _ring(
+        f"T({q})", itertools.product(_field_enumeration(q, fmul), repeat=3), (1, 0, 1),
+        lambda x, y: (fadd[x[0]][y[0]], fadd[x[1]][y[1]], fadd[x[2]][y[2]]),
+        lambda x, y: (fmul[x[0]][y[0]], fadd[fmul[x[0]][y[1]]][fmul[x[1]][y[2]]], fmul[x[2]][y[2]]),
+    )
 
 
 def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
-    """Componentwise direct product, element (i, j) -> i*|right| + j."""
-    msize = right.order
-    n = left.order * msize
+    """Componentwise direct product.
 
-    def combine(table_l, table_r):
-        rows = []
-        for i in range(n):
-            a, b = divmod(i, msize)
-            rows.append(
-                tuple(
-                    table_l[a][c] * msize + table_r[b][d]
-                    for c, d in (divmod(j, msize) for j in range(n))
-                )
-            )
-        return tuple(rows)
-
-    add, mul = _relabel_identity_to_one(
-        combine(left.add_table, right.add_table),
-        combine(left.mul_table, right.mul_table),
+    The pair (i, j) is listed at i*|right| + j; the identity (1, 1) then
+    swaps labels with the pair listed second.
+    """
+    ladd, lmul, radd, rmul = left.add_table, left.mul_table, right.add_table, right.mul_table
+    return _ring(
+        f"{left.label}*{right.label}", itertools.product(left.elements(), right.elements()), (1, 1),
+        lambda x, y: (ladd[x[0]][y[0]], radd[x[1]][y[1]]),
+        lambda x, y: (lmul[x[0]][y[0]], rmul[x[1]][y[1]]),
     )
-    return validate_tables(add, mul, label=f"{left.label}*{right.label}")
 
 
 _TERM_RE = re.compile(r"(Z|GF|T|D)\((\d+)\)\Z")

@@ -23,7 +23,7 @@ _MAX_ORDER_ENV = "RINGLINE_MAX_ORDER"
 
 
 def soft_max_order() -> int:
-    """Soft order bound for line scans; RINGLINE_MAX_ORDER overrides it."""
+    """Soft order bound for line scans and ideal enumeration; RINGLINE_MAX_ORDER overrides it."""
     raw = os.environ.get(_MAX_ORDER_ENV)
     if raw is None:
         return DEFAULT_MAX_ORDER
@@ -191,10 +191,15 @@ def enumerate_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
     """All two-sided ideals of the ring, {0} and R included.
 
     Computed as sums of principal two-sided ideals, closed under pairwise
-    sum to a fixed point.  Exhaustive, hence bounded to order <= 32.
+    sum to a fixed point.  Exhaustive, hence bounded like line scans:
+    RINGLINE_MAX_ORDER overrides the soft bound of 32.
     """
-    if ring.order > DEFAULT_MAX_ORDER:
-        raise OrderTooLarge(f"ideal enumeration is bounded to order {DEFAULT_MAX_ORDER}, got {ring.order}")
+    limit = soft_max_order()
+    if ring.order > limit:
+        raise OrderTooLarge(
+            f"ideal enumeration is bounded to order {limit}, got {ring.order};"
+            " set RINGLINE_MAX_ORDER to override"
+        )
     add = ring.add_table
     ideals: set[frozenset[int]] = {_principal_ideal(ring, a) for a in ring.elements()}
     frontier = list(ideals)

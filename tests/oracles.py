@@ -4,6 +4,7 @@ Everything here works straight off raw Cayley tables (lists of lists) so
 that checks do not share code paths with the package being tested.
 """
 
+import re
 from itertools import combinations, permutations, product
 
 
@@ -148,3 +149,93 @@ def nx_maximum_cliques(adjacency):
         elif len(clique) == best:
             cliques.add(frozenset(clique))
     return best, cliques
+
+
+def _digit_ops(family, q):
+    """Addition and multiplication of Z(q) or GF(q) labels: residues, except
+    that GF(4) labels are bit masks of polynomials over GF(2) reduced mod
+    x^2 + x + 1."""
+    if family == "Z" or q != 4:
+        return (lambda a, b: (a + b) % q), (lambda a, b: a * b % q)
+
+    def mul(a, b):
+        p = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+        return p ^ 0b111 if p & 4 else p
+
+    return (lambda a, b: a ^ b), mul
+
+
+def _power_list(q, mul):
+    """0, 1, then the powers of the least primitive element of GF(q)."""
+    for g in range(1, q):
+        powers = [1]
+        while mul(powers[-1], g) != 1:
+            powers.append(mul(powers[-1], g))
+        if len(powers) == q - 1:
+            return [0] + powers
+    raise AssertionError(f"GF({q}) has no primitive element")
+
+
+def _tables(n, decode, encode, add, mul):
+    """Raw tables of two operations on the elements decode(0..n-1)."""
+    elements = [decode(i) for i in range(n)]
+    return (
+        [[encode(add(x, y)) for y in elements] for x in elements],
+        [[encode(mul(x, y)) for y in elements] for x in elements],
+    )
+
+
+def _identity_to_one(add, mul):
+    """Relabel by the transposition of label 1 and the identity's label."""
+    n = len(mul)
+    e = next(x for x in range(n) if all(mul[x][y] == y == mul[y][x] for y in range(n)))
+    s = list(range(n))
+    s[1], s[e] = e, 1
+    return (
+        [[s[add[s[i]][s[j]]] for j in range(n)] for i in range(n)],
+        [[s[mul[s[i]][s[j]]] for j in range(n)] for i in range(n)],
+    )
+
+
+def named_tables(spec):
+    """(add, mul) of a named ring spec, labelled as the README documents.
+
+    Z(n) and GF(p) are residues and GF(4) bit masks; D(q) puts (a, b) at
+    a*q + b; T(q) puts digits (a, b, c) at pos(a)*q^2 + pos(b)*q + pos(c)
+    with pos listing 0, 1, then primitive powers; a product puts (i, j) at
+    i*|S| + j, folded left to right.  Each construction then swaps the
+    identity's label with 1.
+    """
+    tables = None
+    for term in spec.split("*"):
+        family, q = re.fullmatch(r"\s*(Z|GF|T|D)\((\d+)\)\s*", term).groups()
+        q = int(q)
+        fadd, fmul = _digit_ops(family, q)
+        if family in ("Z", "GF"):
+            raw = _tables(q, lambda i: i, lambda x: x, fadd, fmul)
+        elif family == "D":
+            raw = _tables(
+                q * q, lambda i: divmod(i, q), lambda x: x[0] * q + x[1],
+                lambda x, y: (fadd(x[0], y[0]), fadd(x[1], y[1])),
+                lambda x, y: (fmul(x[0], y[0]), fadd(fmul(x[0], y[1]), fmul(x[1], y[0]))),
+            )
+        else:
+            pos = _power_list(q, fmul)
+            raw = _tables(
+                q ** 3,
+                lambda i: (pos[i // (q * q)], pos[i // q % q], pos[i % q]),
+                lambda x: pos.index(x[0]) * q * q + pos.index(x[1]) * q + pos.index(x[2]),
+                lambda x, y: (fadd(x[0], y[0]), fadd(x[1], y[1]), fadd(x[2], y[2])),
+                lambda x, y: (fmul(x[0], y[0]), fadd(fmul(x[0], y[1]), fmul(x[1], y[2])), fmul(x[2], y[2])),
+            )
+        factor = _identity_to_one(*raw)
+        if tables is None:
+            tables = factor
+            continue
+        (ladd, lmul), (radd, rmul), m = tables, factor, len(factor[0])
+        tables = _identity_to_one(*_tables(
+            len(ladd) * m, lambda i: divmod(i, m), lambda x: x[0] * m + x[1],
+            lambda x, y: (ladd[x[0]][y[0]], radd[x[1]][y[1]]),
+            lambda x, y: (lmul[x[0]][y[0]], rmul[x[1]][y[1]]),
+        ))
+    return tables

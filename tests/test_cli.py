@@ -5,6 +5,7 @@ import pytest
 import oracles
 import ringline.cli
 import ringline.geometry
+import ringline.rings
 from conftest import DATA
 from ringline import (
     RelationGraph,
@@ -12,6 +13,7 @@ from ringline import (
     construct,
     cross_sector_check,
     export_graph,
+    ideal_size_census,
     max_distant_cliques,
     max_neighbour_cliques,
 )
@@ -53,6 +55,33 @@ def test_ring_info_identifies_ingested_file(capsys):
     assert code == 0
     assert "isomorphic to: T(2)" in out
     assert "units: 2" in out and "zero divisors: 6" in out
+
+
+def test_ring_info_reads_the_order_bound_override(capsys, monkeypatch):
+    monkeypatch.delenv("RINGLINE_MAX_ORDER", raising=False)
+    code, _, err = run(capsys, "ring", "info", "GF(5)*T(2)")
+    assert code == 2 and "set RINGLINE_MAX_ORDER to override" in err
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    code, out, _ = run(capsys, "ring", "info", "GF(5)*T(2)")
+    assert code == 0
+    # the ideals of a product of rings with unity are the products I x J
+    census = {}
+    for i, ci in ideal_size_census(construct("GF(5)")).items():
+        for j, cj in ideal_size_census(construct("T(2)")).items():
+            census[i * j] = census.get(i * j, 0) + ci * cj
+    expected = ", ".join(f"{size}:{count}" for size, count in sorted(census.items()))
+    assert expected == "1:1, 2:1, 4:2, 5:1, 8:1, 10:1, 20:2, 40:1"
+    assert f"ideals by size: {expected}\n" in out
+
+
+def test_ring_info_enumerates_ideals_once(capsys, monkeypatch):
+    calls = []
+    original = ringline.rings.enumerate_ideals
+    monkeypatch.setattr(ringline.rings, "enumerate_ideals", lambda ring: calls.append(ring) or original(ring))
+    for form in ((), ("--json",)):
+        calls.clear()
+        code, _, _ = run(capsys, "ring", "info", "T(2)", *form)
+        assert code == 0 and len(calls) == 1, form
 
 
 def test_ring_validate(capsys):

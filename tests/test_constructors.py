@@ -1,5 +1,7 @@
 import pytest
 
+import oracles
+from conftest import CATALOG_SPECS
 from ringline import (
     FileError,
     ParseError,
@@ -164,3 +166,15 @@ def test_bundled_path_exists():
     assert bundled_ring_path().exists()
     with pytest.raises(FileError):
         load_ring_file(bundled_ring_path("missing"))
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS + (
+    "T(3)", "T(4)", "T(5)", "D(7)", "GF(7)", "GF(3)*T(2)", "GF(4)*T(2)", "GF(5)*T(2)",
+    "GF(7)*T(2)", "Z(4)*T(2)", "D(2)*T(2)", "T(2)*T(2)", "GF(2)*GF(2)*GF(4)",
+))
+def test_named_rings_follow_the_documented_labelling(spec):
+    # every CLI output is printed in these labels
+    ring = construct(spec)
+    add, mul = oracles.named_tables(spec)
+    assert ring.add_table == tuple(map(tuple, add))
+    assert ring.mul_table == tuple(map(tuple, mul))

@@ -140,9 +140,14 @@ def test_product_ring_ideals_are_products(catalog):
         assert oracles.is_two_sided_ideal(ring.add_table, ring.mul_table, ideal.elements)
 
 
-def test_ideal_enumeration_order_bound():
+def test_ideal_enumeration_order_bound(monkeypatch):
+    ring = construct("Z(33)")
+    monkeypatch.delenv("RINGLINE_MAX_ORDER", raising=False)
     with pytest.raises(OrderTooLarge):
-        enumerate_ideals(construct("Z(33)"))
+        enumerate_ideals(ring)
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "33")
+    # Z(33) = Z(3) x Z(11): its ideals are the four products of ideals
+    assert ideal_size_census(ring) == {1: 1, 3: 1, 11: 1, 33: 1}
 
 
 # ----------------------------------------------------------- isomorphism
