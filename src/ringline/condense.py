@@ -16,17 +16,17 @@ sizes are structural multiplicities, not identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .cliques import maximum_cliques
 from .constructors import construct
 from .errors import EmptyStructure, OrderTooLarge, TooLarge
+from .geometry import ZERO, RelationGraph
 from .line import ProjectiveLine, Vector, compute_line, incidence, mask_indices
 
 MAX_STRUCTURE_VERTICES = 200
 
 DEFAULT_CATALOG = ("GF(2)", "Z(4)", "D(2)", "Z(6)", "GF(2)*GF(2)", "GF(2)*GF(3)")
-
-ZERO_VECTOR: Vector = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,14 @@ def _signature_quotient(label: str, edge_vectors: list) -> IncidenceStructure:
     return IncidenceStructure(label=label, vertices=vertices, edges=edges)
 
 
+@cache
 def reference_structure(spec: str) -> IncidenceStructure:
     """Unimodular sector of the line over a catalog ring, condensed.
 
     Built like a condensate: vectors on the same points form one vertex
     (the zero vector's class lies on every point), one edge per point.
+    Built once per spec and process (the structure is immutable); a call
+    that raises, such as OrderTooLarge, is not cached.
     """
     ring = construct(spec)
     if ring.order > 16:
@@ -224,18 +227,9 @@ def condensate_distant_analysis(structure: IncidenceStructure) -> int:
     """
     if structure.is_empty:
         raise EmptyStructure("cannot analyse an empty incidence structure")
-    zero_classes = [
-        i for i, vc in enumerate(structure.vertices) if ZERO_VECTOR in vc.members
-    ]
+    zero_classes = [i for i, vc in enumerate(structure.vertices) if ZERO in vc.members]
     if len(zero_classes) != 1:
         raise EmptyStructure("structure has no class containing the zero vector")
     zero = zero_classes[0]
-    sets = [frozenset(e) for e in structure.edges]
-    assert all(zero in s for s in sets), "the zero class lies on every point"
-    n = len(sets)
-    adjacency = [
-        frozenset(j for j in range(n) if j != i and sets[i] & sets[j] == {zero})
-        for i in range(n)
-    ]
-    size, _ = maximum_cliques(adjacency)
-    return size
+    assert all(zero in e for e in structure.edges), "the zero class lies on every point"
+    return maximum_cliques(RelationGraph.from_edges(structure.edges, zero).distant())[0]

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .cliques import maximum_cliques
 from .errors import EmptySector, NotPartition, SamePoint, UnknownFormat
 from .line import CyclicSubmodule, ProjectiveLine, Vector, incidence, mask_indices
 
 SECTORS = ("unimodular", "nonunimodular", "whole")
+
+ZERO: Vector = (0, 0)
 
 
 def sector_points(line: ProjectiveLine, sector: str) -> tuple[CyclicSubmodule, ...]:
@@ -42,48 +46,33 @@ def relation(p: CyclicSubmodule, q: CyclicSubmodule, allow_same: bool = False) -
 
 @dataclass(frozen=True)
 class RelationGraph:
-    """Pairwise orbit-intersection sizes for the points of one sector."""
+    """Neighbour bitmask rows of a list of edges, read off ``line.incidence``.
 
-    points: tuple[CyclicSubmodule, ...]
-    intersections: tuple[tuple[int, ...], ...]
+    An edge is a point's orbit (``zero`` is ``ZERO``) or a condensed point's
+    class set (``zero`` is the zero class).  Row i ORs the masks of edge i's
+    members but ``zero``, without bit i; ``distant()`` is the complement.
+    """
+
+    neighbours: tuple[int, ...]
 
     @classmethod
-    def from_line(cls, line: ProjectiveLine, sector: str) -> "RelationGraph":
-        points = sector_points(line, sector)
-        sets = [p.orbit_set for p in points]
-        sizes = tuple(
-            tuple(len(a & b) for b in sets)
-            for a in sets
-        )
-        return cls(points=points, intersections=sizes)
+    def from_edges(cls, edges, zero) -> "RelationGraph":
+        masks = incidence(edges)
+        masks[zero] = 0
+        rows = (reduce(or_, map(masks.get, edge), 0) & ~(1 << i) for i, edge in enumerate(edges))
+        return cls(tuple(rows))
 
-    def relation(self, i: int, j: int) -> str:
-        if i == j:
-            raise SamePoint(f"relation of point index {i} with itself")
-        return "distant" if self.intersections[i][j] == 1 else "neighbour"
-
-    def neighbour_adjacency(self) -> list[frozenset[int]]:
-        n = len(self.points)
-        return [
-            frozenset(j for j in range(n) if j != i and self.intersections[i][j] > 1)
-            for i in range(n)
-        ]
-
-    def distant_adjacency(self) -> list[frozenset[int]]:
-        n = len(self.points)
-        return [
-            frozenset(j for j in range(n) if j != i and self.intersections[i][j] == 1)
-            for i in range(n)
-        ]
+    def distant(self) -> tuple[int, ...]:
+        full = (1 << len(self.neighbours)) - 1
+        return tuple(full & ~(row | 1 << i) for i, row in enumerate(self.neighbours))
 
 
 def _cliques(line, sector, kind) -> tuple[tuple[CyclicSubmodule, ...], ...]:
     points = sector_points(line, sector)
     if not points:
         raise EmptySector(f"the {sector} sector of {line.ring.label} is empty")
-    graph = RelationGraph.from_line(line, sector)
-    adjacency = graph.distant_adjacency() if kind == "distant" else graph.neighbour_adjacency()
-    _, cliques = maximum_cliques(adjacency)
+    graph = RelationGraph.from_edges([p.orbit for p in points], ZERO)
+    _, cliques = maximum_cliques(graph.distant() if kind == "distant" else graph.neighbours)
     return tuple(tuple(points[i] for i in clique) for clique in cliques)
 
 
@@ -135,7 +124,7 @@ def partition_from_cliques(line: ProjectiveLine, cliques) -> SectorPartition:
     """``unimodular_partition`` from the sector's maximum distant cliques."""
     points = sector_points(line, "unimodular")
     masks = incidence(p.orbit for p in points)
-    masks.pop((0, 0), None)
+    masks.pop(ZERO, None)
     best = max((m.bit_count() for m in masks.values()), default=0)
     classes = sorted({m for m in masks.values() if m.bit_count() == best}, key=mask_indices)
     covered = 0
@@ -171,12 +160,14 @@ def cross_sector_check(line: ProjectiveLine) -> tuple[bool, tuple[CyclicSubmodul
 
     Returns (True, None) or (False, counterexample pair).
     """
-    if not line.nonunimodular_points or not line.unimodular_points:
+    unimodular, nonunimodular = line.unimodular_points, line.nonunimodular_points
+    if not nonunimodular or not unimodular:
         raise EmptySector(f"{line.ring.label}: both sectors must be non-empty for the cross check")
-    for nu in line.nonunimodular_points:
-        for u in line.unimodular_points:
-            if len(nu.orbit_set & u.orbit_set) == 1:
-                return False, (nu, u)
+    distant = RelationGraph.from_edges([p.orbit for p in unimodular + nonunimodular], ZERO).distant()
+    sector = (1 << len(unimodular)) - 1
+    for nu, row in zip(nonunimodular, distant[len(unimodular):]):
+        if row & sector:
+            return False, (nu, unimodular[mask_indices(row & sector)[0]])
     return True, None
 
 

@@ -4,6 +4,7 @@ Everything here works straight off raw Cayley tables (lists of lists) so
 that checks do not share code paths with the package being tested.
 """
 
+import math
 import re
 from itertools import combinations, permutations, product
 
@@ -149,6 +150,44 @@ def nx_maximum_cliques(adjacency):
         elif len(clique) == best:
             cliques.add(frozenset(clique))
     return best, cliques
+
+
+def relation_adjacency(points, kind):
+    """Adjacency sets of the distant or neighbour relation on points.
+
+    Straight from orbit-set intersections: two points are distant when
+    their orbits share only the zero vector (one element).
+    """
+    sets = [frozenset(p.orbit) for p in points]
+    distant = kind == "distant"
+    return [
+        frozenset(j for j, b in enumerate(sets) if j != i and (len(a & b) == 1) == distant)
+        for i, a in enumerate(sets)
+    ]
+
+
+def radical_image_cliques(ring, fields):
+    """Unimodular-sector clique sizes and counts predicted from R/J.
+
+    ``fields`` lists the orders q of the residue fields, R/J = prod GF(q),
+    with J brute-forced (x in J iff 1 + r*x is a unit for every r).  The
+    unimodular points map onto prod P(GF(q)), each image with |J| points
+    over it (the fibre).  Two points are distant when their images differ
+    in every coordinate and neighbour when they agree in one.  So a
+    maximum distant set has m = min q + 1 points, with distinct values in
+    each coordinate and any lift; a maximum neighbour set is the preimage
+    of one value in a coordinate with q minimal.
+    """
+    add, mul = ring.add_table, ring.mul_table
+    n = len(mul)
+    units = brute_units(mul)
+    fibre = sum(1 for x in range(n) if all(add[1][mul[r][x]] in units for r in range(n)))
+    assert n == fibre * math.prod(fields), (ring.label, fields)
+    m = min(fields) + 1
+    points = fibre * math.prod(q + 1 for q in fields)
+    distant = math.prod(math.perm(q + 1, m) for q in fields) // math.factorial(m) * fibre ** m
+    neighbour = sum(q + 1 for q in fields if q + 1 == m)
+    return {"unimodular": points, "distant": (m, distant), "neighbour": (points // m, neighbour)}
 
 
 def _digit_ops(family, q):

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -8,7 +9,6 @@ import ringline.geometry
 import ringline.rings
 from conftest import DATA
 from ringline import (
-    RelationGraph,
     bundled_ring_path,
     construct,
     cross_sector_check,
@@ -237,11 +237,11 @@ def test_line_report_derives_the_whole_line_from_its_sectors(catalog, amphibian1
     for spec, ring in rings.items():
         report = build_line_report(ring)
         line = report.line
-        graph = RelationGraph.from_line(line, "whole")
-        for derived, enumerate_cliques, adjacency in (
-            (report.max_distant, max_distant_cliques, graph.distant_adjacency()),
-            (report.max_neighbour, max_neighbour_cliques, graph.neighbour_adjacency()),
+        for derived, enumerate_cliques, kind in (
+            (report.max_distant, max_distant_cliques, "distant"),
+            (report.max_neighbour, max_neighbour_cliques, "neighbour"),
         ):
+            adjacency = oracles.relation_adjacency(line.points, kind)
             size = len(enumerate_cliques(line, "whole")[0])
             assert derived["whole"] == size == oracles.nx_maximum_cliques(adjacency)[0], spec
         if line.unimodular_points and line.nonunimodular_points:
@@ -300,6 +300,36 @@ def test_condense_larger_than_every_reference(capsys, monkeypatch):
     data = json.loads(out)
     assert data["status"] == "no catalog match"
     assert len(data["classes"]) == 340
+
+
+def test_line_compute_on_an_order_64_product(capsys, monkeypatch):
+    # 225 points: the bounded clique search keeps this to seconds
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    code, out, _ = run(capsys, "line", "compute", "T(2)*T(2)", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["max_distant"] == {"unimodular": 3, "nonunimodular": 1, "whole": 3}
+    assert data["max_neighbour"] == {"unimodular": 108, "nonunimodular": 117, "whole": 225}
+    assert data["partition"] is None
+    assert data["cross_sector_all_neighbour"] is True
+    assert data["condensate"]["classes"] == 340
+
+
+def test_table2_builds_each_reference_once(capsys, monkeypatch, amphibian16_path):
+    # import_module, because the package re-exports a function named condense
+    condense = importlib.import_module("ringline.condense")
+    condense.reference_structure.cache_clear()
+    calls = []
+    scan = condense.compute_line
+
+    def counted(ring):
+        calls.append(ring.label)
+        return scan(ring)
+
+    monkeypatch.setattr(condense, "compute_line", counted)
+    code, _, _ = run(capsys, "table2", "--ring-b", str(amphibian16_path))
+    assert code == 0
+    assert len(calls) == len(condense.DEFAULT_CATALOG) == 6
 
 
 def test_table2_default(capsys):

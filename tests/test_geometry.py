@@ -10,9 +10,10 @@ from ringline import (
     EmptySector,
     NotPartition,
     ProjectiveLine,
-    RelationGraph,
     SamePoint,
     UnknownFormat,
+    compute_line,
+    construct,
     cross_sector_check,
     export_graph,
     max_distant_cliques,
@@ -52,14 +53,6 @@ def test_relation_matches_golden_orbit_intersections(ternion_line):
     for (oa, _), (ob, _) in combinations(entries, 2):
         expected = "distant" if len(oa & ob) == 1 else "neighbour"
         assert relation(by_orbit[oa], by_orbit[ob]) == expected
-
-
-def test_relation_graph(ternion_line):
-    graph = RelationGraph.from_line(ternion_line, "whole")
-    assert len(graph.points) == 21
-    assert graph.relation(0, 1) in ("distant", "neighbour")
-    with pytest.raises(SamePoint):
-        graph.relation(2, 2)
 
 
 def _generators(cliques):
@@ -137,16 +130,38 @@ def test_cliques_against_networkx(ternion_line, catalog_lines):
         (ternion_line, "whole"),
         (catalog_lines["GF(2)*T(2)"], "unimodular"),
     ):
-        graph = RelationGraph.from_line(line, sector)
-        for adjacency, ours in (
-            (graph.neighbour_adjacency(), max_neighbour_cliques(line, sector)),
-            (graph.distant_adjacency(), max_distant_cliques(line, sector)),
+        points = sector_points(line, sector)
+        for kind, ours in (
+            ("neighbour", max_neighbour_cliques(line, sector)),
+            ("distant", max_distant_cliques(line, sector)),
         ):
-            size, expected = oracles.nx_maximum_cliques(adjacency)
-            points = sector_points(line, sector)
+            size, expected = oracles.nx_maximum_cliques(oracles.relation_adjacency(points, kind))
             got = {frozenset(points.index(p) for p in c) for c in ours}
             assert size == len(ours[0])
             assert got == expected
+
+
+@pytest.mark.parametrize("spec, fields", [
+    ("T(2)", [2, 2]),
+    ("T(3)", [3, 3]),
+    ("T(4)", [4, 4]),
+    ("GF(3)*T(2)", [3, 2, 2]),
+    ("GF(7)*T(2)", [7, 2, 2]),
+    ("T(2)*T(2)", [2, 2, 2, 2]),
+    ("Z(4)", [2]),
+    ("D(3)", [3]),
+    ("GF(2)*GF(3)", [2, 3]),
+])
+def test_unimodular_cliques_match_the_radical_image(spec, fields, monkeypatch):
+    # networkx is too slow on these; the counts follow from R/J instead
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    ring = construct(spec)
+    expected = oracles.radical_image_cliques(ring, fields)
+    line = compute_line(ring)
+    assert len(line.unimodular_points) == expected["unimodular"]
+    for kind, search in (("distant", max_distant_cliques), ("neighbour", max_neighbour_cliques)):
+        cliques = search(line, "unimodular")
+        assert (len(cliques[0]), len(cliques)) == expected[kind], kind
 
 
 def test_ternion_partition(ternion_line):
@@ -174,10 +189,10 @@ def test_ternion_distant_degree_regularity(ternion_line):
     for index, cls in enumerate(part.classes):
         for p in cls:
             class_of[p.generator] = index
-    graph = RelationGraph.from_line(ternion_line, "unimodular")
-    adjacency = graph.distant_adjacency()
-    for i, point in enumerate(graph.points):
-        partners = [graph.points[j].generator for j in adjacency[i]]
+    points = ternion_line.unimodular_points
+    adjacency = oracles.relation_adjacency(points, "distant")
+    for i, point in enumerate(points):
+        partners = [points[j].generator for j in adjacency[i]]
         assert len(partners) == 8
         per_class = [0, 0, 0]
         for gen in partners:
@@ -213,19 +228,20 @@ def test_klein_product_line_has_no_partition(catalog_lines):
         unimodular_partition(catalog_lines["GF(2)*GF(2)"])
 
 
+def fake(generator, orbit, unimodular=True):
+    orbit = tuple(sorted(orbit))
+    return CyclicSubmodule(
+        generator=generator,
+        orbit=orbit,
+        free=True,
+        unimodular=unimodular,
+        generators=(generator,),
+    )
+
+
 def test_partition_rejects_point_in_no_class():
     # three pairwise-distant points plus one sharing a vector with two of
     # them cannot be split by most-shared vectors
-    def fake(generator, orbit):
-        orbit = tuple(sorted(orbit))
-        return CyclicSubmodule(
-            generator=generator,
-            orbit=orbit,
-            free=True,
-            unimodular=True,
-            generators=(generator,),
-        )
-
     zero = (0, 0)
     points = (
         fake((1, 1), {zero, (1, 1), (5, 5)}),
@@ -244,6 +260,20 @@ def test_cross_sector(ternion_line, catalog_lines, gf3_t2_line):
     assert cross_sector_check(gf3_t2_line) == (True, None)
     with pytest.raises(EmptySector):
         cross_sector_check(catalog_lines["GF(2)"])
+    # the witness is the first non-unimodular point with a distant
+    # unimodular point, and the first such unimodular point
+    zero = (0, 0)
+    uni = (
+        fake((1, 1), {zero, (1, 1), (2, 2)}),
+        fake((1, 3), {zero, (1, 3), (2, 6)}),
+        fake((1, 5), {zero, (1, 5), (2, 7)}),
+    )
+    non = (
+        fake((4, 4), {zero, (1, 1), (1, 3), (1, 5)}, unimodular=False),
+        fake((4, 6), {zero, (2, 6), (4, 6)}, unimodular=False),
+    )
+    line = ProjectiveLine(ring=None, unimodular_points=uni, nonunimodular_points=non)
+    assert cross_sector_check(line) == (False, (non[1], uni[0]))
 
 
 def test_private_vectors(ternion_line):
