@@ -24,9 +24,8 @@ from .geometry import (
     SECTORS,
     cross_sector_check,
     export_graph,
-    max_distant_cliques,
-    max_neighbour_cliques,
     partition_from_cliques,
+    twin_cliques,
 )
 from .line import ProjectiveLine, compute_line, line_to_json
 from .rings import FiniteRing, ISOMORPHISM_MAX_ORDER, are_isomorphic, ideal_size_census
@@ -161,13 +160,12 @@ def build_line_report(ring: FiniteRing) -> LineReport:
     partition = None
     for sector in ("unimodular", "nonunimodular"):
         try:
-            distant = max_distant_cliques(line, sector)
+            distant = twin_cliques(line, sector, "distant")
             max_distant[sector] = len(distant[0])
             if sector == "unimodular":
                 with contextlib.suppress(NotPartition):
                     partition = partition_from_cliques(line, distant)
-            del distant  # T(4) has 122 880 of them; free before the next search
-            max_neighbour[sector] = len(max_neighbour_cliques(line, sector)[0])
+            max_neighbour[sector] = len(twin_cliques(line, sector, "neighbour")[0])
         except EmptySector:
             max_distant[sector] = None
             max_neighbour[sector] = None

@@ -8,9 +8,10 @@ four quadruples of vectors arranged exactly like the projective line over
 GF(2).
 
 Reference lines over catalog rings are condensed the same way, from
-their unimodular sector, and comparison merges vertices on exactly the
-same edges again, so structures match up to repeated vertices.  Class
-sizes are structural multiplicities, not identity.
+their unimodular sector.  Comparison merges the vertices of a side that
+lie on exactly the same edges, so structures match up to repeated
+vertices; condensates and references have none, so they are compared as
+they are.  Class sizes are structural multiplicities, not identity.
 """
 
 from __future__ import annotations
@@ -117,17 +118,14 @@ class StructureIsomorphism:
 def structures_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> StructureIsomorphism | None:
     """Decide isomorphism of two incidence structures, with witness.
 
-    Both sides are reduced first (vertices with equal signatures merged);
+    Both sides are reduced first (vertices on equal edge sets merged);
     the search then backtracks over edge bijections, pruned by edge size,
     vertex-degree profile and pairwise intersection sizes, and accepts
     when the induced signature correspondence is a vertex bijection.  The
     witness is the lexicographically least edge mapping.  TooLarge only for
     equal reduced sizes above MAX_STRUCTURE_VERTICES.
     """
-    ra, rb = (
-        _signature_quotient(s.label, [[v for i in e for v in s.vertices[i].members] for e in s.edges])
-        for s in (a, b)
-    )
+    ra, rb = _reduced(a), _reduced(b)
     if len(ra.vertices) != len(rb.vertices) or len(ra.edges) != len(rb.edges):
         return None
     if len(ra.vertices) > MAX_STRUCTURE_VERTICES:
@@ -181,6 +179,16 @@ def structures_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> Struc
     vertex_map = _signature_bijection(ra, rb, edge_map)
     assert vertex_map is not None
     return StructureIsomorphism(ra, rb, vertex_map=tuple(vertex_map), edge_map=tuple(edge_map))
+
+
+def _reduced(s: IncidenceStructure) -> IncidenceStructure:
+    """``s`` with the vertices on equal edge sets merged, or ``s`` itself when
+    every vertex lies on its own non-empty edge set (condensates and
+    references are such quotients already)."""
+    on = incidence(s.edges)
+    if len(set(on.values())) == len(on) == len(s.vertices):
+        return s
+    return _signature_quotient(s.label, [[v for i in e for v in s.vertices[i].members] for e in s.edges])
 
 
 def _signature_bijection(ra, rb, edge_map) -> list[int] | None:

@@ -4,6 +4,20 @@ Two distinct points are distant when their orbits meet only in the zero
 vector and neighbour otherwise.  The relation is kept irreflexive; a
 point is trivially neighbour to itself and callers that want that
 convention pass ``allow_same=True``.
+
+Maximum cliques are searched on the twin quotient (see ``cliques``).  On
+the unimodular sector the distant twin classes are the fibres of
+P(R) -> P(R/J), J the Jacobson radical (Blunck & Havlicek, Math. Pannon.
+14, 2003).  Sketch: two unimodular points R(a, b), R(c, d) of a finite
+ring meet only in 0 iff R(a, b) + R(c, d) = R^2 (both have |R| vectors),
+iff the matrix with rows (a, b), (c, d) is invertible, iff it is
+invertible modulo J (M2(J) is the radical of M2(R)).  So points with the
+same image have the same distant partners; points with different images
+do not, since on P(R/J) = prod P(GF(q)) two points are distant iff they
+differ in every coordinate, and a point differing from the one in every
+coordinate but agreeing with the other in one tells them apart.  T(4)'s
+100 unimodular points form 25 classes of |J| = 4, and its 122 880
+maximum distant cliques come from 120 quotient cliques of 5 classes.
 """
 
 from __future__ import annotations
@@ -12,9 +26,10 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from math import prod
 from operator import or_
 
-from .cliques import maximum_cliques
+from .cliques import Clique, expand, maximum_cliques
 from .errors import EmptySector, NotPartition, SamePoint, UnknownFormat
 from .line import CyclicSubmodule, ProjectiveLine, Vector, incidence, mask_indices
 
@@ -67,23 +82,42 @@ class RelationGraph:
         return tuple(full & ~(row | 1 << i) for i, row in enumerate(self.neighbours))
 
 
-def _cliques(line, sector, kind) -> tuple[tuple[CyclicSubmodule, ...], ...]:
+def _search(line, sector, kind) -> tuple[tuple[CyclicSubmodule, ...], list[Clique]]:
     points = sector_points(line, sector)
     if not points:
         raise EmptySector(f"the {sector} sector of {line.ring.label} is empty")
     graph = RelationGraph.from_edges([p.orbit for p in points], ZERO)
     _, cliques = maximum_cliques(graph.distant() if kind == "distant" else graph.neighbours)
-    return tuple(tuple(points[i] for i in clique) for clique in cliques)
+    return points, cliques
+
+
+def twin_cliques(
+    line: ProjectiveLine, sector: str, kind: str
+) -> tuple[tuple[tuple[CyclicSubmodule, ...], ...], ...]:
+    """The sector's maximum ``kind`` cliques ("distant" or "neighbour"), not listed.
+
+    One entry per maximum clique of the twin quotient (see ``cliques``): a
+    tuple of twin classes, each a tuple of points in line order.  Every
+    choice of one point per class is a maximum clique of the sector, and
+    the first points of the classes of entry 0 are the least one.
+    """
+    points, cliques = _search(line, sector, kind)
+    return tuple(tuple(tuple(points[i] for i in cls) for cls in clique) for clique in cliques)
+
+
+def _listed(line, sector, kind) -> tuple[tuple[CyclicSubmodule, ...], ...]:
+    points, cliques = _search(line, sector, kind)
+    return tuple(tuple(points[i] for i in clique) for clique in expand(cliques))
 
 
 def max_distant_cliques(line: ProjectiveLine, sector: str) -> tuple[tuple[CyclicSubmodule, ...], ...]:
-    """Every maximum set of pairwise distant points of the sector."""
-    return _cliques(line, sector, "distant")
+    """Every maximum set of pairwise distant points of the sector, listed."""
+    return _listed(line, sector, "distant")
 
 
 def max_neighbour_cliques(line: ProjectiveLine, sector: str) -> tuple[tuple[CyclicSubmodule, ...], ...]:
-    """Every maximum set of pairwise neighbour points of the sector."""
-    return _cliques(line, sector, "neighbour")
+    """Every maximum set of pairwise neighbour points of the sector, listed."""
+    return _listed(line, sector, "neighbour")
 
 
 @dataclass(frozen=True)
@@ -117,11 +151,16 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
     maximum distant cliques is their size, and ``anchor_sets_checked`` is
     their count.
     """
-    return partition_from_cliques(line, max_distant_cliques(line, "unimodular"))
+    return partition_from_cliques(line, twin_cliques(line, "unimodular", "distant"))
 
 
 def partition_from_cliques(line: ProjectiveLine, cliques) -> SectorPartition:
-    """``unimodular_partition`` from the sector's maximum distant cliques."""
+    """``unimodular_partition`` from ``twin_cliques(line, "unimodular", "distant")``.
+
+    The anchors are the first points of the classes of the least twin
+    clique, and the count is the sum over twin cliques of the products of
+    their class sizes; no clique is listed.
+    """
     points = sector_points(line, "unimodular")
     masks = incidence(p.orbit for p in points)
     masks.pop(ZERO, None)
@@ -142,7 +181,7 @@ def partition_from_cliques(line: ProjectiveLine, cliques) -> SectorPartition:
             f"point R{uncovered[0].generator} lies in no maximal vector class",
             witness=tuple(uncovered),
         )
-    anchors = cliques[0]
+    anchors = tuple(cls[0] for cls in cliques[0])
     if len(anchors) != len(classes):
         raise NotPartition(
             f"{len(classes)} classes cannot be anchored by a maximum distant"
@@ -152,7 +191,8 @@ def partition_from_cliques(line: ProjectiveLine, cliques) -> SectorPartition:
         next(tuple(points[i] for i in mask_indices(c)) for c in classes if c >> points.index(a) & 1)
         for a in anchors
     )
-    return SectorPartition(anchors=anchors, classes=ordered, anchor_sets_checked=len(cliques))
+    count = sum(prod(map(len, clique)) for clique in cliques)
+    return SectorPartition(anchors=anchors, classes=ordered, anchor_sets_checked=count)
 
 
 def cross_sector_check(line: ProjectiveLine) -> tuple[bool, tuple[CyclicSubmodule, CyclicSubmodule] | None]:

@@ -5,6 +5,7 @@ that checks do not share code paths with the package being tested.
 """
 
 import math
+import random
 import re
 from itertools import combinations, permutations, product
 
@@ -33,6 +34,22 @@ def axiom_failure(add, mul):
         if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
             return "right_distributivity", (a, b, c)
     return None
+
+
+def relabelled(add, mul, seed):
+    """The tables under a random relabelling of the elements that fixes 0 and 1."""
+    n = len(add)
+    rest = list(range(2, n))
+    random.Random(seed).shuffle(rest)
+    perm = [0, 1] + rest
+    tables = []
+    for table in (add, mul):
+        out = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                out[perm[a]][perm[b]] = perm[table[a][b]]
+        tables.append(out)
+    return tables
 
 
 def brute_units(mul):
@@ -166,6 +183,14 @@ def relation_adjacency(points, kind):
     ]
 
 
+def distant_twin_classes(points):
+    """The points grouped by their distant partners, as generator sets."""
+    groups = {}
+    for point, partners in zip(points, relation_adjacency(points, "distant")):
+        groups.setdefault(partners, set()).add(point.generator)
+    return {frozenset(group) for group in groups.values()}
+
+
 def radical_image_cliques(ring, fields):
     """Unimodular-sector clique sizes and counts predicted from R/J.
 
@@ -176,7 +201,8 @@ def radical_image_cliques(ring, fields):
     in every coordinate and neighbour when they agree in one.  So a
     maximum distant set has m = min q + 1 points, with distinct values in
     each coordinate and any lift; a maximum neighbour set is the preimage
-    of one value in a coordinate with q minimal.
+    of one value in a coordinate with q minimal.  ``fibres`` is the number
+    of images and the fibre size.
     """
     add, mul = ring.add_table, ring.mul_table
     n = len(mul)
@@ -187,7 +213,12 @@ def radical_image_cliques(ring, fields):
     points = fibre * math.prod(q + 1 for q in fields)
     distant = math.prod(math.perm(q + 1, m) for q in fields) // math.factorial(m) * fibre ** m
     neighbour = sum(q + 1 for q in fields if q + 1 == m)
-    return {"unimodular": points, "distant": (m, distant), "neighbour": (points // m, neighbour)}
+    return {
+        "unimodular": points,
+        "fibres": (math.prod(q + 1 for q in fields), fibre),
+        "distant": (m, distant),
+        "neighbour": (points // m, neighbour),
+    }
 
 
 def _digit_ops(family, q):

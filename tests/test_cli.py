@@ -16,6 +16,7 @@ from ringline import (
     ideal_size_census,
     max_distant_cliques,
     max_neighbour_cliques,
+    validate_tables,
 )
 from ringline.cli import _atomic_write, build_line_report, main
 
@@ -216,19 +217,52 @@ def test_atomic_write_removes_its_temp_file_on_error(tmp_path):
 
 def test_line_report_enumerates_each_sector_and_relation_once(monkeypatch):
     calls = []
-    enumerate_cliques = ringline.geometry.maximum_cliques
+    search = ringline.geometry.maximum_cliques
 
     def counted(adjacency):
-        calls.append(len(adjacency))
-        return enumerate_cliques(adjacency)
+        size, cliques = search(adjacency)
+        calls.append((len(adjacency), size, len(cliques)))
+        return size, cliques
 
     monkeypatch.setattr(ringline.geometry, "maximum_cliques", counted)
     report = build_line_report(construct("T(2)"))
     # 2 sectors x 2 relations; the whole line follows from the two sectors
-    # and the partition reads the unimodular distant list
-    assert len(calls) == 4
+    # and the partition reads the unimodular distant twin cliques.  The 18
+    # unimodular points form 9 distant twin classes of 2, so 6 quotient
+    # cliques stand for the 48 maximum distant cliques.
+    assert calls == [(18, 3, 6), (18, 6, 6), (3, 1, 1), (3, 3, 1)]
     assert report.partition_class_sizes == (6, 6, 6)
     assert report.partition_anchor_sets == 48
+
+
+def test_line_report_counts_cliques_without_listing_them(monkeypatch):
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+
+    def listing(cliques):
+        raise AssertionError("the report listed maximum cliques")
+
+    monkeypatch.setattr(ringline.geometry, "expand", listing)
+    report = build_line_report(construct("T(4)"))
+    assert report.partition_anchor_sets == 122880 == 5 * 4 * 3 * 2 * 4 ** 5
+    assert report.partition_class_sizes == (20, 20, 20, 20, 20)
+    assert report.max_distant == {"unimodular": 5, "nonunimodular": 1, "whole": 5}
+
+
+@pytest.mark.parametrize("spec", ["T(4)", "GF(7)*T(2)"])
+def test_line_report_is_invariant_under_relabelling(spec, monkeypatch):
+    # the twin quotient's search order follows the labels; its counts must not
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    ring = construct(spec)
+
+    def fields(report):
+        return (report.unimodular, report.nonunimodular, report.max_distant, report.max_neighbour,
+                report.partition_class_sizes, report.partition_anchor_sets)
+
+    expected = fields(build_line_report(ring))
+    assert expected[5] is not None
+    for seed in (1, 7, 12):
+        tables = oracles.relabelled(ring.add_table, ring.mul_table, seed)
+        assert fields(build_line_report(validate_tables(*tables))) == expected, seed
 
 
 def test_line_report_derives_the_whole_line_from_its_sectors(catalog, amphibian16):
@@ -330,6 +364,24 @@ def test_table2_builds_each_reference_once(capsys, monkeypatch, amphibian16_path
     code, _, _ = run(capsys, "table2", "--ring-b", str(amphibian16_path))
     assert code == 0
     assert len(calls) == len(condense.DEFAULT_CATALOG) == 6
+
+
+def test_condense_quotients_each_structure_once(capsys, monkeypatch):
+    # condensates and references are signature quotients already; matching
+    # does not quotient them again: 1 condensate + 6 references
+    condense = importlib.import_module("ringline.condense")
+    condense.reference_structure.cache_clear()
+    calls = []
+    quotient = condense._signature_quotient
+
+    def counted(label, edge_vectors):
+        calls.append(label)
+        return quotient(label, edge_vectors)
+
+    monkeypatch.setattr(condense, "_signature_quotient", counted)
+    code, out, _ = run(capsys, "condense", "T(2)")
+    assert code == 0 and "GF(2)" in out
+    assert len(calls) == 1 + len(condense.DEFAULT_CATALOG) == 7
 
 
 def test_table2_default(capsys):

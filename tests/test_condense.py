@@ -207,6 +207,26 @@ def test_isomorphism_distinguishes_unequal_structures():
     assert structures_isomorphic(fan, path) is None
 
 
+def test_isomorphism_merges_repeated_vertices(ternion_line):
+    # split one class of the condensate into two vertices on the same edges:
+    # the same structure up to a repeated vertex
+    t2 = condense(ternion_line)
+    first, *rest = t2.vertices
+    halves = (first.members[:1], first.members[1:])
+    vertices = tuple(VectorClass(members, first.signature) for members in halves) + tuple(rest)
+    edges = tuple(tuple(sorted(({0, 1} if 0 in e else set()) | {v + 1 for v in e if v})) for e in t2.edges)
+    split = IncidenceStructure(label="split", vertices=vertices, edges=edges)
+    assert len(split.vertices) == len(t2.vertices) + 1
+    witness = structures_isomorphic(split, t2)
+    assert witness is not None and witness.check()
+    assert witness.a_reduced.vertices == t2.vertices
+    assert structures_isomorphic(t2, split) is not None
+    # a vertex on no edge is dropped too
+    lone = VectorClass(members=((9, 9),), signature=frozenset())
+    extra = IncidenceStructure(label="extra", vertices=t2.vertices + (lone,), edges=t2.edges)
+    assert structures_isomorphic(extra, t2) is not None
+
+
 def test_structure_size_bound():
     # P(GF(2)^4) = P(GF(2))^4: 3^4 points, 4^4 distinct vector signatures
     big = reference_structure("GF(2)*GF(2)*GF(2)*GF(2)")

@@ -21,6 +21,7 @@ from ringline import (
     private_vectors,
     relation,
     sector_points,
+    twin_cliques,
     unimodular_partition,
 )
 
@@ -162,6 +163,16 @@ def test_unimodular_cliques_match_the_radical_image(spec, fields, monkeypatch):
     for kind, search in (("distant", max_distant_cliques), ("neighbour", max_neighbour_cliques)):
         cliques = search(line, "unimodular")
         assert (len(cliques[0]), len(cliques)) == expected[kind], kind
+    # the distant twin classes are the fibres over P(R/J), and the kernel's
+    # classes are these
+    fibres = oracles.distant_twin_classes(line.unimodular_points)
+    assert (len(fibres), {len(f) for f in fibres}) == (expected["fibres"][0], {expected["fibres"][1]})
+    classes = {
+        frozenset(p.generator for p in cls)
+        for clique in twin_cliques(line, "unimodular", "distant")
+        for cls in clique
+    }
+    assert classes == fibres
 
 
 def test_ternion_partition(ternion_line):
