@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .condense import condensate_distant_analysis, identify_condensate
 from .constructors import SUPPORTED_FIELD_ORDERS, construct, load_ring_file
-from .errors import EmptySector, NotPartition, RinglineError
+from .errors import EmptySector, FileError, NotPartition, RinglineError
 from .geometry import (
     SECTORS,
     cross_sector_check,
@@ -297,7 +297,10 @@ def cmd_line_compute(args) -> int:
     else:
         print(render_line_report(report))
     if args.fixtures:
-        os.makedirs(args.fixtures, exist_ok=True)
+        try:
+            os.makedirs(args.fixtures, exist_ok=True)
+        except OSError as exc:
+            raise FileError(f"cannot write {args.fixtures}: {exc}") from exc
         path = os.path.join(args.fixtures, f"{_label_slug(ring.label)}.line.json")
         _atomic_write(path, line_to_json(report.line))
         print(f"fixture written to {path}", file=sys.stderr)
@@ -310,16 +313,22 @@ _SECTOR_FLAGS = {"u": "unimodular", "n": "nonunimodular", "all": "whole"}
 
 
 def _atomic_write(path: str, content: str) -> None:
-    """Write a unique temp file beside ``path`` (umask mode, not mkstemp's 0600), then rename it."""
+    """Write a unique temp file beside ``path`` (umask mode, not mkstemp's 0600), then rename it.
+
+    An OS error (missing directory, ``path`` a directory, ...) becomes a FileError.
+    """
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with handle:
-            handle.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        handle = open(tmp, "x", encoding="utf-8")
+        try:
+            with handle:
+                handle.write(content)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise FileError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_line_export(args) -> int:

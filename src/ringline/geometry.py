@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 from math import prod
 from operator import or_
 
@@ -228,47 +227,59 @@ def private_vectors(line: ProjectiveLine, sector: str) -> dict[Vector, tuple[Vec
     }
 
 
-def _vertex_id(order: int, v: Vector) -> str:
-    # Matches the two-digit labels used for small rings; larger orders
-    # need a separator to stay unambiguous.
-    return f"{v[0]}{v[1]}" if order <= 10 else f"{v[0]}_{v[1]}"
+# Per format, the parts of one vertex's edges (k, b): head + id_k + mid + id_b + tail,
+# joined by joint.
+_EDGE_TEXT = {
+    "dot": ('  "', '" -- "', '";', "\n"),
+    "json": ('    [\n      "', '",\n      "', '"\n    ]', ",\n"),
+}
+
+
+def _json_list(items: list[str]) -> str:
+    """A top-level value of the graph document, as ``json.dumps(indent=2)`` lays it out."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
     """Vector co-residence network of the selected sector(s).
 
-    Vertices are the vectors lying on at least one point of the sector,
-    weighted by how many points contain them; edges join vectors sharing a
-    point.  An empty sector gives an empty document.
+    Vertices are the vectors lying on at least one point of the sector, in
+    lexicographic order, weighted by how many points contain them; edges
+    join vectors sharing a point, in lexicographic pair order.  Row k of
+    ``RelationGraph`` on the transposed incidence (one edge per vector,
+    listing its points) is the set of vectors sharing a point with vector
+    k, so the edges (k, b), b > k, are the bits of that row above k.  The
+    JSON text is laid out as ``json.dumps(indent=2, sort_keys=True)`` would
+    lay it out.  An empty sector gives an empty document.
     """
-    if fmt not in ("dot", "json"):
+    if fmt not in _EDGE_TEXT:
         raise UnknownFormat(f"unknown export format {fmt!r}; expected 'dot' or 'json'")
-    points = sector_points(line, sector)
-    masks = incidence(p.orbit for p in points)
-    edges: set[tuple[Vector, Vector]] = set()
-    for point in points:
-        edges.update(combinations(point.orbit, 2))
+    masks = incidence(p.orbit for p in sector_points(line, sector))
     vertices = sorted(masks)
-    order = line.ring.order
+    rows = RelationGraph.from_edges([mask_indices(masks[v]) for v in vertices], None).neighbours
+    # Two-digit ids for small rings; larger orders need a separator.
+    sep = "" if line.ring.order <= 10 else "_"
+    ids = [f"{a}{sep}{b}" for a, b in vertices]
+    weights = [masks[v].bit_count() for v in vertices]
+    head, mid, tail, joint = _EDGE_TEXT[fmt]
+    rights = [i + tail for i in ids]
+    edges = []
+    for k, row in enumerate(rows):
+        later = mask_indices(row & -(2 << k))
+        if later:
+            left = head + ids[k] + mid
+            edges.append(left + (joint + left).join(map(rights.__getitem__, later)))
     if fmt == "dot":
-        name = f"{line.ring.label} {sector}"
-        out = [f'graph "{name}" {{']
-        for v in vertices:
-            out.append(f'  "{_vertex_id(order, v)}" [weight={masks[v].bit_count()}];')
-        for a, b in sorted(edges):
-            out.append(f'  "{_vertex_id(order, a)}" -- "{_vertex_id(order, b)}";')
-        out.append("}")
-        return "\n".join(out) + "\n"
-    doc = {
-        "schema": "ringline.graph/1",
-        "ring": line.ring.label,
-        "sector": sector,
-        "vertices": [
-            {"id": _vertex_id(order, v), "vector": list(v), "weight": masks[v].bit_count()}
-            for v in vertices
-        ],
-        "edges": [
-            [_vertex_id(order, a), _vertex_id(order, b)] for a, b in sorted(edges)
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        name = f"{line.ring.label} {sector}".replace('"', '\\"')
+        nodes = [f'  "{i}" [weight={w}];' for i, w in zip(ids, weights)]
+        return "\n".join([f'graph "{name}" {{', *nodes, *edges, "}", ""])
+    nodes = [
+        f'    {{\n      "id": "{i}",\n      "vector": [\n        {a},\n        {b}\n      ],'
+        f'\n      "weight": {w}\n    }}'
+        for i, (a, b), w in zip(ids, vertices, weights)
+    ]
+    return (
+        f'{{\n  "edges": {_json_list(edges)},\n  "ring": {json.dumps(line.ring.label)},'
+        f'\n  "schema": "ringline.graph/1",\n  "sector": {json.dumps(sector)},'
+        f'\n  "vertices": {_json_list(nodes)}\n}}\n'
+    )

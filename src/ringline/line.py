@@ -138,8 +138,17 @@ def incidence(orbits) -> dict[Vector, int]:
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of ``mask``, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    """Positions of the set bits of ``mask``, ascending.
+
+    One ``str.find`` per set bit over the binary digits, lowest first.
+    """
+    digits = bin(mask)[:1:-1]
+    found = []
+    i = digits.find("1")
+    while i >= 0:
+        found.append(i)
+        i = digits.find("1", i + 1)
+    return tuple(found)
 
 
 def compute_line(ring: FiniteRing) -> ProjectiveLine:

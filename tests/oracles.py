@@ -4,6 +4,7 @@ Everything here works straight off raw Cayley tables (lists of lists) so
 that checks do not share code paths with the package being tested.
 """
 
+import json
 import math
 import random
 import re
@@ -148,6 +149,40 @@ def brute_line_sectors(add, mul):
         else:
             non.add(orbit)
     return uni, non
+
+
+def export_document(label, order, sector, orbits, fmt):
+    """The co-residence export of ``orbits`` by a global pair sort and ``json.dumps``.
+
+    Every pair of vectors inside one orbit is an edge; a vector's weight is
+    the number of orbits through it.
+    """
+    weights = {}
+    edges = set()
+    for orbit in orbits:
+        for v in orbit:
+            weights[v] = weights.get(v, 0) + 1
+        edges.update(combinations(sorted(orbit), 2))
+
+    def ident(v):
+        return f"{v[0]}{v[1]}" if order <= 10 else f"{v[0]}_{v[1]}"
+
+    vertices = sorted(weights)
+    if fmt == "dot":
+        name = f"{label} {sector}".replace('"', '\\"')
+        out = [f'graph "{name}" {{']
+        out += [f'  "{ident(v)}" [weight={weights[v]}];' for v in vertices]
+        out += [f'  "{ident(a)}" -- "{ident(b)}";' for a, b in sorted(edges)]
+        out.append("}")
+        return "\n".join(out) + "\n"
+    doc = {
+        "schema": "ringline.graph/1",
+        "ring": label,
+        "sector": sector,
+        "vertices": [{"id": ident(v), "vector": list(v), "weight": weights[v]} for v in vertices],
+        "edges": [[ident(a), ident(b)] for a, b in sorted(edges)],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def nx_maximum_cliques(adjacency):

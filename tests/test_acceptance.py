@@ -311,14 +311,15 @@ def test_criterion_6_in_process_determinism(capsys, tmp_path):
         second = capsys.readouterr().out
         assert first_code == second_code == 0
         assert first == second, argv
-    for index in (1, 2):
-        out = tmp_path / f"export{index}.dot"
-        code = main(["line", "export", "T(2)", "--sector", "all",
-                     "--format", "dot", "--out", str(out)])
-        capsys.readouterr()
-        assert code == 0
-    first_file = (tmp_path / "export1.dot").read_bytes()
-    assert first_file == (tmp_path / "export2.dot").read_bytes()
+    for fmt in ("dot", "json"):
+        for index in (1, 2):
+            out = tmp_path / f"export{index}.{fmt}"
+            code = main(["line", "export", "T(2)", "--sector", "all",
+                         "--format", fmt, "--out", str(out)])
+            capsys.readouterr()
+            assert code == 0
+        first_file = (tmp_path / f"export1.{fmt}").read_bytes()
+        assert first_file == (tmp_path / f"export2.{fmt}").read_bytes(), fmt
     with capsys.disabled():
         report("6 determinism (in-process)", True,
                f"{len(DETERMINISM_COMMANDS)} commands byte-identical")

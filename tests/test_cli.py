@@ -1,5 +1,6 @@
 import importlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,6 @@ from ringline import (
     construct,
     cross_sector_check,
     export_graph,
-    ideal_size_census,
     max_distant_cliques,
     max_neighbour_cliques,
     validate_tables,
@@ -66,10 +66,12 @@ def test_ring_info_reads_the_order_bound_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "ring", "info", "GF(5)*T(2)")
     assert code == 0
     # the ideals of a product of rings with unity are the products I x J
-    census = {}
-    for i, ci in ideal_size_census(construct("GF(5)")).items():
-        for j, cj in ideal_size_census(construct("T(2)")).items():
-            census[i * j] = census.get(i * j, 0) + ci * cj
+    sizes = [
+        [len(ideal) for ideal in oracles.all_ideals_by_subsets(ring.add_table, ring.mul_table)]
+        for ring in (construct("GF(5)"), construct("T(2)"))
+    ]
+    assert sorted(sizes[0]) == [1, 5] and sorted(sizes[1]) == [1, 2, 4, 4, 8]
+    census = Counter(i * j for i in sizes[0] for j in sizes[1])
     expected = ", ".join(f"{size}:{count}" for size, count in sorted(census.items()))
     assert expected == "1:1, 2:1, 4:2, 5:1, 8:1, 10:1, 20:2, 40:1"
     assert f"ideals by size: {expected}\n" in out
@@ -206,6 +208,21 @@ def test_line_export_beside_a_directory_named_like_the_old_temp_file(capsys, tmp
     assert code == 0
     assert json.loads(out_path.read_text())["schema"] == "ringline.graph/1"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t2.json", "t2.json.tmp"]
+
+
+def test_unwritable_output_exits_2_without_temp_files(capsys, tmp_path):
+    (tmp_path / "taken" / "T_2.line.json").mkdir(parents=True)
+    (tmp_path / "plain").write_text("")
+    for command, target in (
+        (("line", "export", "T(2)", "--sector", "u", "--format", "dot", "--out"), tmp_path / "missing" / "x.dot"),
+        (("line", "export", "T(2)", "--sector", "u", "--format", "dot", "--out"), tmp_path / "taken"),
+        (("line", "compute", "T(2)", "--fixtures"), tmp_path / "plain"),
+        (("line", "compute", "T(2)", "--fixtures"), tmp_path / "taken"),
+    ):
+        code, _, err = run(capsys, *command, str(target))
+        assert code == 2, target
+        assert err.startswith("error: cannot write "), err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["T_2.line.json", "plain", "taken"]
 
 
 def test_atomic_write_removes_its_temp_file_on_error(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import golden
 import oracles
 from ringline import (
+    SECTORS,
     CyclicSubmodule,
     EmptySector,
     NotPartition,
@@ -23,6 +25,7 @@ from ringline import (
     sector_points,
     twin_cliques,
     unimodular_partition,
+    validate_tables,
 )
 
 
@@ -348,6 +351,49 @@ def test_export_empty_sector(catalog_lines):
     assert doc.count("[weight=") == 0
     parsed = json.loads(export_graph(catalog_lines["GF(2)"], "nonunimodular", "json"))
     assert parsed["vertices"] == [] and parsed["edges"] == []
+
+
+@pytest.fixture(scope="module")
+def export_lines():
+    """An empty sector (GF(2)), ``a_b`` ids (Z(12)), order 40, and a relabelled
+    T(3) whose label needs escaping in DOT and JSON."""
+    t3 = construct("T(3)")
+    tables = oracles.relabelled(t3.add_table, t3.mul_table, 5)
+    rings = [construct(spec) for spec in ("T(2)", "GF(2)", "Z(12)", "GF(5)*T(2)")]
+    rings.append(validate_tables(*tables, label='T(3) "relabelled"'))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("RINGLINE_MAX_ORDER", "64")
+        return [compute_line(ring) for ring in rings]
+
+
+def test_export_equals_the_sorting_oracle(export_lines):
+    for line in export_lines:
+        for sector in SECTORS:
+            orbits = [p.orbit for p in sector_points(line, sector)]
+            for fmt in ("dot", "json"):
+                want = oracles.export_document(line.ring.label, line.ring.order, sector, orbits, fmt)
+                assert export_graph(line, sector, fmt) == want, (line.ring.label, sector, fmt)
+    relabelled = export_lines[-1]
+    assert export_graph(relabelled, "whole", "dot").startswith('graph "T(3) \\"relabelled\\" whole" {\n')
+    assert json.loads(export_graph(relabelled, "whole", "json"))["ring"] == 'T(3) "relabelled"'
+
+
+def test_export_is_the_union_of_orbit_cliques(export_lines):
+    import networkx as nx
+
+    for line in export_lines:
+        for sector in SECTORS:
+            points = sector_points(line, sector)
+            doc = json.loads(export_graph(line, sector, "json"))
+            ids = {tuple(v["vector"]): v["id"] for v in doc["vertices"]}
+            assert len(set(ids.values())) == len(ids)
+            got = nx.Graph(doc["edges"])
+            got.add_nodes_from(ids.values())
+            want = nx.compose_all([nx.complete_graph([ids[v] for v in p.orbit]) for p in points] or [nx.Graph()])
+            assert set(got) == set(want)
+            assert {frozenset(e) for e in got.edges} == {frozenset(e) for e in want.edges}
+            weights = Counter(v for p in points for v in p.orbit)
+            assert {tuple(v["vector"]): v["weight"] for v in doc["vertices"]} == weights
 
 
 def test_export_unknown_format(ternion_line):

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import product
 
 import pytest
@@ -118,6 +119,10 @@ def test_mask_indices():
     for mask in range(1, 1 << 10):
         assert mask_indices(mask) == tuple(i for i in range(10) if mask >> i & 1)
     assert mask_indices(1 << 500 | 1 << 3) == (3, 500)
+    rng = random.Random(9)
+    for density in (0.01, 0.5, 0.99):
+        mask = sum(1 << i for i in range(1600) if rng.random() < density)
+        assert mask_indices(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def test_ternion_line_counts(ternion_line):
