@@ -185,7 +185,7 @@ def load_ring_file(path: str | Path) -> FiniteRing:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileError(f"cannot read ring file {path}: {exc}") from exc
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -195,6 +195,8 @@ def load_ring_file(path: str | Path) -> FiniteRing:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise FileError(f"{path}: malformed header {lines[0]!r}") from None
+    if n < 0:
+        raise FileError(f"{path}: malformed header {lines[0]!r}")
     if len(lines) != 2 * n + 3:
         raise FileError(f"{path}: expected {2 * n + 3} content lines, found {len(lines)}")
     if lines[1] != "add" or lines[n + 2] != "mul":

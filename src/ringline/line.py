@@ -1,10 +1,10 @@
 """Cyclic submodules of R^2 and the generalized projective line.
 
-A point of the line is the full orbit set of a generating vector under
-left multiplication, kept only when the orbit map is injective (the
-submodule is then free).  Distinct vectors generate equal points, so each
-point is kept once, at its canonical generator, and classified by whether
-that vector admits x1, x2 with r1*x1 + r2*x2 = 1.
+A point of the line is a free cyclic submodule R*v, kept as its orbit
+under left multiplication.  Vectors generate the same submodule exactly
+when they are unit multiples, so the scan builds each free unit class of
+R^2 once, at its least member (the canonical generator), and classifies
+it by whether that vector admits x1, x2 with r1*x1 + r2*x2 = 1.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .errors import OrderTooLarge
 from .rings import FiniteRing, soft_max_order
@@ -27,26 +28,23 @@ def _check_vector(ring: FiniteRing, vector: Vector) -> Vector:
 
 
 def unimodularity_witness(ring: FiniteRing, vector: Vector) -> Vector | None:
-    """Lexicographically least (x1, x2) with r1*x1 + r2*x2 = 1, if any."""
+    """Lexicographically least (x1, x2) with r1*x1 + r2*x2 = 1, if any.
+
+    One descending pass maps each r2*x2 to its least x2; then each x1, in
+    ascending order, has one candidate: the y with r1*x1 + y = 1.
+    """
     r1, r2 = _check_vector(ring, vector)
     add, mul = ring.add_table, ring.mul_table
-    row1, row2 = mul[r1], mul[r2]
+    least_x2 = {mul[r2][x2]: x2 for x2 in reversed(ring.elements())}
     for x1 in ring.elements():
-        left = row1[x1]
-        for x2 in ring.elements():
-            if add[left][row2[x2]] == 1:
-                return (x1, x2)
+        x2 = least_x2.get(add[mul[r1][x1]].index(1))
+        if x2 is not None:
+            return (x1, x2)
     return None
 
 
 def is_unimodular(ring: FiniteRing, vector: Vector) -> bool:
     return unimodularity_witness(ring, vector) is not None
-
-
-def _orbit(ring: FiniteRing, vector: Vector) -> set[Vector]:
-    r1, r2 = vector
-    mul = ring.mul_table
-    return {(mul[a][r1], mul[a][r2]) for a in ring.elements()}
 
 
 @dataclass(frozen=True)
@@ -76,17 +74,19 @@ def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
     stable algebra*, Publ. IHES 22, 1964): if R*w = R*v, then w = a*v with
     R*a + ann(v) = R, so a + t is a unit u for some t in ann(v), and
     w = u*v.  If r1*x1 + r2*x2 = 1, then (u*r1)(x1*u^-1) + (u*r2)(x2*u^-1)
-    = 1, so the canonical generator alone decides unimodularity.
+    = 1, so the canonical generator alone decides unimodularity.  Only free
+    vectors are searched: r1*x1 + r2*x2 = 1 and a*v = 0 force a = 0.
     """
     r1, r2 = _check_vector(ring, vector)
-    orbit = _orbit(ring, (r1, r2))
     mul = ring.mul_table
+    orbit = {(row[r1], row[r2]) for row in mul}
     generators = tuple(sorted({(mul[u][r1], mul[u][r2]) for u in ring.units}))
+    free = len(orbit) == ring.order
     return CyclicSubmodule(
         generator=generators[0],
         orbit=tuple(sorted(orbit)),
-        free=len(orbit) == ring.order,
-        unimodular=is_unimodular(ring, generators[0]),
+        free=free,
+        unimodular=free and is_unimodular(ring, generators[0]),
         generators=generators,
     )
 
@@ -101,18 +101,14 @@ class ProjectiveLine:
 
     @cached_property
     def points(self) -> tuple[CyclicSubmodule, ...]:
-        return tuple(
-            sorted(
-                self.unimodular_points + self.nonunimodular_points,
-                key=lambda p: p.generator,
-            )
-        )
+        points = self.unimodular_points + self.nonunimodular_points
+        return tuple(sorted(points, key=lambda p: p.generator))
 
     def point_for(self, vector: Vector) -> CyclicSubmodule:
         """The stored point equal to the submodule generated by ``vector``."""
-        wanted = _orbit(self.ring, _check_vector(self.ring, vector))
+        generator = cyclic_submodule(self.ring, vector).generator
         for point in self.points:
-            if point.orbit_set == wanted:
+            if point.generator == generator:
                 return point
         raise KeyError(f"vector {vector} does not generate a free submodule of this line")
 
@@ -154,9 +150,10 @@ def mask_indices(mask: int) -> tuple[int, ...]:
 def compute_line(ring: FiniteRing) -> ProjectiveLine:
     """Scan all of R^2 and assemble the generalized projective line.
 
-    The scan is row-major over (r1, r2) and records each free point once,
-    at its canonical generator, so both sectors come out sorted by
-    canonical generator.  RINGLINE_MAX_ORDER overrides the soft bound of 32.
+    Row-major over (r1, r2), each unseen vector gets one ``cyclic_submodule``
+    call, which marks its unit class seen.  A smaller class member would have
+    come first, so each point is built at its canonical generator, in sorted
+    order.  RINGLINE_MAX_ORDER overrides the soft bound of 32.
     """
     limit = soft_max_order()
     if ring.order > limit:
@@ -164,14 +161,14 @@ def compute_line(ring: FiniteRing) -> ProjectiveLine:
             f"line computation is bounded to order {limit} (ring has order {ring.order});"
             " set RINGLINE_MAX_ORDER to override"
         )
-    mul = ring.mul_table
+    seen: set[Vector] = set()
     unimodular: list[CyclicSubmodule] = []
     nonunimodular: list[CyclicSubmodule] = []
-    for r1 in ring.elements():
-        for r2 in ring.elements():
-            canonical = min((mul[u][r1], mul[u][r2]) for u in ring.units) == (r1, r2)
-            if canonical and len(_orbit(ring, (r1, r2))) == ring.order:
-                point = cyclic_submodule(ring, (r1, r2))
+    for vector in product(ring.elements(), repeat=2):
+        if vector not in seen:
+            point = cyclic_submodule(ring, vector)
+            seen.update(point.generators)
+            if point.free:
                 (unimodular if point.unimodular else nonunimodular).append(point)
     return ProjectiveLine(
         ring=ring,

@@ -451,6 +451,22 @@ def test_unreadable_file_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"ring 2\nadd\n0 1\n1 0\nmul\n0 0\n0 \xff\n", "cannot read ring file"),
+    (b"ring -1\n", "malformed header"),
+], ids=["undecodable", "negative-order"])
+def test_bad_ring_file_is_reported_not_raised(capsys, tmp_path, content, message):
+    path = tmp_path / "bad.ring"
+    path.write_bytes(content)
+    code, out, _ = run(capsys, "ring", "validate", str(path))
+    assert code == 1
+    assert out.startswith("INVALID: ") and message in out
+    for argv in (("ring", "info", f"file:{path}"), ("table2", "--ring-a", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+
 def test_argparse_rejects_unknown_sector(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["line", "export", "T(2)", "--sector", "x", "--format", "dot", "--out", "/tmp/x"])

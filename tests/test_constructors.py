@@ -4,6 +4,7 @@ import oracles
 from conftest import CATALOG_SPECS
 from ringline import (
     FileError,
+    IdentityMissing,
     ParseError,
     UnsupportedField,
     bundled_ring_path,
@@ -151,6 +152,24 @@ def test_malformed_files(tmp_path):
         path.write_text(text)
         with pytest.raises(FileError):
             load_ring_file(path)
+
+
+def test_undecodable_file(tmp_path):
+    path = tmp_path / "latin1.ring"
+    path.write_bytes(b"# caf\xe9\nring 2\nadd\n0 1\n1 0\nmul\n0 0\n0 1\n")
+    with pytest.raises(FileError, match="cannot read ring file"):
+        load_ring_file(path)
+
+
+def test_negative_and_zero_header_orders(tmp_path):
+    negative = tmp_path / "negative.ring"
+    negative.write_text("ring -1\n")
+    with pytest.raises(FileError, match="malformed header"):
+        load_ring_file(negative)
+    zero = tmp_path / "zero.ring"
+    zero.write_text("ring 0\nadd\nmul\n")
+    with pytest.raises(IdentityMissing):
+        load_ring_file(zero)
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 import golden
 import oracles
+import ringline.line
 from ringline import (
     SECTORS,
     OrderTooLarge,
@@ -17,6 +18,7 @@ from ringline import (
     line_to_json,
     sector_points,
     unimodularity_witness,
+    validate_tables,
 )
 from ringline.line import incidence, mask_indices
 from conftest import COMMUTATIVE_SPECS, DATA
@@ -51,20 +53,27 @@ def test_unimodularity_witnesses(ternions8):
     assert is_unimodular(ternions8, (4, 3))
 
 
-def test_witness_is_lexicographically_least(ternions8):
-    for r1 in ternions8.elements():
-        for r2 in ternions8.elements():
-            witness = unimodularity_witness(ternions8, (r1, r2))
-            solutions = [
-                (x1, x2)
-                for x1 in ternions8.elements()
-                for x2 in ternions8.elements()
-                if ternions8.add(ternions8.mul(r1, x1), ternions8.mul(r2, x2)) == 1
-            ]
-            assert witness == (min(solutions) if solutions else None)
-            if witness is not None:
-                x1, x2 = witness
-                assert ternions8.add(ternions8.mul(r1, x1), ternions8.mul(r2, x2)) == 1
+def _relabelled(spec, seed):
+    ring = construct(spec)
+    tables = oracles.relabelled(ring.add_table, ring.mul_table, seed)
+    return validate_tables(*tables, label=f"{spec} relabelled {seed}")
+
+
+def test_witness_is_lexicographically_least(catalog, amphibian16):
+    # against the double loop over (x1, x2) in lexicographic order
+    rings = (*catalog.values(), amphibian16, _relabelled("GF(3)*T(2)", 4))
+    for ring in rings:
+        add, mul = ring.add_table, ring.mul_table
+        for r1, r2 in product(ring.elements(), repeat=2):
+            expected = next(
+                (
+                    (x1, x2)
+                    for x1, x2 in product(ring.elements(), repeat=2)
+                    if add[mul[r1][x1]][mul[r2][x2]] == 1
+                ),
+                None,
+            )
+            assert unimodularity_witness(ring, (r1, r2)) == expected, (ring.label, r1, r2)
 
 
 def test_vector_bounds_checked(ternions8):
@@ -210,6 +219,54 @@ def test_point_lookup(ternion_line):
     assert point.generator == (1, 0)
     with pytest.raises(KeyError):
         ternion_line.point_for((3, 6))
+    # every vector: the point whose orbit equals the vector's orbit, and
+    # KeyError exactly for the vectors whose orbit is not free
+    for line in (ternion_line, compute_line(construct("Z(4)*Z(4)"))):
+        mul = [list(row) for row in line.ring.mul_table]
+        by_orbit = {p.orbit_set: p for p in line.points}
+        for v in product(line.ring.elements(), repeat=2):
+            orbit = oracles.brute_orbit(mul, v)
+            if len(orbit) == line.ring.order:
+                assert line.point_for(v) is by_orbit[orbit], (line.ring.label, v)
+            else:
+                with pytest.raises(KeyError):
+                    line.point_for(v)
+
+
+@pytest.mark.parametrize("spec", ["T(3)", "D(4)", "Z(16)", "Z(4)*Z(4)"])
+def test_sweep_matches_brute_force_on_relabelled_tables(spec):
+    # many unit classes of these rings are not free
+    ring = _relabelled(spec, 7)
+    add = [list(row) for row in ring.add_table]
+    mul = [list(row) for row in ring.mul_table]
+    uni, non = oracles.brute_line_sectors(add, mul)
+    line = compute_line(ring)
+    assert {p.orbit_set for p in line.unimodular_points} == uni
+    assert {p.orbit_set for p in line.nonunimodular_points} == non
+    for points in (line.unimodular_points, line.nonunimodular_points):
+        assert [p.generator for p in points] == sorted(p.generator for p in points)
+    for point in line.points:
+        assert point.generator == oracles.brute_generators(mul, point.generator)[0]
+
+
+@pytest.mark.parametrize("spec", ["T(2)", "Z(4)*Z(4)", "GF(3)*T(2)"])
+def test_sweep_builds_each_unit_class_once(monkeypatch, spec):
+    ring = construct(spec)
+    mul = [list(row) for row in ring.mul_table]
+    classes = {
+        tuple(oracles.brute_generators(mul, v)) for v in product(ring.elements(), repeat=2)
+    }
+    calls = []
+    real = ringline.line.cyclic_submodule
+
+    def counted(ring, vector):
+        calls.append(vector)
+        return real(ring, vector)
+
+    monkeypatch.setattr(ringline.line, "cyclic_submodule", counted)
+    compute_line(ring)
+    assert len(calls) == len(classes)
+    assert {min(c) for c in classes} == set(calls)
 
 
 def test_order_bound_and_overrides(monkeypatch):
