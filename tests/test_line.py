@@ -59,9 +59,9 @@ def _relabelled(spec, seed):
     return validate_tables(*tables, label=f"{spec} relabelled {seed}")
 
 
-def test_witness_is_lexicographically_least(catalog, amphibian16):
+def test_witness_is_lexicographically_least(ternions8, catalog, amphibian16):
     # against the double loop over (x1, x2) in lexicographic order
-    rings = (*catalog.values(), amphibian16, _relabelled("GF(3)*T(2)", 4))
+    rings = (ternions8, *catalog.values(), amphibian16, _relabelled("GF(3)*T(2)", 4))
     for ring in rings:
         add, mul = ring.add_table, ring.mul_table
         for r1, r2 in product(ring.elements(), repeat=2):
