@@ -191,11 +191,12 @@ def load_ring_file(path: str | Path) -> FiniteRing:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("ring "):
         raise FileError(f"{path}: expected a 'ring <n>' header line")
+    head = lines[0].split()
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        n = int(head[1])
+    except ValueError:
         raise FileError(f"{path}: malformed header {lines[0]!r}") from None
-    if n < 0:
+    if len(head) != 2 or n < 0:
         raise FileError(f"{path}: malformed header {lines[0]!r}")
     if len(lines) != 2 * n + 3:
         raise FileError(f"{path}: expected {2 * n + 3} content lines, found {len(lines)}")

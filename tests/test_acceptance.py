@@ -19,11 +19,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import golden
 import oracles
+import ringline
 from conftest import COMMUTATIVE_SPECS, DATA
 from ringline import (
     are_isomorphic,
@@ -329,8 +331,11 @@ def test_criterion_6_in_process_determinism(capsys, tmp_path):
 def test_criterion_6_subprocess_determinism(argv, capsys):
     # fresh interpreters with different hash seeds must agree byte for byte
     outputs = []
+    # the child imports the package under test, however pytest found it
+    src = str(Path(ringline.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "ringline", *argv],
             capture_output=True, env=env, check=True,

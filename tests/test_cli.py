@@ -454,7 +454,9 @@ def test_unreadable_file_exits_2(capsys):
 @pytest.mark.parametrize("content, message", [
     (b"ring 2\nadd\n0 1\n1 0\nmul\n0 0\n0 \xff\n", "cannot read ring file"),
     (b"ring -1\n", "malformed header"),
-], ids=["undecodable", "negative-order"])
+    (b"ring 2 junk\nadd\n0 1\n1 0\nmul\n0 0\n0 1\n", "malformed header"),
+    (b"foo 2\nadd\n0 1\n1 0\nmul\n0 0\n0 1\n", "expected a 'ring <n>' header line"),
+], ids=["undecodable", "negative-order", "extra-header-token", "wrong-keyword"])
 def test_bad_ring_file_is_reported_not_raised(capsys, tmp_path, content, message):
     path = tmp_path / "bad.ring"
     path.write_bytes(content)

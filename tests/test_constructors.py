@@ -41,10 +41,12 @@ def test_bundled_file_reproduces_tables_digit_for_digit(ternions8):
 
 
 def test_ternions_have_expected_counts():
-    for q, order, units in ((2, 8, 2), (3, 27, 12)):
+    # T(7), of order 343, is in reach because validation is O(n^2 log n)
+    for q, order, units in ((2, 8, 2), (3, 27, 12), (5, 125, 80), (7, 343, 252)):
         ring = construct(f"T({q})")
         assert ring.order == q**3 == order
         assert len(ring.units) == (q - 1) ** 2 * q == units
+        assert len(ring.zero_divisors) == q**3 - q * (q - 1) ** 2
         assert not ring.is_commutative
         assert ring.label == f"T({q})"
 
@@ -170,6 +172,21 @@ def test_negative_and_zero_header_orders(tmp_path):
     zero.write_text("ring 0\nadd\nmul\n")
     with pytest.raises(IdentityMissing):
         load_ring_file(zero)
+
+
+def test_header_is_exactly_ring_and_order(tmp_path):
+    tables = "add\n0 1\n1 0\nmul\n0 0\n0 1\n"
+    for header, message in (
+        ("ring 2 junk", "malformed header"),
+        ("ring 2 3", "malformed header"),
+        ("foo 2", "expected a 'ring <n>' header line"),
+    ):
+        path = tmp_path / "header.ring"
+        path.write_text(f"{header}\n{tables}")
+        with pytest.raises(FileError, match=message):
+            load_ring_file(path)
+    path.write_text(f"  ring   2  \n{tables}")
+    assert load_ring_file(path).order == 2
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):

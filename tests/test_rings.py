@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -13,6 +14,7 @@ from ringline import (
     ideal_size_census,
     validate_tables,
 )
+from ringline.rings import _additive_generators, _holds_on_generators
 
 Z2_ADD = [[0, 1], [1, 0]]
 Z2_MUL = [[0, 0], [0, 1]]
@@ -62,14 +64,73 @@ def test_corrupted_mul_entry_reports_witness(ternions8):
     mul[3][2] = 4
     with pytest.raises(AxiomViolation) as err:
         validate_tables(ternions8.add_table, mul)
-    assert err.value.kind in (
-        "multiplicative_associativity",
-        "left_distributivity",
-        "right_distributivity",
-    )
-    assert len(err.value.witness) == 3
-    # the independent scan agrees that some axiom broke
-    assert oracles.axiom_failure([list(r) for r in ternions8.add_table], mul) is not None
+    # reported as the independent scan over (a, b, c) in order reports it
+    expected = oracles.axiom_failure(ternions8.add_table, mul)
+    assert (err.value.kind, err.value.witness) == expected
+
+
+TRIPLE_AXIOMS = (
+    "additive_associativity",
+    "multiplicative_associativity",
+    "left_distributivity",
+    "right_distributivity",
+)
+
+
+def _mutant(add, mul, rng):
+    """A copy of the tables with one or two entries changed.
+
+    Add entries change in symmetric pairs off row and column 0, and mul
+    entries off row and column 1, so both identities and additive
+    commutativity survive and most mutants reach the triple axioms.
+    """
+    add, mul = [list(row) for row in add], [list(row) for row in mul]
+    n = len(add)
+    for _ in range(rng.choice((1, 2))):
+        if rng.random() < 0.5:
+            i, j = rng.randrange(1, n), rng.randrange(1, n)
+            add[i][j] = add[j][i] = rng.choice([v for v in range(n) if v != add[i][j]])
+        else:
+            i, j = (rng.choice([k for k in range(n) if k != 1]) for _ in range(2))
+            mul[i][j] = rng.choice([v for v in range(n) if v != mul[i][j]])
+    return add, mul
+
+
+def test_generator_proof_agrees_with_full_scan_on_mutants(catalog):
+    rng = random.Random(11)
+    rings = [(ring.add_table, ring.mul_table) for ring in catalog.values()]
+    rings += [oracles.relabelled(add, mul, seed) for add, mul in rings for seed in (3, 11)]
+    large = [(ring.add_table, ring.mul_table) for ring in map(construct, ("GF(3)*T(2)", "Z(4)*T(2)"))]
+    cases = rings + [_mutant(*rng.choice(rings), rng) for _ in range(1200)]
+    cases += [_mutant(*rng.choice(large), rng) for _ in range(30)]
+    verdicts = []
+    for add, mul in cases:
+        expected = oracles.axiom_failure(add, mul)
+        if expected is not None and expected[0] not in TRIPLE_AXIOMS:
+            with pytest.raises((AxiomViolation, IdentityMissing)):
+                validate_tables(add, mul)
+            continue
+        proof = _holds_on_generators(tuple(map(tuple, add)), tuple(map(tuple, mul)))
+        assert proof == (expected is None), (add, mul, expected)
+        verdicts.append(proof)
+        if expected is None:
+            validate_tables(add, mul)
+            continue
+        with pytest.raises(AxiomViolation) as err:
+            validate_tables(add, mul)
+        assert (err.value.kind, err.value.witness) == expected
+    assert len(verdicts) >= 1000 and verdicts.count(True) >= len(rings)
+
+
+def test_addition_that_is_no_group_skips_the_proof():
+    # x + y = 0 for all nonzero x, y: commutative, with identity and inverses,
+    # but each generator adds only itself to the closure
+    add = [[y if x == 0 else x if y == 0 else 0 for y in range(5)] for x in range(5)]
+    mul = construct("GF(5)").mul_table
+    assert _additive_generators(tuple(map(tuple, add))) is None
+    with pytest.raises(AxiomViolation) as err:
+        validate_tables(add, mul)
+    assert (err.value.kind, err.value.witness) == oracles.axiom_failure(add, mul)
 
 
 def test_additive_identity_must_sit_at_zero():
