@@ -343,7 +343,7 @@ def cmd_line_export(args) -> int:
 def cmd_condense(args) -> int:
     ring = construct(args.spec)
     line = compute_line(ring)
-    catalog = tuple(s.strip() for s in args.catalog.split(",")) if args.catalog else None
+    catalog = tuple(s.strip() for s in args.catalog.split(",")) if args.catalog is not None else None
     ident = identify_condensate(line, catalog)
     structure = ident.condensate
     distant = None if structure.is_empty else condensate_distant_analysis(structure)

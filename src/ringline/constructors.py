@@ -39,9 +39,10 @@ _GF4_MUL = (
 )
 
 
-def _field_tables(q: int) -> tuple[Table, Table]:
+def _field_tables(q: int, term: str) -> tuple[Table, Table]:
+    """GF(q)'s tables; ``term`` (``GF(q)``, ``D(q)``, ``T(q)``) names an unsupported q."""
     if q not in SUPPORTED_FIELD_ORDERS:
-        raise UnsupportedField(f"GF({q}) is not supported; q must be one of {SUPPORTED_FIELD_ORDERS}")
+        raise UnsupportedField(f"{term} is not supported; q must be one of {SUPPORTED_FIELD_ORDERS}")
     if q == 4:
         add = tuple(tuple(i ^ j for j in range(4)) for i in range(4))
         return add, _GF4_MUL
@@ -95,7 +96,7 @@ def integers_mod(n: int) -> FiniteRing:
 
 
 def galois_field(q: int) -> FiniteRing:
-    add, mul = _field_tables(q)
+    add, mul = _field_tables(q, f"GF({q})")
     return validate_tables(add, mul, label=f"GF({q})")
 
 
@@ -105,7 +106,7 @@ def dual_numbers(q: int) -> FiniteRing:
     The pair (a, b) of field labels is listed at a*q + b; the identity
     (1, 0) then swaps labels with the pair listed second.
     """
-    fadd, fmul = _field_tables(q)
+    fadd, fmul = _field_tables(q, f"D({q})")
     return _ring(
         f"D({q})", itertools.product(range(q), repeat=2), (1, 0),
         lambda x, y: (fadd[x[0]][y[0]], fadd[x[1]][y[1]]),
@@ -120,7 +121,7 @@ def ternions(q: int) -> FiniteRing:
     + pos(c), where pos lists the field as 0, 1, then generator powers;
     the identity (1, 0, 1) then swaps labels with the matrix listed second.
     """
-    fadd, fmul = _field_tables(q)
+    fadd, fmul = _field_tables(q, f"T({q})")
     return _ring(
         f"T({q})", itertools.product(_field_enumeration(q, fmul), repeat=3), (1, 0, 1),
         lambda x, y: (fadd[x[0]][y[0]], fadd[x[1]][y[1]], fadd[x[2]][y[2]]),

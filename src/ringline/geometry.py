@@ -23,6 +23,7 @@ maximum distant cliques come from 120 quotient cliques of 5 classes.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
@@ -245,38 +246,38 @@ def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
 
     Vertices are the vectors lying on at least one point of the sector, in
     lexicographic order, weighted by how many points contain them; edges
-    join vectors sharing a point, in lexicographic pair order.  Row k of
-    ``RelationGraph`` on the transposed incidence (one edge per vector,
-    listing its points) is the set of vectors sharing a point with vector
-    k, so the edges (k, b), b > k, are the bits of that row above k.  The
+    join vectors sharing a point, in lexicographic pair order.  Vectors with
+    one signature (``incidence`` mask) are true twins: their closed
+    neighbourhood is the union of their points' orbits, sorted once per
+    signature, and vector k's edges (k, b) are the part of it above k.  The
     JSON text is laid out as ``json.dumps(indent=2, sort_keys=True)`` would
     lay it out.  An empty sector gives an empty document.
     """
     if fmt not in _EDGE_TEXT:
         raise UnknownFormat(f"unknown export format {fmt!r}; expected 'dot' or 'json'")
-    masks = incidence(p.orbit for p in sector_points(line, sector))
-    vertices = sorted(masks)
-    rows = RelationGraph.from_edges([mask_indices(masks[v]) for v in vertices], None).neighbours
-    # Two-digit ids for small rings; larger orders need a separator.
-    sep = "" if line.ring.order <= 10 else "_"
+    points = sector_points(line, sector)
+    masks = incidence(p.orbit for p in points)
+    vertices = {v: k for k, v in enumerate(sorted(masks))}  # vector -> its index
+    orbits = [set(map(vertices.__getitem__, p.orbit)) for p in points]
+    closed = {m: sorted(set().union(*map(orbits.__getitem__, mask_indices(m)))) for m in set(masks.values())}
+    sep = "" if line.ring.order <= 10 else "_"  # two-digit ids for small rings
     ids = [f"{a}{sep}{b}" for a, b in vertices]
-    weights = [masks[v].bit_count() for v in vertices]
     head, mid, tail, joint = _EDGE_TEXT[fmt]
     rights = [i + tail for i in ids]
     edges = []
-    for k, row in enumerate(rows):
-        later = mask_indices(row & -(2 << k))
-        if later:
+    for k, v in enumerate(vertices):
+        hood = closed[masks[v]]  # ascending, and holds k
+        if hood[-1] > k:
             left = head + ids[k] + mid
-            edges.append(left + (joint + left).join(map(rights.__getitem__, later)))
+            edges.append(left + (joint + left).join(map(rights.__getitem__, hood[bisect_right(hood, k):])))
     if fmt == "dot":
         name = f"{line.ring.label} {sector}".replace('"', '\\"')
-        nodes = [f'  "{i}" [weight={w}];' for i, w in zip(ids, weights)]
+        nodes = [f'  "{i}" [weight={masks[v].bit_count()}];' for i, v in zip(ids, vertices)]
         return "\n".join([f'graph "{name}" {{', *nodes, *edges, "}", ""])
     nodes = [
         f'    {{\n      "id": "{i}",\n      "vector": [\n        {a},\n        {b}\n      ],'
-        f'\n      "weight": {w}\n    }}'
-        for i, (a, b), w in zip(ids, vertices, weights)
+        f'\n      "weight": {masks[a, b].bit_count()}\n    }}'
+        for i, (a, b) in zip(ids, vertices)
     ]
     return (
         f'{{\n  "edges": {_json_list(edges)},\n  "ring": {json.dumps(line.ring.label)},'

@@ -88,8 +88,15 @@ class Ideal:
 
 
 def _normalize(table, name: str) -> Table:
-    rows = tuple(tuple(int(x) for x in row) for row in table)
+    """The table as int tuples; the first shape or closure violation raises.
+
+    Rows are checked whole by length and ``min``/``max``; only a failing
+    table is walked entry by entry, to name the first violation.
+    """
+    rows = tuple(tuple(map(int, row)) for row in table)
     n = len(rows)
+    if all(len(row) == n for row in rows) and (not rows or 0 <= min(map(min, rows)) and max(map(max, rows)) < n):
+        return rows
     for i, row in enumerate(rows):
         if len(row) != n:
             raise AxiomViolation("shape", (name, i), f"{name} row {i} has length {len(row)}, expected {n}")

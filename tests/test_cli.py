@@ -342,6 +342,12 @@ def test_condense_json_custom_catalog(capsys):
     assert json.loads(out)["matches"] == ["GF(2)"]
 
 
+@pytest.mark.parametrize("catalog", ["", ","], ids=["empty", "comma"])
+def test_condense_empty_catalog_entry_is_a_bad_spec(capsys, catalog):
+    code, out, err = run(capsys, "condense", "T(2)", "--catalog", catalog)
+    assert (code, out, err) == (2, "", "error: bad ring spec ''\n")
+
+
 def test_condense_larger_than_every_reference(capsys, monkeypatch):
     # 340 condensate classes against references of at most 20: no match,
     # and no size bound, since no reference has 340 classes

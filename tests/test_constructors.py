@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import oracles
@@ -12,6 +14,7 @@ from ringline import (
     load_ring_file,
     write_ring_file,
 )
+from ringline.cli import main
 
 TERNION_ADD = (
     (0, 1, 2, 3, 4, 5, 6, 7),
@@ -120,6 +123,14 @@ def test_unsupported_fields():
     for bad in ("GF(6)", "GF(9)", "T(6)", "D(8)"):
         with pytest.raises(UnsupportedField):
             construct(bad)
+
+
+@pytest.mark.parametrize("term", ["GF(6)", "D(1)", "T(6)"])
+def test_unsupported_field_names_the_written_term(capsys, term):
+    with pytest.raises(UnsupportedField, match=rf"^{re.escape(term)} is not supported"):
+        construct(term)
+    assert main(["ring", "info", f"Z(2)*{term}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {term} is not supported; q must be one of ")
 
 
 def test_z_of_one_rejected():

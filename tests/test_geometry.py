@@ -6,6 +6,7 @@ import pytest
 
 import golden
 import oracles
+import ringline.geometry
 from ringline import (
     SECTORS,
     CyclicSubmodule,
@@ -355,12 +356,14 @@ def test_export_empty_sector(catalog_lines):
 
 @pytest.fixture(scope="module")
 def export_lines():
-    """An empty sector (GF(2)), ``a_b`` ids (Z(12)), order 40, and a relabelled
-    T(3) whose label needs escaping in DOT and JSON."""
-    t3 = construct("T(3)")
-    tables = oracles.relabelled(t3.add_table, t3.mul_table, 5)
-    rings = [construct(spec) for spec in ("T(2)", "GF(2)", "Z(12)", "GF(5)*T(2)")]
-    rings.append(validate_tables(*tables, label='T(3) "relabelled"'))
+    """An empty sector (GF(2)), ``a_b`` ids (Z(12)), order 40, many vectors
+    shared by several points in both sectors (Z(4)*Z(4)), a relabelled
+    GF(4)*T(2), and a relabelled T(3) whose label needs escaping in DOT and
+    JSON."""
+    rings = [construct(spec) for spec in ("T(2)", "GF(2)", "Z(12)", "GF(5)*T(2)", "Z(4)*Z(4)")]
+    for spec, seed, label in (("GF(4)*T(2)", 3, "GF(4)*T(2) relabelled"), ("T(3)", 5, 'T(3) "relabelled"')):
+        ring = construct(spec)
+        rings.append(validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed), label=label))
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("RINGLINE_MAX_ORDER", "64")
         return [compute_line(ring) for ring in rings]
@@ -394,6 +397,47 @@ def test_export_is_the_union_of_orbit_cliques(export_lines):
             assert {frozenset(e) for e in got.edges} == {frozenset(e) for e in want.edges}
             weights = Counter(v for p in points for v in p.orbit)
             assert {tuple(v["vector"]): v["weight"] for v in doc["vertices"]} == weights
+
+
+def test_export_gives_vectors_of_one_signature_one_closed_neighbourhood(export_lines):
+    import networkx as nx
+
+    shared = 0
+    for line in export_lines:
+        for sector in SECTORS:
+            points = sector_points(line, sector)
+            doc = json.loads(export_graph(line, sector, "json"))
+            graph = nx.Graph(doc["edges"])
+            graph.add_nodes_from(v["id"] for v in doc["vertices"])
+            twins = {}
+            for v in doc["vertices"]:
+                signature = frozenset(i for i, p in enumerate(points) if tuple(v["vector"]) in p.orbit_set)
+                twins.setdefault(signature, []).append(v["id"])
+            for members in twins.values():
+                hoods = {frozenset(graph[i]) | {i} for i in members}
+                assert len(hoods) == 1, (line.ring.label, sector, members)
+                shared += len(members) > 1
+    assert shared > 0
+
+
+def test_export_reads_each_signature_once(monkeypatch, export_lines):
+    calls = []
+    real = ringline.geometry.mask_indices
+
+    def counted(mask):
+        calls.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(ringline.geometry, "mask_indices", counted)
+    for line in export_lines:
+        for sector in SECTORS:
+            points = sector_points(line, sector)
+            vectors = {v for p in points for v in p.orbit}
+            signatures = {frozenset(i for i, p in enumerate(points) if v in p.orbit_set) for v in vectors}
+            for fmt in ("dot", "json"):
+                calls.clear()
+                export_graph(line, sector, fmt)
+                assert len(calls) == len(set(calls)) <= len(signatures), (line.ring.label, sector, fmt)
 
 
 def test_export_unknown_format(ternion_line):
