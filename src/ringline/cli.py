@@ -10,7 +10,6 @@ requested check passes, 1 when a check fails, 2 on bad input.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -25,7 +24,7 @@ from .geometry import (
     cross_sector_check,
     export_graph,
     partition_from_cliques,
-    twin_cliques,
+    sector_cliques,
 )
 from .line import ProjectiveLine, compute_line, line_to_json
 from .rings import FiniteRing, ISOMORPHISM_MAX_ORDER, are_isomorphic, ideal_size_census
@@ -133,6 +132,7 @@ class LineReport:
     max_neighbour: dict[str, int | None]
     partition_class_sizes: tuple[int, ...] | None
     partition_anchor_sets: int | None
+    partition_failure: str | None  # why partition is None, when a check refuted it
     cross_sector_all_neighbour: bool | None
     condensate_status: str
     condensate_matches: tuple[str, ...]
@@ -157,18 +157,18 @@ def build_line_report(ring: FiniteRing) -> LineReport:
     line = compute_line(ring)
     max_distant: dict[str, int | None] = {}
     max_neighbour: dict[str, int | None] = {}
-    partition = None
+    partition = failure = None
     for sector in ("unimodular", "nonunimodular"):
         try:
-            distant = twin_cliques(line, sector, "distant")
+            distant = sector_cliques(line, sector, "distant")
             max_distant[sector] = len(distant[0])
+            max_neighbour[sector] = len(sector_cliques(line, sector, "neighbour")[0])
             if sector == "unimodular":
-                with contextlib.suppress(NotPartition):
-                    partition = partition_from_cliques(line, distant)
-            max_neighbour[sector] = len(twin_cliques(line, sector, "neighbour")[0])
+                partition = partition_from_cliques(line, distant)
         except EmptySector:
-            max_distant[sector] = None
-            max_neighbour[sector] = None
+            max_distant[sector] = max_neighbour[sector] = None
+        except NotPartition as exc:
+            failure = str(exc)
     try:
         cross, _ = cross_sector_check(line)
     except EmptySector:
@@ -191,6 +191,7 @@ def build_line_report(ring: FiniteRing) -> LineReport:
         max_neighbour=max_neighbour,
         partition_class_sizes=partition.class_sizes if partition else None,
         partition_anchor_sets=partition.anchor_sets_checked if partition else None,
+        partition_failure=failure,
         cross_sector_all_neighbour=cross,
         condensate_status=ident.status,
         condensate_matches=ident.matches,
@@ -228,7 +229,7 @@ def render_line_report(report: LineReport) -> str:
             f" {report.partition_anchor_sets} maximum distant cliques"
         )
     else:
-        out.append("partition: n/a")
+        out.append(f"partition: n/a ({report.partition_failure})" if report.partition_failure else "partition: n/a")
     if report.cross_sector_all_neighbour is None:
         out.append("cross-sector: n/a (a sector is empty)")
     else:

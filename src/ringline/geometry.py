@@ -1,9 +1,9 @@
 """Neighbour/distant structure of a projective ring line.
 
 Two distinct points are distant when their orbits meet only in the zero
-vector and neighbour otherwise.  The relation is kept irreflexive; a
-point is trivially neighbour to itself and callers that want that
-convention pass ``allow_same=True``.
+vector and neighbour otherwise; a point is neighbour to itself only with
+``allow_same=True``.  Each sector's ``incidence`` masks and neighbour rows
+are built once per line (``sector_incidence``), and every stage reads them.
 
 Maximum cliques are searched on the twin quotient (see ``cliques``).  On
 the unimodular sector the distant twin classes are the fibres of
@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import repeat
 from math import prod
 from operator import or_
 
@@ -82,13 +83,35 @@ class RelationGraph:
         return tuple(full & ~(row | 1 << i) for i, row in enumerate(self.neighbours))
 
 
-def _search(line, sector, kind) -> tuple[tuple[CyclicSubmodule, ...], list[Clique]]:
-    points = sector_points(line, sector)
-    if not points:
+class SectorIncidence:
+    """A sector's points and ``incidence`` masks: the one scan of its orbits that every stage reads."""
+
+    def __init__(self, points: tuple[CyclicSubmodule, ...]):
+        self.points = points
+        self.masks = incidence(p.orbit for p in points)
+
+    def meeting(self, orbit: tuple[Vector, ...]) -> int:
+        """Mask of the points sharing a nonzero vector with ``orbit`` (sorted, so ``orbit[0]`` is ZERO)."""
+        return reduce(or_, map(self.masks.get, orbit[1:], repeat(0)), 0)
+
+    @cached_property
+    def graph(self) -> RelationGraph:
+        return RelationGraph(tuple(self.meeting(p.orbit) & ~(1 << i) for i, p in enumerate(self.points)))
+
+
+def sector_incidence(line: ProjectiveLine, sector: str) -> SectorIncidence:
+    """The sector's ``SectorIncidence``, built on first use and kept in ``line.derived``."""
+    if sector not in line.derived:
+        line.derived[sector] = SectorIncidence(sector_points(line, sector))
+    return line.derived[sector]
+
+
+def sector_cliques(line: ProjectiveLine, sector: str, kind: str) -> list[Clique]:
+    """The sector's maximum ``kind`` cliques as ``maximum_cliques`` gives them, on ``sector_points``."""
+    if not sector_points(line, sector):
         raise EmptySector(f"the {sector} sector of {line.ring.label} is empty")
-    graph = RelationGraph.from_edges([p.orbit for p in points], ZERO)
-    _, cliques = maximum_cliques(graph.distant() if kind == "distant" else graph.neighbours)
-    return points, cliques
+    graph = sector_incidence(line, sector).graph
+    return maximum_cliques(graph.distant() if kind == "distant" else graph.neighbours)[1]
 
 
 def twin_cliques(
@@ -101,13 +124,13 @@ def twin_cliques(
     choice of one point per class is a maximum clique of the sector, and
     the first points of the classes of entry 0 are the least one.
     """
-    points, cliques = _search(line, sector, kind)
+    points, cliques = sector_points(line, sector), sector_cliques(line, sector, kind)
     return tuple(tuple(tuple(points[i] for i in cls) for cls in clique) for clique in cliques)
 
 
 def _listed(line, sector, kind) -> tuple[tuple[CyclicSubmodule, ...], ...]:
-    points, cliques = _search(line, sector, kind)
-    return tuple(tuple(points[i] for i in clique) for clique in expand(cliques))
+    points = sector_points(line, sector)
+    return tuple(tuple(points[i] for i in clique) for clique in expand(sector_cliques(line, sector, kind)))
 
 
 def max_distant_cliques(line: ProjectiveLine, sector: str) -> tuple[tuple[CyclicSubmodule, ...], ...]:
@@ -151,21 +174,21 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
     maximum distant cliques is their size, and ``anchor_sets_checked`` is
     their count.
     """
-    return partition_from_cliques(line, twin_cliques(line, "unimodular", "distant"))
+    return partition_from_cliques(line, sector_cliques(line, "unimodular", "distant"))
 
 
-def partition_from_cliques(line: ProjectiveLine, cliques) -> SectorPartition:
-    """``unimodular_partition`` from ``twin_cliques(line, "unimodular", "distant")``.
+def partition_from_cliques(line: ProjectiveLine, cliques: list[Clique]) -> SectorPartition:
+    """``unimodular_partition`` from ``sector_cliques(line, "unimodular", "distant")``.
 
-    The anchors are the first points of the classes of the least twin
-    clique, and the count is the sum over twin cliques of the products of
-    their class sizes; no clique is listed.
+    The anchors are the points at the class minima of the least quotient
+    clique, and the count is the sum over quotient cliques of the products
+    of their class sizes; no clique is listed.
     """
-    points = sector_points(line, "unimodular")
-    masks = incidence(p.orbit for p in points)
-    masks.pop(ZERO, None)
-    best = max((m.bit_count() for m in masks.values()), default=0)
-    classes = sorted({m for m in masks.values() if m.bit_count() == best}, key=mask_indices)
+    data = sector_incidence(line, "unimodular")
+    points = data.points
+    shared = [m for v, m in data.masks.items() if v != ZERO]
+    best = max((m.bit_count() for m in shared), default=0)
+    classes = sorted({m for m in shared if m.bit_count() == best}, key=mask_indices)
     covered = 0
     for cls in classes:
         if covered & cls:
@@ -181,33 +204,34 @@ def partition_from_cliques(line: ProjectiveLine, cliques) -> SectorPartition:
             f"point R{uncovered[0].generator} lies in no maximal vector class",
             witness=tuple(uncovered),
         )
-    anchors = tuple(cls[0] for cls in cliques[0])
+    anchors = [cls[0] for cls in cliques[0]]
     if len(anchors) != len(classes):
         raise NotPartition(
             f"{len(classes)} classes cannot be anchored by a maximum distant"
             f" clique of size {len(anchors)}"
         )
     ordered = tuple(
-        next(tuple(points[i] for i in mask_indices(c)) for c in classes if c >> points.index(a) & 1)
-        for a in anchors
+        next(tuple(points[i] for i in mask_indices(c)) for c in classes if c >> a & 1) for a in anchors
     )
     count = sum(prod(map(len, clique)) for clique in cliques)
-    return SectorPartition(anchors=anchors, classes=ordered, anchor_sets_checked=count)
+    return SectorPartition(anchors=tuple(points[a] for a in anchors), classes=ordered, anchor_sets_checked=count)
 
 
 def cross_sector_check(line: ProjectiveLine) -> tuple[bool, tuple[CyclicSubmodule, CyclicSubmodule] | None]:
     """Whether every non-unimodular point is neighbour to every unimodular one.
 
-    Returns (True, None) or (False, counterexample pair).
+    Returns (True, None) or (False, counterexample pair), reading each point's
+    unimodular neighbours off the unimodular masks of its nonzero vectors.
     """
     unimodular, nonunimodular = line.unimodular_points, line.nonunimodular_points
     if not nonunimodular or not unimodular:
         raise EmptySector(f"{line.ring.label}: both sectors must be non-empty for the cross check")
-    distant = RelationGraph.from_edges([p.orbit for p in unimodular + nonunimodular], ZERO).distant()
+    data = sector_incidence(line, "unimodular")
     sector = (1 << len(unimodular)) - 1
-    for nu, row in zip(nonunimodular, distant[len(unimodular):]):
-        if row & sector:
-            return False, (nu, unimodular[mask_indices(row & sector)[0]])
+    for nu in nonunimodular:
+        distant = sector & ~data.meeting(nu.orbit)
+        if distant:
+            return False, (nu, unimodular[mask_indices(distant)[0]])
     return True, None
 
 
@@ -218,10 +242,10 @@ def private_vectors(line: ProjectiveLine, sector: str) -> dict[Vector, tuple[Vec
     the two generators for a unimodular point and the two generators plus
     two more vectors for a non-unimodular one.
     """
-    points = sector_points(line, sector)
-    if not points:
+    data = sector_incidence(line, sector)
+    if not data.points:
         raise EmptySector(f"the {sector} sector of {line.ring.label} is empty")
-    masks = incidence(p.orbit for p in points)
+    points, masks = data.points, data.masks
     return {
         point.generator: tuple(v for v in point.orbit if masks[v] == 1 << i)
         for i, point in enumerate(points)
@@ -255,8 +279,8 @@ def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
     """
     if fmt not in _EDGE_TEXT:
         raise UnknownFormat(f"unknown export format {fmt!r}; expected 'dot' or 'json'")
-    points = sector_points(line, sector)
-    masks = incidence(p.orbit for p in points)
+    data = sector_incidence(line, sector)
+    points, masks = data.points, data.masks
     vertices = {v: k for k, v in enumerate(sorted(masks))}  # vector -> its index
     orbits = [set(map(vertices.__getitem__, p.orbit)) for p in points]
     closed = {m: sorted(set().union(*map(orbits.__getitem__, mask_indices(m)))) for m in set(masks.values())}

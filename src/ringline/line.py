@@ -104,6 +104,11 @@ class ProjectiveLine:
         points = self.unimodular_points + self.nonunimodular_points
         return tuple(sorted(points, key=lambda p: p.generator))
 
+    @cached_property
+    def derived(self) -> dict:
+        """``geometry.sector_incidence``'s cache; not a field, so ``==`` and ``line_to_json`` ignore it."""
+        return {}
+
     def point_for(self, vector: Vector) -> CyclicSubmodule:
         """The stored point equal to the submodule generated by ``vector``."""
         generator = cyclic_submodule(self.ring, vector).generator

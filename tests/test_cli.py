@@ -19,6 +19,7 @@ from ringline import (
     validate_tables,
 )
 from ringline.cli import _atomic_write, build_line_report, main
+from ringline.line import line_to_json
 
 
 def run(capsys, *argv):
@@ -171,6 +172,17 @@ def test_line_compute_report_without_partition(capsys):
     assert json.loads(out)["partition"] is None
 
 
+def test_line_compute_text_gives_the_reason_for_no_partition(capsys):
+    code, out, _ = run(capsys, "line", "compute", "Z(4)*Z(4)")
+    assert code == 0
+    assert "\npartition: n/a (point R(0, 1) lies in two maximal vector classes)\n" in out
+    # the JSON keeps its schema: no reason field until a new schema version
+    code, out, _ = run(capsys, "line", "compute", "Z(4)*Z(4)", "--json")
+    assert code == 0
+    assert json.loads(out)["partition"] is None
+    assert "maximal vector classes" not in out
+
+
 def test_line_compute_empty_sector_report(capsys):
     code, out, _ = run(capsys, "line", "compute", "GF(2)", "--json")
     assert code == 0
@@ -250,6 +262,37 @@ def test_line_report_enumerates_each_sector_and_relation_once(monkeypatch):
     assert calls == [(18, 3, 6), (18, 6, 6), (3, 1, 1), (3, 3, 1)]
     assert report.partition_class_sizes == (6, 6, 6)
     assert report.partition_anchor_sets == 48
+
+
+@pytest.mark.parametrize("spec", ["T(2)", "GF(3)*T(2)"])
+def test_line_report_scans_each_sector_once(spec, monkeypatch):
+    scans, graphs = [], []
+    scan, build = ringline.geometry.incidence, ringline.geometry.RelationGraph.from_edges
+
+    def counted_scan(orbits):
+        orbits = list(orbits)
+        scans.append(len(orbits))
+        return scan(orbits)
+
+    def counted_build(cls, edges, zero):
+        graphs.append(len(edges))
+        return build(edges, zero)
+
+    monkeypatch.setattr(ringline.geometry, "incidence", counted_scan)
+    monkeypatch.setattr(ringline.geometry.RelationGraph, "from_edges", classmethod(counted_build))
+    ring = construct(spec)
+    fresh = ringline.cli.compute_line(ring)
+    before = line_to_json(fresh)
+    report = build_line_report(ring)
+    line = report.line
+    # one orbit scan per sector feeds the searches, the partition and the
+    # cross check; no stage rebuilds a relation graph from the orbits
+    assert scans == [len(line.unimodular_points), len(line.nonunimodular_points)]
+    assert graphs == []
+    # the per-sector cache is not part of the line's value
+    assert set(line.derived) == {"unimodular", "nonunimodular"}
+    assert line == fresh and hash(line) == hash(fresh)
+    assert line_to_json(line) == before
 
 
 def test_line_report_counts_cliques_without_listing_them(monkeypatch):

@@ -28,6 +28,7 @@ from ringline import (
     unimodular_partition,
     validate_tables,
 )
+from ringline.cli import build_line_report
 
 
 def test_relation_examples(ternion_line):
@@ -289,6 +290,51 @@ def test_cross_sector(ternion_line, catalog_lines, gf3_t2_line):
     )
     line = ProjectiveLine(ring=None, unimodular_points=uni, nonunimodular_points=non)
     assert cross_sector_check(line) == (False, (non[1], uni[0]))
+
+
+@pytest.fixture(scope="module")
+def report_rings(catalog, amphibian16):
+    rings = {spec: construct(spec) for spec in ("GF(3)*T(2)", "T(3)")}
+    rings["GF(2)*T(2)"], rings["amphibian16"] = catalog["GF(2)*T(2)"], amphibian16
+    ring = rings["GF(3)*T(2)"]
+    rings["GF(3)*T(2) relabelled"] = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, 5))
+    return rings
+
+
+def test_report_stages_equal_their_brute_force_forms(report_rings):
+    # the stages that read the line's cached sector incidence, against
+    # pairwise relations and fully listed cliques
+    partitioned = 0
+    for name, ring in report_rings.items():
+        report = build_line_report(ring)
+        line = report.line
+        first = next(
+            ((nu, u) for nu in line.nonunimodular_points for u in line.unimodular_points
+             if relation(nu, u) == "distant"),
+            None,
+        )
+        assert cross_sector_check(line) == (first is None, first), name
+        try:
+            part = unimodular_partition(line)
+        except NotPartition as exc:
+            assert report.partition_class_sizes is report.partition_anchor_sets is None, name
+            assert report.partition_failure == str(exc), name
+            continue
+        assert report.partition_anchor_sets == len(max_distant_cliques(line, "unimodular")), name
+        assert report.partition_class_sizes == part.class_sizes, name
+        assert report.partition_failure is None, name
+        # the report's anchors: class minima of the least quotient clique
+        assert part.anchors == max_distant_cliques(line, "unimodular")[0], name
+        assert all(a in cls for a, cls in zip(part.anchors, part.classes)), name
+        through = Counter(v for p in line.unimodular_points for v in p.orbit if v != (0, 0))
+        best = max(through.values())
+        shared = {
+            frozenset(p for p in line.unimodular_points if v in p.orbit_set)
+            for v, k in through.items() if k == best
+        }
+        assert shared == {frozenset(cls) for cls in part.classes}, name
+        partitioned += 1
+    assert partitioned >= 3
 
 
 def test_private_vectors(ternion_line):
