@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .condense import condensate_distant_analysis, identify_condensate
 from .constructors import SUPPORTED_FIELD_ORDERS, construct, load_ring_file
@@ -481,7 +482,9 @@ def cmd_table2(args) -> int:
     return 1 if failed else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ringline",
         description="Projective lines over small finite rings",

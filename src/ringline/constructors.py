@@ -208,7 +208,7 @@ def load_ring_file(path: str | Path) -> FiniteRing:
         out = []
         for offset, line in enumerate(lines[start:start + n]):
             try:
-                row = [int(tok) for tok in line.split()]
+                row = list(map(int, line.split()))
             except ValueError:
                 raise FileError(f"{path}: non-integer entry in row {offset}: {line!r}") from None
             if len(row) != n:

@@ -4,7 +4,8 @@ A point of the line is a free cyclic submodule R*v, kept as its orbit
 under left multiplication.  Vectors generate the same submodule exactly
 when they are unit multiples, so the scan builds each free unit class of
 R^2 once, at its least member (the canonical generator), and classifies
-it by whether that vector admits x1, x2 with r1*x1 + r2*x2 = 1.
+it by whether 1 lies in r1*R + r2*R.  Every step reads the ring's column
+tables (``FiniteRing.columns`` and its relatives), built once per ring.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .errors import OrderTooLarge
 from .rings import FiniteRing, soft_max_order
@@ -34,17 +34,20 @@ def unimodularity_witness(ring: FiniteRing, vector: Vector) -> Vector | None:
     ascending order, has one candidate: the y with r1*x1 + y = 1.
     """
     r1, r2 = _check_vector(ring, vector)
-    add, mul = ring.add_table, ring.mul_table
+    mul, one_minus = ring.mul_table, ring.one_minus
     least_x2 = {mul[r2][x2]: x2 for x2 in reversed(ring.elements())}
     for x1 in ring.elements():
-        x2 = least_x2.get(add[mul[r1][x1]].index(1))
+        x2 = least_x2.get(one_minus[mul[r1][x1]])
         if x2 is not None:
             return (x1, x2)
     return None
 
 
 def is_unimodular(ring: FiniteRing, vector: Vector) -> bool:
-    return unimodularity_witness(ring, vector) is not None
+    """Whether 1 lies in r1*R + r2*R: some y in r2*R has 1 - y in r1*R."""
+    r1, r2 = _check_vector(ring, vector)
+    mul = ring.mul_table
+    return not set(mul[r1]).isdisjoint(map(ring.one_minus.__getitem__, mul[r2]))
 
 
 @dataclass(frozen=True)
@@ -69,24 +72,27 @@ class CyclicSubmodule:
 def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
     """Orbit of a vector under left multiplication, with classification.
 
-    The generators of R*v are its unit multiples u*v; the canonical one is
-    the least.  Finite rings have stable range 1 (Bass, *K-theory and
-    stable algebra*, Publ. IHES 22, 1964): if R*w = R*v, then w = a*v with
+    The orbit is {(a*r1, a*r2)}, one zip of two columns of the
+    multiplication table.  The generators of R*v are its unit multiples
+    u*v, the same zip over the unit columns; the canonical one is the
+    least.  Finite rings have stable range 1 (Bass, *K-theory and stable
+    algebra*, Publ. IHES 22, 1964): if R*w = R*v, then w = a*v with
     R*a + ann(v) = R, so a + t is a unit u for some t in ann(v), and
     w = u*v.  If r1*x1 + r2*x2 = 1, then (u*r1)(x1*u^-1) + (u*r2)(x2*u^-1)
-    = 1, so the canonical generator alone decides unimodularity.  Only free
-    vectors are searched: r1*x1 + r2*x2 = 1 and a*v = 0 force a = 0.
+    = 1, so every generator, v included, decides unimodularity, and
+    ``is_unimodular`` tests v itself.  Only free vectors are tested:
+    r1*x1 + r2*x2 = 1 and a*v = 0 force a = 0.
     """
     r1, r2 = _check_vector(ring, vector)
-    mul = ring.mul_table
-    orbit = {(row[r1], row[r2]) for row in mul}
-    generators = tuple(sorted({(mul[u][r1], mul[u][r2]) for u in ring.units}))
+    columns, unit_columns = ring.columns, ring.unit_columns
+    orbit = set(zip(columns[r1], columns[r2]))
+    generators = tuple(sorted(set(zip(unit_columns[r1], unit_columns[r2]))))
     free = len(orbit) == ring.order
     return CyclicSubmodule(
         generator=generators[0],
         orbit=tuple(sorted(orbit)),
         free=free,
-        unimodular=free and is_unimodular(ring, generators[0]),
+        unimodular=free and is_unimodular(ring, vector),
         generators=generators,
     )
 
@@ -155,10 +161,13 @@ def mask_indices(mask: int) -> tuple[int, ...]:
 def compute_line(ring: FiniteRing) -> ProjectiveLine:
     """Scan all of R^2 and assemble the generalized projective line.
 
-    Row-major over (r1, r2), each unseen vector gets one ``cyclic_submodule``
-    call, which marks its unit class seen.  A smaller class member would have
-    come first, so each point is built at its canonical generator, in sorted
-    order.  RINGLINE_MAX_ORDER overrides the soft bound of 32.
+    v is free exactly when no a != 0 has a*r1 = a*r2 = 0, that is when
+    the left-annihilator masks of r1 and r2 share only bit 0.  Unit
+    multiples share that test, so row-major over (r1, r2), each unseen
+    free vector gets one ``cyclic_submodule`` call, which marks its unit
+    class seen.  A smaller class member would have come first, so each
+    point is built at its canonical generator, in sorted order.
+    RINGLINE_MAX_ORDER overrides the soft bound of 32.
     """
     limit = soft_max_order()
     if ring.order > limit:
@@ -166,14 +175,15 @@ def compute_line(ring: FiniteRing) -> ProjectiveLine:
             f"line computation is bounded to order {limit} (ring has order {ring.order});"
             " set RINGLINE_MAX_ORDER to override"
         )
+    ann = ring.left_annihilators
     seen: set[Vector] = set()
     unimodular: list[CyclicSubmodule] = []
     nonunimodular: list[CyclicSubmodule] = []
-    for vector in product(ring.elements(), repeat=2):
-        if vector not in seen:
-            point = cyclic_submodule(ring, vector)
-            seen.update(point.generators)
-            if point.free:
+    for r1, ann1 in enumerate(ann):
+        for r2, ann2 in enumerate(ann):
+            if ann1 & ann2 == 1 and (r1, r2) not in seen:
+                point = cyclic_submodule(ring, (r1, r2))
+                seen.update(point.generators)
                 (unimodular if point.unimodular else nonunimodular).append(point)
     return ProjectiveLine(
         ring=ring,

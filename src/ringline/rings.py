@@ -65,6 +65,26 @@ class FiniteRing:
             for b in range(a + 1, self.order)
         )
 
+    @cached_property
+    def columns(self) -> Table:
+        """The multiplication table's columns: ``columns[r][x] = x*r``."""
+        return tuple(zip(*self.mul_table))
+
+    @cached_property
+    def unit_columns(self) -> Table:
+        """``columns`` restricted to the units: ``unit_columns[r][k] = u_k*r``, units ascending."""
+        return tuple(zip(*(self.mul_table[u] for u in sorted(self.units))))
+
+    @cached_property
+    def left_annihilators(self) -> tuple[int, ...]:
+        """Bit a of entry r is set when a*r = 0, so bit 0 is always set."""
+        return tuple(sum(1 << a for a, x in enumerate(col) if not x) for col in self.columns)
+
+    @cached_property
+    def one_minus(self) -> tuple[int, ...]:
+        """``one_minus[y] = 1 - y``."""
+        return tuple(row.index(1) for row in self.add_table)
+
     def __repr__(self) -> str:  # noqa: D105 - compact form, tables elided
         return f"FiniteRing({self.label!r}, order={self.order})"
 

@@ -302,6 +302,25 @@ def _identity_to_one(add, mul):
     )
 
 
+def matrix_gf2_tables():
+    """(add, mul) of M2(GF(2)), [[a, b], [c, d]] at the bits abcd, identity swapped to 1.
+
+    A row (r1, r2) of this ring can have 1 in r1*R + r2*R but not in
+    R*r1 + R*r2, so it tells right ideals from left ones.
+    """
+
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return (a & e ^ b & g, a & f ^ b & h, c & e ^ d & g, c & f ^ d & h)
+
+    raw = _tables(
+        16, lambda i: (i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, i & 1), lambda x: x[0] << 3 | x[1] << 2 | x[2] << 1 | x[3],
+        lambda x, y: tuple(u ^ v for u, v in zip(x, y)), mul,
+    )
+    return _identity_to_one(*raw)
+
+
 def named_tables(spec):
     """(add, mul) of a named ring spec, labelled as the README documents.
 

@@ -1,6 +1,10 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -522,3 +526,33 @@ def test_argparse_rejects_unknown_sector(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["line", "export", "T(2)", "--sector", "x", "--format", "dot", "--out", "/tmp/x"])
     assert exc.value.code == 2
+
+
+def test_consecutive_main_calls_match_fresh_processes(capsys, tmp_path):
+    # main reuses one parser per process; each call must still print and
+    # exit exactly as the same command does in a process of its own
+    env = dict(os.environ, PYTHONPATH=str(Path(ringline.cli.__file__).parents[1]))
+    commands = (
+        (0, ("line", "compute", "T(2)")),
+        (0, ("condense", "GF(2)*T(2)", "--json")),
+        (2, ("line", "compute", "T(2)", "--no-such-flag")),
+        (0, ("line", "export", "T(2)", "--sector", "all", "--format", "json", "--out", "{out}")),
+    )
+    out = tmp_path / "graph.json"
+    for expected_code, command in commands:
+        argv = [a.format(out=out) for a in command]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ringline", *argv], capture_output=True, text=True, env=env, check=False,
+        )
+        fresh_file = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), command
+        assert code == expected_code, command
+        assert (out.read_bytes() if out.exists() else None) == fresh_file, command
+    assert fresh_file is not None
+    assert ringline.cli.build_parser() is ringline.cli.build_parser()

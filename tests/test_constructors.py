@@ -154,17 +154,20 @@ def test_file_round_trip(tmp_path, ternions8):
 
 def test_malformed_files(tmp_path):
     cases = {
-        "empty.ring": "",
-        "header.ring": "add\n0 1\n1 0\n",
-        "rows.ring": "ring 2\nadd\n0 1\nmul\n0 0\n0 1\n",
-        "token.ring": "ring 2\nadd\n0 x\n1 0\nmul\n0 0\n0 1\n",
-        "width.ring": "ring 2\nadd\n0 1 1\n1 0\nmul\n0 0\n0 1\n",
+        "empty.ring": ("", "expected a 'ring <n>' header line"),
+        "header.ring": ("add\n0 1\n1 0\n", "expected a 'ring <n>' header line"),
+        "rows.ring": ("ring 2\nadd\n0 1\nmul\n0 0\n0 1\n", "expected 7 content lines, found 6"),
+        "token.ring": ("ring 2\nadd\n0 x\n1 0\nmul\n0 0\n0 1\n", "non-integer entry in row 0: '0 x'"),
+        "float.ring": ("ring 2\nadd\n0 1\n1 0\nmul\n0 0\n0 1.0\n", "non-integer entry in row 1: '0 1.0'"),
+        "width.ring": ("ring 2\nadd\n0 1 1\n1 0\nmul\n0 0\n0 1\n", "row 0 has 3 entries, expected 2"),
+        "short.ring": ("ring 2\nadd\n0 1\n1 0\nmul\n0 0\n1\n", "row 1 has 1 entries, expected 2"),
     }
-    for name, text in cases.items():
+    for name, (text, message) in cases.items():
         path = tmp_path / name
         path.write_text(text)
-        with pytest.raises(FileError):
+        with pytest.raises(FileError) as caught:
             load_ring_file(path)
+        assert str(caught.value) == f"{path}: {message}", name
 
 
 def test_undecodable_file(tmp_path):

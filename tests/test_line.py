@@ -76,6 +76,21 @@ def test_witness_is_lexicographically_least(ternions8, catalog, amphibian16):
             assert unimodularity_witness(ring, (r1, r2)) == expected, (ring.label, r1, r2)
 
 
+def _matrix_ring():
+    return validate_tables(*oracles.matrix_gf2_tables(), label="M2(GF(2))")
+
+
+def test_unimodularity_test_agrees_with_witness_and_brute_force(catalog, amphibian16):
+    # the set test 1 in r1*R + r2*R, the witness search and the double loop
+    for ring in (*catalog.values(), amphibian16, _matrix_ring()):
+        add = [list(row) for row in ring.add_table]
+        mul = [list(row) for row in ring.mul_table]
+        for v in product(ring.elements(), repeat=2):
+            expected = oracles.brute_unimodular(add, mul, v)
+            assert is_unimodular(ring, v) == expected, (ring.label, v)
+            assert (unimodularity_witness(ring, v) is not None) == expected, (ring.label, v)
+
+
 def test_vector_bounds_checked(ternions8):
     with pytest.raises(ValueError):
         cyclic_submodule(ternions8, (8, 0))
@@ -249,12 +264,47 @@ def test_sweep_matches_brute_force_on_relabelled_tables(spec):
         assert point.generator == oracles.brute_generators(mul, point.generator)[0]
 
 
+@pytest.mark.parametrize("seed", [None, 3, 11])
+@pytest.mark.parametrize("spec", ["Z(4)*Z(4)", "D(2)*T(2)", "amphibian16", "M2(GF(2))"])
+def test_scan_matches_brute_force_point_by_point(spec, seed, amphibian16):
+    # Z(4)*Z(4) and D(2)*T(2) have many non-free unit classes; amphibian16
+    # and M2(GF(2)) are non-commutative, so a scan that multiplies on the
+    # wrong side fails
+    rings = {"amphibian16": amphibian16, "M2(GF(2))": _matrix_ring()}
+    ring = rings[spec] if spec in rings else construct(spec)
+    if seed is not None:
+        tables = oracles.relabelled(ring.add_table, ring.mul_table, seed)
+        ring = validate_tables(*tables, label=f"{spec} relabelled {seed}")
+    add = [list(row) for row in ring.add_table]
+    mul = [list(row) for row in ring.mul_table]
+    expected = []
+    uni, non = oracles.brute_line_sectors(add, mul)
+    for sector, orbits in (("unimodular", uni), ("nonunimodular", non)):
+        for orbit in orbits:
+            generators = tuple(sorted(w for w in orbit if oracles.brute_orbit(mul, w) == orbit))
+            expected.append((generators[0], tuple(sorted(orbit)), generators, sector))
+    expected.sort()
+    line = compute_line(ring)
+    computed = [
+        (p.generator, p.orbit, p.generators, "unimodular" if p.unimodular else "nonunimodular")
+        for p in line.points
+    ]
+    assert computed == expected
+    assert all(p.free for p in line.points)
+    assert [p.generator for p in line.unimodular_points] == [e[0] for e in expected if e[3] == "unimodular"]
+    assert [p.generator for p in line.nonunimodular_points] == [e[0] for e in expected if e[3] == "nonunimodular"]
+
+
 @pytest.mark.parametrize("spec", ["T(2)", "Z(4)*Z(4)", "GF(3)*T(2)"])
-def test_sweep_builds_each_unit_class_once(monkeypatch, spec):
+def test_sweep_builds_each_free_unit_class_once(monkeypatch, spec):
+    # one cyclic_submodule call per free unit class, at its least member,
+    # and none for a vector whose orbit is not free
     ring = construct(spec)
     mul = [list(row) for row in ring.mul_table]
     classes = {
-        tuple(oracles.brute_generators(mul, v)) for v in product(ring.elements(), repeat=2)
+        tuple(oracles.brute_generators(mul, v))
+        for v in product(ring.elements(), repeat=2)
+        if len(oracles.brute_orbit(mul, v)) == ring.order
     }
     calls = []
     real = ringline.line.cyclic_submodule
