@@ -1,22 +1,42 @@
-"""One exact maximum-clique search: bounded Bron-Kerbosch with Tomita
-pivoting (Tomita, Tanaka & Takahashi, TCS 363, 2006) on int bitmasks, run
-on the false-twin quotient of the graph.
+"""One exact maximum-clique search: weighted branch and bound with a greedy
+colouring bound, on int bitmasks, run on the twin quotient of the graph.
 
-False twins are vertices with equal open neighbourhoods (equal rows).
-They are never adjacent, since a vertex is not its own neighbour, so a
-clique takes at most one vertex per twin class, and any member of a class
-serves as well as another.  The maximum cliques of the graph are
-therefore the choices of one vertex per class of the quotient's maximum
-cliques: their number is the sum over quotient cliques of the product of
-the class sizes, and the least one is the least tuple of class minima
-(putting each vertex's class minimum in its place keeps a maximum clique
-and lowers its sorted tuple component-wise).
+Two kinds of twin are merged before the search.  False twins are vertices
+with equal open neighbourhoods (equal rows).  They are never adjacent,
+since a vertex is not its own neighbour, so a clique takes at most one
+vertex per false-twin class, and any member serves as well as another:
+the class becomes one part, chosen from.  True twins are vertices with
+equal closed neighbourhoods (``row | 1 << v``).  A maximal clique holding
+one holds them all, since it lies in their common closed neighbourhood:
+the class becomes one vertex whose weight is its size, and each member is
+a part of its own.  No vertex has nontrivial twins of both kinds: were u
+a false twin of v and w a true twin of v, then w is in N(v) = N(u), so u
+is in N[w] = N[v], and u would be adjacent to v.
+
+So the maximum cliques of the graph are the choices of one vertex per
+part of the quotient's maximum-weight cliques: their size is the number
+of parts, their number is the sum over quotient cliques of the product of
+the part sizes, and the least one is the least tuple of part minima
+(putting each chosen vertex's part minimum in its place keeps a maximum
+clique and lowers its sorted tuple component-wise).
+
+The search colours its candidates greedily, in a fixed vertex order,
+into independent sets (Tomita & Seki, DMTCS 2003, LNCS 2731).  A clique
+takes at most one vertex per colour, so a vertex's bound is the sum of
+the heaviest weights of the colours before its own plus the heaviest
+weight so far in its own colour (weighted as in Östergård, Nordic J.
+Computing 8, 2001).  It branches in reverse colour order and prunes only
+a branch that cannot reach the best weight found so far, so every tie is
+listed.  All weights are positive, so a clique that is not maximal weighs
+less than one that holds it: a branch whose candidates run out is a
+clique to record, and no set of excluded vertices is kept.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import product
+from operator import itemgetter
 
 Clique = tuple[tuple[int, ...], ...]
 
@@ -25,55 +45,59 @@ def maximum_cliques(neighbours: Sequence[int]) -> tuple[int, list[Clique]]:
     """Return ``(size, cliques)``: every maximum clique of the twin quotient.
 
     Bit j of ``neighbours[i]`` joins vertices i and j (undirected, no
-    loops).  A clique is a sorted tuple of twin classes, a class a sorted
-    tuple of vertices; the list is sorted, so ``cliques[0]``'s class minima
-    are the least maximum clique.  ``expand`` lists the graph's cliques.
-    On the quotient the pivot is the least vertex with the most candidate
-    neighbours, and a branch stops once its clique plus its candidates is
-    smaller than the best size so far, so every tie is still listed.
-    Recursion depth is the clique size.
+    loops).  A clique is a sorted tuple of parts, a part a sorted tuple of
+    vertices: a false-twin class, of which a clique of the graph takes any
+    one vertex, or a single vertex, so ``len(clique)`` is the size.  A
+    true-twin class lies wholly inside or wholly outside each clique.  The
+    list is sorted, so ``cliques[0]``'s part minima are the least maximum
+    clique.  ``expand`` lists the graph's cliques.  Recursion depth is at
+    most the clique size.
     """
-    twins: dict[int, list[int]] = {}
+    if not neighbours:
+        return 0, []
+    false: dict[int, list[int]] = {}
     for v, row in enumerate(neighbours):
-        twins.setdefault(row, []).append(v)
-    classes = [tuple(members) for members in twins.values()]
-    rows = list(neighbours)  # a graph without twins is its own quotient
-    if len(classes) < len(rows):
-        reps = [members[0] for members in classes]
-        rows = [sum(1 << d for d, r in enumerate(reps) if row >> r & 1) for row in twins]
+        false.setdefault(row, []).append(v)
+    true: dict[int, list[tuple[int, ...]]] = {}
+    for row, members in false.items():
+        true.setdefault(row | 1 << members[0], []).append(tuple(members))
+    groups = list(true.values())  # the quotient's vertices, each a list of parts
+    weight = list(map(len, groups))
+    reps, width = [group[0][0] for group in groups], len(neighbours)
+    # Quotient row g: bit d set when rep g is adjacent to rep d, read off
+    # the binary text of rep g's row.
+    pick = itemgetter(*[width - 1 - r for r in reversed(reps)])
+    rows = [int("".join(pick(f"{neighbours[r]:0{width}b}")), 2) for r in reps]
+    apart = [~(row | 1 << g) for g, row in enumerate(rows)]
     best, found = 0, []
 
-    def search(clique: list[int], cand: int, excl: int) -> None:
+    def search(size: int, clique: list[tuple[int, ...]], cand: int) -> None:
         nonlocal best, found
-        if not cand:
-            if not excl and len(clique) >= best:
-                if len(clique) > best:
-                    best, found = len(clique), []
-                found.append(tuple(classes[c] for c in sorted(clique)))
-            return
-        if len(clique) + cand.bit_count() < best:
-            return
-        pivot, most, rest = 0, -1, cand | excl
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            shared = (cand & rows[u]).bit_count()
-            if shared > most:
-                pivot, most = u, shared
-        rest = cand & ~rows[pivot]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            clique.append(v)
-            search(clique, cand & rows[v], excl & rows[v])
-            clique.pop()
-            cand ^= low
-            excl |= low
+        order, base, uncoloured = [], 0, cand
+        while uncoloured:
+            avail, heaviest = uncoloured, 0
+            while avail:
+                low = avail & -avail
+                g = low.bit_length() - 1
+                avail &= apart[g]
+                uncoloured ^= low
+                if weight[g] > heaviest:
+                    heaviest = weight[g]
+                order.append((g, base + heaviest))
+            base += heaviest
+        for g, bound in reversed(order):
+            if size + bound < best:
+                return
+            cand ^= 1 << g
+            total, below = size + weight[g], cand & rows[g]
+            if below:
+                search(total, clique + groups[g], below)
+            elif total >= best:
+                if total > best:
+                    best, found = total, []
+                found.append(tuple(sorted(clique + groups[g])))
 
-    if rows:
-        search([], (1 << len(rows)) - 1, 0)
+    search(0, [], (1 << len(groups)) - 1)
     return best, sorted(found)
 
 

@@ -120,9 +120,11 @@ def twin_cliques(
     """The sector's maximum ``kind`` cliques ("distant" or "neighbour"), not listed.
 
     One entry per maximum clique of the twin quotient (see ``cliques``): a
-    tuple of twin classes, each a tuple of points in line order.  Every
-    choice of one point per class is a maximum clique of the sector, and
-    the first points of the classes of entry 0 are the least one.
+    tuple of parts, each a tuple of points in line order, either a
+    false-twin class or a single point (a true-twin class gives one part
+    per point).  Every choice of one point per part is a maximum clique of
+    the sector, and the first points of the parts of entry 0 are the least
+    one.
     """
     points, cliques = sector_points(line, sector), sector_cliques(line, sector, kind)
     return tuple(tuple(tuple(points[i] for i in cls) for cls in clique) for clique in cliques)

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import ringline.rings
 from conftest import DATA
 from ringline import (
     bundled_ring_path,
+    compute_line,
     construct,
     cross_sector_check,
     export_graph,
@@ -407,7 +409,9 @@ def test_condense_larger_than_every_reference(capsys, monkeypatch):
 
 
 def test_line_compute_on_an_order_64_product(capsys, monkeypatch):
-    # 225 points: the bounded clique search keeps this to seconds
+    # 441 points.  The unimodular neighbour twins are true twins (a fibre
+    # over P(R/J) is a neighbour clique), so the search runs on 81 weighted
+    # vertices and the report takes a fraction of a second.
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
     code, out, _ = run(capsys, "line", "compute", "T(2)*T(2)", "--json")
     assert code == 0
@@ -417,6 +421,10 @@ def test_line_compute_on_an_order_64_product(capsys, monkeypatch):
     assert data["partition"] is None
     assert data["cross_sector_all_neighbour"] is True
     assert data["condensate"]["classes"] == 340
+    line = compute_line(construct("T(2)*T(2)"))
+    for sector, size, count in (("unimodular", 108, 12), ("nonunimodular", 117, 1)):
+        cliques = ringline.geometry.sector_cliques(line, sector, "neighbour")
+        assert (len(cliques[0]), sum(math.prod(map(len, c)) for c in cliques)) == (size, count)
 
 
 def test_table2_builds_each_reference_once(capsys, monkeypatch, amphibian16_path):

@@ -1,6 +1,9 @@
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import oracles
 from ringline.cliques import expand, maximum_cliques
 from ringline.line import mask_indices
@@ -39,6 +42,9 @@ def test_edgeless_graph_gives_singletons():
 def test_complete_graph():
     n = 7
     adjacency = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
+    # all seven vertices are true twins: one vertex of weight 7, each
+    # member a part of its own
+    assert maximum_cliques(adjacency) == (n, [tuple((v,) for v in range(n))])
     assert listed(adjacency) == (n, [tuple(range(n))])
 
 
@@ -63,21 +69,43 @@ def random_graph(rng, n, density):
     return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
 
 
-def with_false_twins(rng, n, edges, copies):
-    """The graph plus ``copies`` extra vertices, each a false twin of a random
-    vertex (same neighbours, not adjacent to it), with the labels shuffled."""
-    twin_of = list(range(n)) + [rng.randrange(n) for _ in range(copies)]
+def plant_twins(n, edges, originals, closed):
+    """The edges of the graph plus one copy of each vertex in ``originals``
+    (numbered from n on): a false twin of it (same neighbours, not adjacent
+    to it), or with ``closed`` a true twin (adjacent to it, same closed
+    neighbourhood)."""
+    twin_of = list(range(n)) + list(originals)
     neighbours = {v: {b for a, b in edges if a == v} | {a for a, b in edges if b == v} for v in range(n)}
-    total = n + copies
-    label = list(range(total))
-    rng.shuffle(label)
-    twinned = [
-        (label[i], label[j])
-        for i in range(total)
-        for j in range(i + 1, total)
-        if twin_of[j] in neighbours[twin_of[i]]
+    return [
+        (i, j)
+        for i in range(len(twin_of))
+        for j in range(i + 1, len(twin_of))
+        if twin_of[j] in neighbours[twin_of[i]] or (closed and twin_of[i] == twin_of[j])
     ]
-    return total, twinned
+
+
+def with_twins(rng, n, edges, copies, closed):
+    """``plant_twins`` on ``copies`` random vertices, with the labels shuffled."""
+    planted = plant_twins(n, edges, [rng.randrange(n) for _ in range(copies)], closed)
+    label = list(range(n + copies))
+    rng.shuffle(label)
+    return n + copies, [(label[a], label[b]) for a, b in planted]
+
+
+def with_false_twins(rng, n, edges, copies):
+    return with_twins(rng, n, edges, copies, closed=False)
+
+
+def with_true_twins(rng, n, edges, copies):
+    return with_twins(rng, n, edges, copies, closed=True)
+
+
+def twin_classes(adjacency, closed):
+    """The vertices grouped by equal open rows, or with ``closed`` equal closed rows."""
+    groups = {}
+    for v, row in enumerate(adjacency):
+        groups.setdefault(row | closed << v, []).append(v)
+    return [tuple(members) for members in groups.values()]
 
 
 def check_against_networkx(adjacency):
@@ -89,15 +117,16 @@ def check_against_networkx(adjacency):
     assert listing == sorted(listing) and all(list(c) == sorted(c) for c in listing)
     assert sum(math.prod(map(len, clique)) for clique in cliques) == len(nx_best)
     assert tuple(cls[0] for cls in cliques[0]) == min(tuple(sorted(c)) for c in nx_best)
-    # twin classes: vertices with equal rows, never split, never adjacent
-    classes = [cls for clique in cliques for cls in clique]
-    for cls in classes:
-        assert len({adjacency[v] for v in cls}) == 1
-        assert list(cls) == sorted(cls)
-    by_row = {}
-    for v, row in enumerate(adjacency):
-        by_row.setdefault(row, []).append(v)
-    assert set(classes) <= {tuple(members) for members in by_row.values()}
+    # every part is a whole false-twin class (a true twin has no false
+    # twin, so its part is a single vertex), and each true-twin class lies
+    # wholly inside or wholly outside each clique
+    parts = {part for clique in cliques for part in clique}
+    assert parts <= set(twin_classes(adjacency, closed=False))
+    true_classes = [set(cls) for cls in twin_classes(adjacency, closed=True)]
+    for clique in cliques:
+        assert list(clique) == sorted(clique)
+        members = {v for part in clique for v in part}
+        assert all(cls <= members or not cls & members for cls in true_classes)
 
 
 def test_random_graphs_against_networkx():
@@ -114,3 +143,51 @@ def test_random_graphs_with_false_twins_against_networkx():
         edges = random_graph(rng, n, rng.choice((0.3, 0.6, 0.9)))
         total, twinned = with_false_twins(rng, n, edges, rng.randrange(0, 2 * n + 1))
         check_against_networkx(adjacency_from_edges(total, twinned))
+
+
+def test_random_graphs_with_true_twins_against_networkx():
+    rng = random.Random(2003)
+    for _ in range(60):
+        n = rng.randrange(1, 16)
+        edges = random_graph(rng, n, rng.choice((0.3, 0.6, 0.9)))
+        total, twinned = with_true_twins(rng, n, edges, rng.randrange(0, 2 * n + 1))
+        check_against_networkx(adjacency_from_edges(total, twinned))
+
+
+def test_random_graphs_with_both_twin_kinds_against_networkx():
+    rng = random.Random(2001)
+    for _ in range(60):
+        n = rng.randrange(1, 12)
+        edges = random_graph(rng, n, rng.choice((0.3, 0.6, 0.9)))
+        n, edges = with_false_twins(rng, n, edges, rng.randrange(0, n + 1))
+        total, twinned = with_true_twins(rng, n, edges, rng.randrange(0, n + 1))
+        check_against_networkx(adjacency_from_edges(total, twinned))
+
+
+@st.composite
+def relabelled_twinned_graphs(draw):
+    """A graph of up to 8 vertices with up to 3 false and then 3 true twins
+    planted, and a permutation of its vertices."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    false = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    edges, n = plant_twins(n, edges, false, closed=False), n + len(false)
+    true = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    edges, n = plant_twins(n, edges, true, closed=True), n + len(true)
+    return n, edges, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(relabelled_twinned_graphs())
+def test_kernel_is_invariant_under_relabelling(graph):
+    n, edges, label = graph
+    answers = []
+    for relabelled in (edges, [(label[a], label[b]) for a, b in edges]):
+        adjacency = adjacency_from_edges(n, relabelled)
+        size, cliques = maximum_cliques(adjacency)
+        _, nx_best = oracles.nx_maximum_cliques([mask_indices(row) for row in adjacency])
+        assert tuple(part[0] for part in cliques[0]) == min(tuple(sorted(c)) for c in nx_best)
+        answers.append((size, len(cliques), sum(math.prod(map(len, clique)) for clique in cliques)))
+    assert answers[0] == answers[1]

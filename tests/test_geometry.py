@@ -28,7 +28,9 @@ from ringline import (
     unimodular_partition,
     validate_tables,
 )
-from ringline.cli import build_line_report
+from ringline.cli import build_line_report, render_line_report
+from ringline.cliques import expand
+from ringline.geometry import sector_cliques, sector_incidence
 
 
 def test_relation_examples(ternion_line):
@@ -178,6 +180,30 @@ def test_unimodular_cliques_match_the_radical_image(spec, fields, monkeypatch):
         for cls in clique
     }
     assert classes == fibres
+
+
+def test_matrix_ring_line_is_twin_free_with_the_classical_cliques():
+    # Over M2(GF(2)) the points are the 35 lines of PG(3,2), distant when
+    # skew: the maximum distant cliques are the 56 spreads, the maximum
+    # neighbour cliques the 15 stars and 15 planes of 7 lines.  No two
+    # points are twins of either kind, so the search runs on the colouring
+    # bound alone.
+    ring = validate_tables(*oracles.matrix_gf2_tables(), label="M2(GF(2))")
+    line = compute_line(ring)
+    assert (len(line.unimodular_points), len(line.nonunimodular_points)) == (35, 0)
+    graph = sector_incidence(line, "unimodular").graph
+    for kind, rows, size, count in (
+        ("distant", graph.distant(), 5, 56),
+        ("neighbour", graph.neighbours, 7, 30),
+    ):
+        assert len(set(rows)) == len({row | 1 << v for v, row in enumerate(rows)}) == 35
+        cliques = sector_cliques(line, "unimodular", kind)
+        assert (len(cliques[0]), len(cliques)) == (size, count)
+        nx_size, nx_best = oracles.nx_maximum_cliques(oracles.relation_adjacency(line.unimodular_points, kind))
+        assert (nx_size, {frozenset(c) for c in expand(cliques)}) == (size, nx_best)
+    lines = render_line_report(build_line_report(ring)).splitlines()
+    assert "partition: n/a (point R(0, 1) lies in two maximal vector classes)" in lines
+    assert "condensate: empty" in lines
 
 
 def test_ternion_partition(ternion_line):
