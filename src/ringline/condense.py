@@ -22,7 +22,7 @@ from functools import cache
 from .cliques import maximum_cliques
 from .constructors import construct
 from .errors import EmptyStructure, OrderTooLarge, TooLarge
-from .geometry import ZERO, RelationGraph
+from .geometry import ZERO, RelationGraph, SectorIncidence, sector_incidence
 from .line import ProjectiveLine, Vector, compute_line, incidence, mask_indices
 
 MAX_STRUCTURE_VERTICES = 200
@@ -55,24 +55,28 @@ def condense(line: ProjectiveLine) -> IncidenceStructure:
     """Quotient the non-unimodular sector's vectors by equal signatures.
 
     Vertices are ordered by least member; each non-unimodular point
-    becomes one edge listing the classes inside it.  An empty sector gives
-    the empty structure.
+    becomes one edge listing the classes inside it.  The signatures are
+    the sector's ``incidence`` masks, read from ``sector_incidence``.  An
+    empty sector gives the empty structure.
     """
-    return _signature_quotient(
-        f"condensate({line.ring.label})", [p.orbit for p in line.nonunimodular_points]
-    )
+    return _signature_quotient(f"condensate({line.ring.label})", sector_incidence(line, "nonunimodular"))
 
 
-def _signature_quotient(label: str, edge_vectors: list) -> IncidenceStructure:
-    """Classes of vectors on the same edges; edge i lists the classes on it."""
+def _signature_quotient(label: str, sector: SectorIncidence) -> IncidenceStructure:
+    """The sector's vectors by signature, one edge per point."""
+    return _quotient(label, sector.masks, len(sector.points))
+
+
+def _quotient(label: str, masks: dict[Vector, int], edge_count: int) -> IncidenceStructure:
+    """Classes of vectors with one mask (bit i: on edge i); edge i lists the classes on it."""
     grouped: dict[int, list[Vector]] = {}
-    for v, mask in incidence(edge_vectors).items():
+    for v, mask in masks.items():
         grouped.setdefault(mask, []).append(v)
     classes = sorted((tuple(sorted(members)), mask) for mask, members in grouped.items())
     vertices = tuple(VectorClass(members, frozenset(mask_indices(mask))) for members, mask in classes)
     edges = tuple(
         tuple(i for i, (_, mask) in enumerate(classes) if mask >> index & 1)
-        for index in range(len(edge_vectors))
+        for index in range(edge_count)
     )
     return IncidenceStructure(label=label, vertices=vertices, edges=edges)
 
@@ -89,8 +93,7 @@ def reference_structure(spec: str) -> IncidenceStructure:
     ring = construct(spec)
     if ring.order > 16:
         raise OrderTooLarge(f"reference lines are bounded to ring order 16, got {ring.order}")
-    points = compute_line(ring).unimodular_points
-    return _signature_quotient(f"P({ring.label})", [p.orbit for p in points])
+    return _signature_quotient(f"P({ring.label})", sector_incidence(compute_line(ring), "unimodular"))
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,8 @@ def _reduced(s: IncidenceStructure) -> IncidenceStructure:
     on = incidence(s.edges)
     if len(set(on.values())) == len(on) == len(s.vertices):
         return s
-    return _signature_quotient(s.label, [[v for i in e for v in s.vertices[i].members] for e in s.edges])
+    members = [[v for i in e for v in s.vertices[i].members] for e in s.edges]
+    return _quotient(s.label, incidence(members), len(s.edges))
 
 
 def _signature_bijection(ra, rb, edge_map) -> list[int] | None:

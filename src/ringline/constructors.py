@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import FileError, ParseError, UnsupportedField
@@ -133,13 +134,28 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     """Componentwise direct product.
 
     The pair (i, j) is listed at i*|right| + j; the identity (1, 1) then
-    swaps labels with the pair listed second.
+    swaps labels with the pair listed second.  Both tables are built by
+    that index arithmetic, the swap applied as one permutation.
     """
-    ladd, lmul, radd, rmul = left.add_table, left.mul_table, right.add_table, right.mul_table
-    return _ring(
-        f"{left.label}*{right.label}", itertools.product(left.elements(), right.elements()), (1, 1),
-        lambda x, y: (ladd[x[0]][y[0]], radd[x[1]][y[1]]),
-        lambda x, y: (lmul[x[0]][y[0]], rmul[x[1]][y[1]]),
+    m, n = right.order, left.order * right.order
+    swap = list(range(n))
+    swap[1], swap[m + 1] = m + 1, 1  # (1, 1) is listed at m + 1
+    permute = itemgetter(*swap)
+
+    def table(left_table: Table, right_table: Table) -> Table:
+        # blocks[j][k] labels the pairs (k, right_table[j][l]), l ascending, so
+        # row (i, j) joins blocks[j][left_table[i][k]], k ascending
+        blocks = [[tuple(swap[k * m + y] for y in row) for k in left.elements()] for row in right_table]
+        rows = [
+            permute(tuple(itertools.chain.from_iterable(itemgetter(*row)(block))))
+            for row in left_table
+            for block in blocks
+        ]
+        return permute(rows)
+
+    return validate_tables(
+        table(left.add_table, right.add_table), table(left.mul_table, right.mul_table),
+        label=f"{left.label}*{right.label}",
     )
 
 
@@ -181,7 +197,9 @@ def load_ring_file(path: str | Path) -> FiniteRing:
 
     Layout: a ``ring <n>`` header, an ``add`` line followed by n rows of n
     integers, then ``mul`` and n more rows.  Lines starting with ``#`` are
-    comments; blank lines are ignored.
+    comments; blank lines are ignored.  Entries are read through a table
+    of the labels 0..n-1; only a row holding another token goes through
+    ``int()``, so out-of-range entries reach ``validate_tables``.
     """
     p = Path(path)
     try:
@@ -204,13 +222,19 @@ def load_ring_file(path: str | Path) -> FiniteRing:
     if lines[1] != "add" or lines[n + 2] != "mul":
         raise FileError(f"{path}: expected 'add' and 'mul' section markers")
 
-    def rows(start: int) -> list[list[int]]:
+    as_label = {str(i): i for i in range(n)}.__getitem__
+
+    def rows(start: int) -> list[tuple[int, ...]]:
         out = []
         for offset, line in enumerate(lines[start:start + n]):
+            tokens = line.split()
             try:
-                row = list(map(int, line.split()))
-            except ValueError:
-                raise FileError(f"{path}: non-integer entry in row {offset}: {line!r}") from None
+                row = tuple(map(as_label, tokens))
+            except KeyError:  # not a label 0..n-1: int() reads it, or names the fault
+                try:
+                    row = tuple(map(int, tokens))
+                except ValueError:
+                    raise FileError(f"{path}: non-integer entry in row {offset}: {line!r}") from None
             if len(row) != n:
                 raise FileError(f"{path}: row {offset} has {len(row)} entries, expected {n}")
             out.append(row)

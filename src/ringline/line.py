@@ -4,8 +4,11 @@ A point of the line is a free cyclic submodule R*v, kept as its orbit
 under left multiplication.  Vectors generate the same submodule exactly
 when they are unit multiples, so the scan builds each free unit class of
 R^2 once, at its least member (the canonical generator), and classifies
-it by whether 1 lies in r1*R + r2*R.  Every step reads the ring's column
-tables (``FiniteRing.columns`` and its relatives), built once per ring.
+it by whether 1 lies in r1*R + r2*R.  The scan works on vector codes
+r1*n + r2, which sort like the vectors: an orbit is one sum of two
+columns of the ring's code tables (``FiniteRing.scaled_columns`` and its
+relatives, built once per ring), sorted as ints and read back through
+``FiniteRing.vectors``, so every orbit shares one tuple per vector.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, itemgetter
 
 from .errors import OrderTooLarge
 from .rings import FiniteRing, soft_max_order
@@ -44,10 +48,9 @@ def unimodularity_witness(ring: FiniteRing, vector: Vector) -> Vector | None:
 
 
 def is_unimodular(ring: FiniteRing, vector: Vector) -> bool:
-    """Whether 1 lies in r1*R + r2*R: some y in r2*R has 1 - y in r1*R."""
+    """Whether 1 lies in r1*R + r2*R: some y in r2*R lies in 1 - r1*R."""
     r1, r2 = _check_vector(ring, vector)
-    mul = ring.mul_table
-    return not set(mul[r1]).isdisjoint(map(ring.one_minus.__getitem__, mul[r2]))
+    return not ring.one_minus_multiples[r1].isdisjoint(ring.mul_table[r2])
 
 
 @dataclass(frozen=True)
@@ -69,14 +72,22 @@ class CyclicSubmodule:
         return f"<point R{self.generator} {sector} |orbit|={len(self.orbit)}>"
 
 
+def _vectors_at(ring: FiniteRing, codes: list[int]) -> tuple[Vector, ...]:
+    """The vectors with these codes, as the ring's shared ``vectors`` tuples."""
+    return itemgetter(*codes)(ring.vectors) if len(codes) > 1 else (ring.vectors[codes[0]],)
+
+
 def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
     """Orbit of a vector under left multiplication, with classification.
 
-    The orbit is {(a*r1, a*r2)}, one zip of two columns of the
-    multiplication table.  The generators of R*v are its unit multiples
-    u*v, the same zip over the unit columns; the canonical one is the
-    least.  Finite rings have stable range 1 (Bass, *K-theory and stable
-    algebra*, Publ. IHES 22, 1964): if R*w = R*v, then w = a*v with
+    The orbit is {(a*r1, a*r2)}: in codes, one sum of the scaled column of
+    r1 and the column of r2, sorted as ints.  v is free, a -> a*v
+    injective, when no a != 0 has a*v = 0, that is when the
+    left-annihilator masks of r1 and r2 share only bit 0; otherwise the
+    codes are deduplicated first.  The generators of R*v are its unit
+    multiples u*v, the same sum over the unit columns; the canonical one
+    is the least.  Finite rings have stable range 1 (Bass, *K-theory and
+    stable algebra*, Publ. IHES 22, 1964): if R*w = R*v, then w = a*v with
     R*a + ann(v) = R, so a + t is a unit u for some t in ann(v), and
     w = u*v.  If r1*x1 + r2*x2 = 1, then (u*r1)(x1*u^-1) + (u*r2)(x2*u^-1)
     = 1, so every generator, v included, decides unimodularity, and
@@ -84,13 +95,15 @@ def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
     r1*x1 + r2*x2 = 1 and a*v = 0 force a = 0.
     """
     r1, r2 = _check_vector(ring, vector)
-    columns, unit_columns = ring.columns, ring.unit_columns
-    orbit = set(zip(columns[r1], columns[r2]))
-    generators = tuple(sorted(set(zip(unit_columns[r1], unit_columns[r2]))))
-    free = len(orbit) == ring.order
+    orbit = map(add, ring.scaled_columns[r1], ring.columns[r2])
+    units = map(add, ring.scaled_unit_columns[r1], ring.unit_columns[r2])
+    free = ring.left_annihilators[r1] & ring.left_annihilators[r2] == 1
+    if not free:  # a*v = b*v for some a != b
+        orbit, units = set(orbit), set(units)
+    generators = _vectors_at(ring, sorted(units))
     return CyclicSubmodule(
         generator=generators[0],
-        orbit=tuple(sorted(orbit)),
+        orbit=_vectors_at(ring, sorted(orbit)),
         free=free,
         unimodular=free and is_unimodular(ring, vector),
         generators=generators,
@@ -163,10 +176,13 @@ def compute_line(ring: FiniteRing) -> ProjectiveLine:
 
     v is free exactly when no a != 0 has a*r1 = a*r2 = 0, that is when
     the left-annihilator masks of r1 and r2 share only bit 0.  Unit
-    multiples share that test, so row-major over (r1, r2), each unseen
-    free vector gets one ``cyclic_submodule`` call, which marks its unit
-    class seen.  A smaller class member would have come first, so each
-    point is built at its canonical generator, in sorted order.
+    multiples share that test, so in code order (row-major over
+    (r1, r2)), each unseen free vector gets one ``cyclic_submodule`` call,
+    which marks its unit class seen.  A smaller class member would have
+    come first, so each point is built at its canonical generator, in
+    sorted order.  The least member (r1, r2) of a class has the least r1
+    in U*r1, so rows whose r1 is not are skipped whole.  The ring's code
+    tables are built on first use, here.
     RINGLINE_MAX_ORDER overrides the soft bound of 32.
     """
     limit = soft_max_order()
@@ -175,14 +191,16 @@ def compute_line(ring: FiniteRing) -> ProjectiveLine:
             f"line computation is bounded to order {limit} (ring has order {ring.order});"
             " set RINGLINE_MAX_ORDER to override"
         )
-    ann = ring.left_annihilators
+    n, ann, vectors = ring.order, ring.left_annihilators, ring.vectors
     seen: set[Vector] = set()
     unimodular: list[CyclicSubmodule] = []
     nonunimodular: list[CyclicSubmodule] = []
-    for r1, ann1 in enumerate(ann):
-        for r2, ann2 in enumerate(ann):
-            if ann1 & ann2 == 1 and (r1, r2) not in seen:
-                point = cyclic_submodule(ring, (r1, r2))
+    for r1, ann1, unit_multiples in zip(ring.elements(), ann, ring.unit_columns):
+        if min(unit_multiples) < r1:  # u*v < v for a unit u and every v in this row
+            continue
+        for ann2, v in zip(ann, vectors[r1 * n:r1 * n + n]):
+            if ann1 & ann2 == 1 and v not in seen:
+                point = cyclic_submodule(ring, v)
                 seen.update(point.generators)
                 (unimodular if point.unimodular else nonunimodular).append(point)
     return ProjectiveLine(

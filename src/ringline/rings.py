@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, product
 from operator import itemgetter
 
 from .errors import AxiomViolation, IdentityMissing, OrderTooLarge, ParseError
@@ -58,12 +59,7 @@ class FiniteRing:
 
     @cached_property
     def is_commutative(self) -> bool:
-        mul = self.mul_table
-        return all(
-            mul[a][b] == mul[b][a]
-            for a in self.elements()
-            for b in range(a + 1, self.order)
-        )
+        return self.mul_table == self.columns
 
     @cached_property
     def columns(self) -> Table:
@@ -71,9 +67,27 @@ class FiniteRing:
         return tuple(zip(*self.mul_table))
 
     @cached_property
+    def scaled_columns(self) -> Table:
+        """``columns`` times n, so x*(r1, r2) has code ``scaled_columns[r1][x] + columns[r2][x]``.
+
+        The code of a vector (r1, r2) of R^2 is r1*n + r2; ``vectors`` maps it back.
+        """
+        return _scaled_columns(self.mul_table, self.order)
+
+    @cached_property
     def unit_columns(self) -> Table:
         """``columns`` restricted to the units: ``unit_columns[r][k] = u_k*r``, units ascending."""
         return tuple(zip(*(self.mul_table[u] for u in sorted(self.units))))
+
+    @cached_property
+    def scaled_unit_columns(self) -> Table:
+        """``unit_columns`` times n, the first digit of the codes of the unit multiples."""
+        return _scaled_columns([self.mul_table[u] for u in sorted(self.units)], self.order)
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, int], ...]:
+        """Every vector of R^2 at its code: ``vectors[r1*n + r2] = (r1, r2)``."""
+        return tuple(product(self.elements(), repeat=2))
 
     @cached_property
     def left_annihilators(self) -> tuple[int, ...]:
@@ -85,8 +99,22 @@ class FiniteRing:
         """``one_minus[y] = 1 - y``."""
         return tuple(row.index(1) for row in self.add_table)
 
+    @cached_property
+    def one_minus_multiples(self) -> tuple[frozenset[int], ...]:
+        """``one_minus_multiples[r]`` is the set 1 - r*R.
+
+        1 lies in r1*R + r2*R exactly when r2*R meets ``one_minus_multiples[r1]``.
+        """
+        return tuple(frozenset(itemgetter(*row)(self.one_minus)) for row in self.mul_table)
+
     def __repr__(self) -> str:  # noqa: D105 - compact form, tables elided
         return f"FiniteRing({self.label!r}, order={self.order})"
+
+
+def _scaled_columns(rows, n: int) -> Table:
+    """The columns of ``rows`` with every entry y read as n*y, one shared int per value."""
+    scaled = tuple(range(0, n * n, n))
+    return tuple(zip(*(itemgetter(*row)(scaled) for row in rows)))
 
 
 @dataclass(frozen=True)
@@ -110,10 +138,14 @@ class Ideal:
 def _normalize(table, name: str) -> Table:
     """The table as int tuples; the first shape or closure violation raises.
 
-    Rows are checked whole by length and ``min``/``max``; only a failing
-    table is walked entry by entry, to name the first violation.
+    A table whose rows are already tuples of ints is kept as it is; any
+    other is copied through ``int()``.  Rows are checked whole by length
+    and ``min``/``max``; only a failing table is walked entry by entry, to
+    name the first violation.
     """
-    rows = tuple(tuple(map(int, row)) for row in table)
+    rows = tuple(table)
+    if set(map(type, rows)) != {tuple} or set(map(type, chain.from_iterable(rows))) != {int}:
+        rows = tuple(tuple(map(int, row)) for row in rows)
     n = len(rows)
     if all(len(row) == n for row in rows) and (not rows or 0 <= min(map(min, rows)) and max(map(max, rows)) < n):
         return rows
@@ -256,14 +288,13 @@ def validate_tables(add_table, mul_table, label: str | None = None) -> FiniteRin
     if not _holds_on_generators(add, mul):
         _raise_first_violation(add, mul)
 
-    units = frozenset(
-        x for x in range(n) if any(mul[x][y] == 1 and mul[y][x] == 1 for y in range(n))
-    )
+    # x is a unit when its least right inverse y (xy = 1) is also its left inverse.
+    units = frozenset(x for x, row in enumerate(mul) if 1 in row and mul[row.index(1)][x] == 1)
     zero_divisors = frozenset(range(n)) - units
     # In a finite ring every non-unit annihilates something nonzero; assert
     # rather than assume.  Note that 0 itself is counted as a zero divisor.
     for x in zero_divisors:
-        if not any(mul[x][y] == 0 or mul[y][x] == 0 for y in range(1, n)):
+        if 0 not in mul[x][1:] and all(row[x] for row in mul[1:]):
             raise AxiomViolation("unit_or_zero_divisor", (x,), f"element {x} is neither a unit nor a zero divisor")
 
     return FiniteRing(

@@ -272,7 +272,12 @@ def test_line_report_enumerates_each_sector_and_relation_once(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["T(2)", "GF(3)*T(2)"])
 def test_line_report_scans_each_sector_once(spec, monkeypatch):
-    scans, graphs = [], []
+    condense = importlib.import_module("ringline.condense")
+    # the catalog's reference lines are built once per process; build them
+    # first, so that only the scans of this report's line are counted
+    for reference in condense.DEFAULT_CATALOG:
+        condense.reference_structure(reference)
+    scans, graphs, condense_scans = [], [], []
     scan, build = ringline.geometry.incidence, ringline.geometry.RelationGraph.from_edges
 
     def counted_scan(orbits):
@@ -280,21 +285,30 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
         scans.append(len(orbits))
         return scan(orbits)
 
+    def counted_condense_scan(edges):
+        # matching builds incidences over class indices; an orbit holds vectors
+        edges = list(edges)
+        condense_scans.extend(e for e in edges if any(isinstance(v, tuple) for v in e))
+        return scan(edges)
+
     def counted_build(cls, edges, zero):
         graphs.append(len(edges))
         return build(edges, zero)
 
     monkeypatch.setattr(ringline.geometry, "incidence", counted_scan)
+    monkeypatch.setattr(condense, "incidence", counted_condense_scan)
     monkeypatch.setattr(ringline.geometry.RelationGraph, "from_edges", classmethod(counted_build))
     ring = construct(spec)
     fresh = ringline.cli.compute_line(ring)
     before = line_to_json(fresh)
     report = build_line_report(ring)
     line = report.line
-    # one orbit scan per sector feeds the searches, the partition and the
-    # cross check; no stage rebuilds a relation graph from the orbits
+    # one orbit scan per sector feeds the searches, the partition, the cross
+    # check and the condensation; no stage rebuilds a relation graph from
+    # the orbits, and condense scans no orbit again
     assert scans == [len(line.unimodular_points), len(line.nonunimodular_points)]
     assert graphs == []
+    assert condense_scans == []
     # the per-sector cache is not part of the line's value
     assert set(line.derived) == {"unimodular", "nonunimodular"}
     assert line == fresh and hash(line) == hash(fresh)

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from conftest import CATALOG_SPECS
 from ringline import (
+    AxiomViolation,
     FileError,
     IdentityMissing,
     ParseError,
@@ -168,6 +169,20 @@ def test_malformed_files(tmp_path):
         with pytest.raises(FileError) as caught:
             load_ring_file(path)
         assert str(caught.value) == f"{path}: {message}", name
+
+
+def test_entries_that_are_not_labels_are_read_by_int(tmp_path):
+    # a token outside the labels 0..n-1 is read by int(): padded or signed
+    # labels give the same ring, an out-of-range entry the same violation
+    path = tmp_path / "tokens.ring"
+    path.write_text("ring 2\nadd\n00 +1\n1 0\nmul\n0 0\n0 01\n")
+    ring = load_ring_file(path)
+    assert (ring.add_table, ring.mul_table) == (((0, 1), (1, 0)), ((0, 0), (0, 1)))
+    for entry, witness in (("2", ("mul", 1, 1)), ("-1", ("mul", 1, 1))):
+        path.write_text(f"ring 2\nadd\n0 1\n1 0\nmul\n0 0\n0 {entry}\n")
+        with pytest.raises(AxiomViolation) as caught:
+            load_ring_file(path)
+        assert (caught.value.kind, caught.value.witness) == ("closure", witness)
 
 
 def test_undecodable_file(tmp_path):

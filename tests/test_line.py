@@ -120,6 +120,16 @@ def test_generators_match_brute_force(catalog, amphibian16):
                 assert cyclic_submodule(ring, (r1, r2)).generators == expected, (ring.label, r1, r2)
 
 
+def test_every_orbit_matches_brute_force(catalog, amphibian16):
+    # every vector of R^2, free or not: the non-free ones take the
+    # deduplicating path, and their orbits have fewer than |R| vectors
+    for ring in (*catalog.values(), amphibian16):
+        mul = [list(row) for row in ring.mul_table]
+        for v in product(ring.elements(), repeat=2):
+            expected = tuple(sorted(oracles.brute_orbit(mul, v)))
+            assert cyclic_submodule(ring, v).orbit == expected, (ring.label, v)
+
+
 def test_incidence_matches_brute_force(catalog_lines, amphibian16):
     # each vector of R^2 lying on some point of the sector, mapped to the
     # bitmask of the points (by position) whose brute-force orbit holds it
@@ -264,12 +274,22 @@ def test_sweep_matches_brute_force_on_relabelled_tables(spec):
         assert point.generator == oracles.brute_generators(mul, point.generator)[0]
 
 
-@pytest.mark.parametrize("seed", [None, 3, 11])
-@pytest.mark.parametrize("spec", ["Z(4)*Z(4)", "D(2)*T(2)", "amphibian16", "M2(GF(2))"])
-def test_scan_matches_brute_force_point_by_point(spec, seed, amphibian16):
+@pytest.mark.parametrize(
+    "spec, seed",
+    [
+        (spec, seed)
+        for seed in (None, 3, 11)
+        for spec in ("Z(4)*Z(4)", "D(2)*T(2)", "amphibian16", "M2(GF(2))")
+    ]
+    + [("GF(7)*T(2)", 5), ("T(4)", 5)],
+    ids=str,
+)
+def test_scan_matches_brute_force_point_by_point(spec, seed, amphibian16, monkeypatch):
     # Z(4)*Z(4) and D(2)*T(2) have many non-free unit classes; amphibian16
     # and M2(GF(2)) are non-commutative, so a scan that multiplies on the
-    # wrong side fails
+    # wrong side fails; GF(7)*T(2) and T(4) are the largest rings the
+    # benchmark scans
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
     rings = {"amphibian16": amphibian16, "M2(GF(2))": _matrix_ring()}
     ring = rings[spec] if spec in rings else construct(spec)
     if seed is not None:

@@ -45,6 +45,22 @@ def test_units_and_zero_divisors_partition_everywhere(catalog):
         assert ring.units == frozenset(oracles.brute_units(ring.mul_table))
 
 
+def test_tables_of_other_entries_are_read_through_int():
+    # int tuples are kept as they are; lists, bools and floats are copied
+    # through int(), so every table entry is an int
+    add, mul = ((0, 1), (1, 0)), ((0, 0), (0, 1))
+    for table_add, table_mul in (
+        (add, mul),
+        ([[0, 1], [1, 0]], [[0, 0], [0, 1]]),
+        (((0, True), (1, 0)), ((0, 0), (False, 1))),
+        (((0, 1.0), (1, 0)), mul),
+    ):
+        ring = validate_tables(table_add, table_mul)
+        assert (ring.add_table, ring.mul_table) == (add, mul)
+        assert {type(x) for table in (ring.add_table, ring.mul_table) for row in table for x in row} == {int}
+        assert all(type(row) is tuple for row in ring.add_table + ring.mul_table)
+
+
 def test_constructed_rings_pass_independent_axiom_scan(catalog):
     for spec, ring in catalog.items():
         failure = oracles.axiom_failure(ring.add_table, ring.mul_table)
