@@ -22,7 +22,7 @@ from functools import cache
 from .cliques import maximum_cliques
 from .constructors import construct
 from .errors import EmptyStructure, OrderTooLarge, TooLarge
-from .geometry import ZERO, RelationGraph, SectorIncidence, sector_incidence
+from .geometry import ZERO, RelationGraph, sector_incidence
 from .line import ProjectiveLine, Vector, compute_line, incidence, mask_indices
 
 MAX_STRUCTURE_VERTICES = 200
@@ -59,15 +59,11 @@ def condense(line: ProjectiveLine) -> IncidenceStructure:
     the sector's ``incidence`` masks, read from ``sector_incidence``.  An
     empty sector gives the empty structure.
     """
-    return _signature_quotient(f"condensate({line.ring.label})", sector_incidence(line, "nonunimodular"))
+    sector = sector_incidence(line, "nonunimodular")
+    return _signature_quotient(f"condensate({line.ring.label})", sector.masks, len(sector.points))
 
 
-def _signature_quotient(label: str, sector: SectorIncidence) -> IncidenceStructure:
-    """The sector's vectors by signature, one edge per point."""
-    return _quotient(label, sector.masks, len(sector.points))
-
-
-def _quotient(label: str, masks: dict[Vector, int], edge_count: int) -> IncidenceStructure:
+def _signature_quotient(label: str, masks: dict[Vector, int], edge_count: int) -> IncidenceStructure:
     """Classes of vectors with one mask (bit i: on edge i); edge i lists the classes on it."""
     grouped: dict[int, list[Vector]] = {}
     for v, mask in masks.items():
@@ -93,7 +89,8 @@ def reference_structure(spec: str) -> IncidenceStructure:
     ring = construct(spec)
     if ring.order > 16:
         raise OrderTooLarge(f"reference lines are bounded to ring order 16, got {ring.order}")
-    return _signature_quotient(f"P({ring.label})", sector_incidence(compute_line(ring), "unimodular"))
+    sector = sector_incidence(compute_line(ring), "unimodular")
+    return _signature_quotient(f"P({ring.label})", sector.masks, len(sector.points))
 
 
 @dataclass(frozen=True)
@@ -192,7 +189,7 @@ def _reduced(s: IncidenceStructure) -> IncidenceStructure:
     if len(set(on.values())) == len(on) == len(s.vertices):
         return s
     members = [[v for i in e for v in s.vertices[i].members] for e in s.edges]
-    return _quotient(s.label, incidence(members), len(s.edges))
+    return _signature_quotient(s.label, incidence(members), len(s.edges))
 
 
 def _signature_bijection(ra, rb, edge_map) -> list[int] | None:

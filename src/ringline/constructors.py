@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import re
 from importlib import resources
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import FileError, ParseError, UnsupportedField
@@ -74,6 +73,14 @@ def _field_enumeration(q: int, mul: Table) -> list[int]:
     return seq
 
 
+def _identity_swap(n: int, k: int) -> list[int]:
+    """Label of each of n listed positions when the identity, listed at k,
+    swaps labels with the element listed second (an involution)."""
+    swap = list(range(n))
+    swap[1], swap[k] = k, 1
+    return swap
+
+
 def _ring(label: str, elements, one, add, mul) -> FiniteRing:
     """Validate the tables of ``add`` and ``mul`` on a listed element set.
 
@@ -82,8 +89,7 @@ def _ring(label: str, elements, one, add, mul) -> FiniteRing:
     swap labels, so the identity gets label 1.
     """
     elements = list(elements)
-    k = elements.index(one)
-    elements[1], elements[k] = elements[k], elements[1]
+    elements = [elements[i] for i in _identity_swap(len(elements), elements.index(one))]
     index = {x: i for i, x in enumerate(elements)}
     add_table = tuple(tuple([index[add(x, y)] for y in elements]) for x in elements)
     mul_table = tuple(tuple([index[mul(x, y)] for y in elements]) for x in elements)
@@ -134,24 +140,18 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     """Componentwise direct product.
 
     The pair (i, j) is listed at i*|right| + j; the identity (1, 1) then
-    swaps labels with the pair listed second.  Both tables are built by
-    that index arithmetic, the swap applied as one permutation.
+    swaps labels with the pair listed second.  Both tables are read by
+    that index arithmetic through the swap, with no element tuples.
     """
-    m, n = right.order, left.order * right.order
-    swap = list(range(n))
-    swap[1], swap[m + 1] = m + 1, 1  # (1, 1) is listed at m + 1
-    permute = itemgetter(*swap)
+    m = right.order
+    swap = _identity_swap(left.order * m, m + 1)  # (1, 1) is listed at m + 1
+    pairs = [divmod(listed, m) for listed in swap]  # label -> (i, j)
 
     def table(left_table: Table, right_table: Table) -> Table:
-        # blocks[j][k] labels the pairs (k, right_table[j][l]), l ascending, so
-        # row (i, j) joins blocks[j][left_table[i][k]], k ascending
-        blocks = [[tuple(swap[k * m + y] for y in row) for k in left.elements()] for row in right_table]
-        rows = [
-            permute(tuple(itertools.chain.from_iterable(itemgetter(*row)(block))))
-            for row in left_table
-            for block in blocks
-        ]
-        return permute(rows)
+        return tuple(
+            tuple([swap[lrow[k] * m + rrow[l]] for k, l in pairs])
+            for lrow, rrow in [(left_table[i], right_table[j]) for i, j in pairs]
+        )
 
     return validate_tables(
         table(left.add_table, right.add_table), table(left.mul_table, right.mul_table),

@@ -466,9 +466,9 @@ def test_condense_quotients_each_structure_once(capsys, monkeypatch):
     calls = []
     quotient = condense._signature_quotient
 
-    def counted(label, edge_vectors):
+    def counted(label, masks, edge_count):
         calls.append(label)
-        return quotient(label, edge_vectors)
+        return quotient(label, masks, edge_count)
 
     monkeypatch.setattr(condense, "_signature_quotient", counted)
     code, out, _ = run(capsys, "condense", "T(2)")
