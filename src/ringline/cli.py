@@ -24,8 +24,8 @@ from .geometry import (
     SECTORS,
     cross_sector_check,
     export_graph,
-    partition_from_cliques,
     sector_cliques,
+    unimodular_partition,
 )
 from .line import ProjectiveLine, compute_line, line_to_json
 from .rings import FiniteRing, ISOMORPHISM_MAX_ORDER, are_isomorphic, ideal_size_census
@@ -91,31 +91,16 @@ def cmd_ring_validate(args) -> int:
     try:
         ring = load_ring_file(args.file)
     except RinglineError as exc:
-        if args.json:
-            print(json.dumps(
-                {"schema": "ringline.ring_validate/1", "valid": False, "error": str(exc)},
-                indent=2, sort_keys=True,
-            ))
-        else:
-            print(f"INVALID: {exc}")
-        return 1
-    if args.json:
-        print(json.dumps(
-            {
-                "schema": "ringline.ring_validate/1",
-                "valid": True,
-                "order": ring.order,
-                "units": len(ring.units),
-                "zero_divisors": len(ring.zero_divisors),
-            },
-            indent=2, sort_keys=True,
-        ))
+        data = {"valid": False, "error": str(exc)}
     else:
-        print(
-            f"VALID: order {ring.order}, {len(ring.units)} units,"
-            f" {len(ring.zero_divisors)} zero divisors"
-        )
-    return 0
+        data = {"valid": True, "order": ring.order, "units": len(ring.units), "zero_divisors": len(ring.zero_divisors)}
+    if args.json:
+        print(json.dumps({"schema": "ringline.ring_validate/1", **data}, indent=2, sort_keys=True))
+    elif data["valid"]:
+        print("VALID: order {order}, {units} units, {zero_divisors} zero divisors".format_map(data))
+    else:
+        print(f"INVALID: {data['error']}")
+    return 0 if data["valid"] else 1
 
 
 @dataclass
@@ -161,11 +146,10 @@ def build_line_report(ring: FiniteRing) -> LineReport:
     partition = failure = None
     for sector in ("unimodular", "nonunimodular"):
         try:
-            distant = sector_cliques(line, sector, "distant")
-            max_distant[sector] = len(distant[0])
+            max_distant[sector] = len(sector_cliques(line, sector, "distant")[0])
             max_neighbour[sector] = len(sector_cliques(line, sector, "neighbour")[0])
             if sector == "unimodular":
-                partition = partition_from_cliques(line, distant)
+                partition = unimodular_partition(line)
         except EmptySector:
             max_distant[sector] = max_neighbour[sector] = None
         except NotPartition as exc:

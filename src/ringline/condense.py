@@ -152,12 +152,12 @@ def structures_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> Struc
         return None
     candidates = [[j for j in range(m) if inv_b[j] == inv_a[i]] for i in range(m)]
 
-    edge_map = [-1] * m
+    edge_map = [0] * m  # entries below i are the partial map
     taken = [False] * m
 
-    def extend(i: int) -> bool:
+    def extend(i: int) -> list[int] | None:
         if i == m:
-            return _signature_bijection(ra, rb, edge_map) is not None
+            return _signature_bijection(ra, rb, edge_map)
         for j in candidates[i]:
             if taken[j]:
                 continue
@@ -168,16 +168,14 @@ def structures_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> Struc
                 continue
             edge_map[i] = j
             taken[j] = True
-            if extend(i + 1):
-                return True
+            if (vertex_map := extend(i + 1)) is not None:
+                return vertex_map
             taken[j] = False
-            edge_map[i] = -1
-        return False
-
-    if not extend(0):
         return None
-    vertex_map = _signature_bijection(ra, rb, edge_map)
-    assert vertex_map is not None
+
+    vertex_map = extend(0)
+    if vertex_map is None:
+        return None
     return StructureIsomorphism(ra, rb, vertex_map=tuple(vertex_map), edge_map=tuple(edge_map))
 
 
@@ -241,4 +239,5 @@ def condensate_distant_analysis(structure: IncidenceStructure) -> int:
         raise EmptyStructure("structure has no class containing the zero vector")
     zero = zero_classes[0]
     assert all(zero in e for e in structure.edges), "the zero class lies on every point"
-    return maximum_cliques(RelationGraph.from_edges(structure.edges, zero).distant())[0]
+    masks = {c: sum(1 << e for e in vc.signature) for c, vc in enumerate(structure.vertices) if c != zero}
+    return maximum_cliques(RelationGraph.of(structure.edges, masks).distant())[0]

@@ -2,8 +2,9 @@
 
 Two distinct points are distant when their orbits meet only in the zero
 vector and neighbour otherwise; a point is neighbour to itself only with
-``allow_same=True``.  Each sector's ``incidence`` masks and neighbour rows
-are built once per line (``sector_incidence``), and every stage reads them.
+``allow_same=True``.  Each sector's ``incidence`` masks, neighbour rows
+and maximum-clique searches are made once per line (``sector_incidence``),
+and every stage reads them.
 
 Maximum cliques are searched on the twin quotient (see ``cliques``).  On
 the unimodular sector the distant twin classes are the fibres of
@@ -60,23 +61,23 @@ def relation(p: CyclicSubmodule, q: CyclicSubmodule, allow_same: bool = False) -
     return "distant" if overlap == 1 else "neighbour"
 
 
+def _meeting(masks, members) -> int:
+    """OR of the ``masks`` of ``members``; a member without a mask adds nothing."""
+    return reduce(or_, map(masks.get, members, repeat(0)), 0)
+
+
 @dataclass(frozen=True)
 class RelationGraph:
-    """Neighbour bitmask rows of a list of edges, read off ``line.incidence``.
-
-    An edge is a point's orbit (``zero`` is ``ZERO``) or a condensed point's
-    class set (``zero`` is the zero class).  Row i ORs the masks of edge i's
-    members but ``zero``, without bit i; ``distant()`` is the complement.
-    """
+    """Neighbour bitmask rows of a sector or a condensate; ``distant()`` is the complement."""
 
     neighbours: tuple[int, ...]
 
     @classmethod
-    def from_edges(cls, edges, zero) -> "RelationGraph":
-        masks = incidence(edges)
-        masks[zero] = 0
-        rows = (reduce(or_, map(masks.get, edge), 0) & ~(1 << i) for i, edge in enumerate(edges))
-        return cls(tuple(rows))
+    def of(cls, edges, masks) -> "RelationGraph":
+        """Row i ORs the ``masks`` of edge i's members (a point's vectors or a
+        condensed point's classes), without bit i; the zero, on every edge,
+        is left out of the edge or has no mask."""
+        return cls(tuple(_meeting(masks, edge) & ~(1 << i) for i, edge in enumerate(edges)))
 
     def distant(self) -> tuple[int, ...]:
         full = (1 << len(self.neighbours)) - 1
@@ -84,19 +85,27 @@ class RelationGraph:
 
 
 class SectorIncidence:
-    """A sector's points and ``incidence`` masks: the one scan of its orbits that every stage reads."""
+    """Everything one sector of a line gives every stage, each derived once.
+
+    The points, their ``incidence`` masks, the neighbour rows and each
+    kind's maximum-clique search, the last two on first use.
+    """
 
     def __init__(self, points: tuple[CyclicSubmodule, ...]):
         self.points = points
         self.masks = incidence(p.orbit for p in points)
-
-    def meeting(self, orbit: tuple[Vector, ...]) -> int:
-        """Mask of the points sharing a nonzero vector with ``orbit`` (sorted, so ``orbit[0]`` is ZERO)."""
-        return reduce(or_, map(self.masks.get, orbit[1:], repeat(0)), 0)
+        self.searched: dict[str, list[Clique]] = {}
 
     @cached_property
     def graph(self) -> RelationGraph:
-        return RelationGraph(tuple(self.meeting(p.orbit) & ~(1 << i) for i, p in enumerate(self.points)))
+        return RelationGraph.of([p.orbit[1:] for p in self.points], self.masks)  # orbit[0] is ZERO
+
+    def cliques(self, kind: str) -> list[Clique]:
+        """The maximum ``kind`` cliques as ``maximum_cliques`` gives them, searched once."""
+        if kind not in self.searched:
+            graph = self.graph
+            self.searched[kind] = maximum_cliques(graph.distant() if kind == "distant" else graph.neighbours)[1]
+        return self.searched[kind]
 
 
 def sector_incidence(line: ProjectiveLine, sector: str) -> SectorIncidence:
@@ -107,27 +116,10 @@ def sector_incidence(line: ProjectiveLine, sector: str) -> SectorIncidence:
 
 
 def sector_cliques(line: ProjectiveLine, sector: str, kind: str) -> list[Clique]:
-    """The sector's maximum ``kind`` cliques as ``maximum_cliques`` gives them, on ``sector_points``."""
+    """The sector's maximum ``kind`` cliques, on ``sector_points``; one search per line, sector and kind."""
     if not sector_points(line, sector):
         raise EmptySector(f"the {sector} sector of {line.ring.label} is empty")
-    graph = sector_incidence(line, sector).graph
-    return maximum_cliques(graph.distant() if kind == "distant" else graph.neighbours)[1]
-
-
-def twin_cliques(
-    line: ProjectiveLine, sector: str, kind: str
-) -> tuple[tuple[tuple[CyclicSubmodule, ...], ...], ...]:
-    """The sector's maximum ``kind`` cliques ("distant" or "neighbour"), not listed.
-
-    One entry per maximum clique of the twin quotient (see ``cliques``): a
-    tuple of parts, each a tuple of points in line order, either a
-    false-twin class or a single point (a true-twin class gives one part
-    per point).  Every choice of one point per part is a maximum clique of
-    the sector, and the first points of the parts of entry 0 are the least
-    one.
-    """
-    points, cliques = sector_points(line, sector), sector_cliques(line, sector, kind)
-    return tuple(tuple(tuple(points[i] for i in cls) for cls in clique) for clique in cliques)
+    return sector_incidence(line, sector).cliques(kind)
 
 
 def _listed(line, sector, kind) -> tuple[tuple[CyclicSubmodule, ...], ...]:
@@ -174,17 +166,10 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
     they are pairwise neighbour; by pigeonhole a distant clique of size
     #classes meets every class exactly once.  So the one check on the
     maximum distant cliques is their size, and ``anchor_sets_checked`` is
-    their count.
-    """
-    return partition_from_cliques(line, sector_cliques(line, "unimodular", "distant"))
-
-
-def partition_from_cliques(line: ProjectiveLine, cliques: list[Clique]) -> SectorPartition:
-    """``unimodular_partition`` from ``sector_cliques(line, "unimodular", "distant")``.
-
-    The anchors are the points at the class minima of the least quotient
-    clique, and the count is the sum over quotient cliques of the products
-    of their class sizes; no clique is listed.
+    their count.  Both are read off the sector's quotient cliques (see
+    ``sector_cliques``): the anchors are the points at the class minima of
+    the least one, and the count is the sum of the products of their
+    class sizes, so no clique is listed.
     """
     data = sector_incidence(line, "unimodular")
     points = data.points
@@ -206,6 +191,7 @@ def partition_from_cliques(line: ProjectiveLine, cliques: list[Clique]) -> Secto
             f"point R{uncovered[0].generator} lies in no maximal vector class",
             witness=tuple(uncovered),
         )
+    cliques = sector_cliques(line, "unimodular", "distant")
     anchors = [cls[0] for cls in cliques[0]]
     if len(anchors) != len(classes):
         raise NotPartition(
@@ -231,7 +217,7 @@ def cross_sector_check(line: ProjectiveLine) -> tuple[bool, tuple[CyclicSubmodul
     data = sector_incidence(line, "unimodular")
     sector = (1 << len(unimodular)) - 1
     for nu in nonunimodular:
-        distant = sector & ~data.meeting(nu.orbit)
+        distant = sector & ~_meeting(data.masks, nu.orbit[1:])
         if distant:
             return False, (nu, unimodular[mask_indices(distant)[0]])
     return True, None

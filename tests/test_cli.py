@@ -268,6 +268,14 @@ def test_line_report_enumerates_each_sector_and_relation_once(monkeypatch):
     assert calls == [(18, 3, 6), (18, 6, 6), (3, 1, 1), (3, 3, 1)]
     assert report.partition_class_sizes == (6, 6, 6)
     assert report.partition_anchor_sets == 48
+    # the searches are kept with the line: the partition and the listings
+    # read them again without a search of their own
+    line = report.line
+    assert ringline.geometry.unimodular_partition(line).anchor_sets_checked == 48
+    for sector, distant, neighbour in (("unimodular", 48, 6), ("nonunimodular", 3, 1)):
+        assert len(ringline.geometry.max_distant_cliques(line, sector)) == distant
+        assert len(ringline.geometry.max_neighbour_cliques(line, sector)) == neighbour
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("spec", ["T(2)", "GF(3)*T(2)"])
@@ -278,7 +286,7 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
     for reference in condense.DEFAULT_CATALOG:
         condense.reference_structure(reference)
     scans, graphs, condense_scans = [], [], []
-    scan, build = ringline.geometry.incidence, ringline.geometry.RelationGraph.from_edges
+    scan, build = ringline.geometry.incidence, ringline.geometry.RelationGraph.of
 
     def counted_scan(orbits):
         orbits = list(orbits)
@@ -291,23 +299,24 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
         condense_scans.extend(e for e in edges if any(isinstance(v, tuple) for v in e))
         return scan(edges)
 
-    def counted_build(cls, edges, zero):
+    def counted_build(cls, edges, masks):
+        edges = list(edges)
         graphs.append(len(edges))
-        return build(edges, zero)
+        return build(edges, masks)
 
     monkeypatch.setattr(ringline.geometry, "incidence", counted_scan)
     monkeypatch.setattr(condense, "incidence", counted_condense_scan)
-    monkeypatch.setattr(ringline.geometry.RelationGraph, "from_edges", classmethod(counted_build))
+    monkeypatch.setattr(ringline.geometry.RelationGraph, "of", classmethod(counted_build))
     ring = construct(spec)
     fresh = ringline.cli.compute_line(ring)
     before = line_to_json(fresh)
     report = build_line_report(ring)
     line = report.line
     # one orbit scan per sector feeds the searches, the partition, the cross
-    # check and the condensation; no stage rebuilds a relation graph from
-    # the orbits, and condense scans no orbit again
+    # check and the condensation; the one row builder runs once per sector,
+    # and condense scans no orbit again
     assert scans == [len(line.unimodular_points), len(line.nonunimodular_points)]
-    assert graphs == []
+    assert graphs == scans
     assert condense_scans == []
     # the per-sector cache is not part of the line's value
     assert set(line.derived) == {"unimodular", "nonunimodular"}

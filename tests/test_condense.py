@@ -294,6 +294,25 @@ def test_condensate_distant_sizes(ternion_line, catalog_lines, gf3_t2_line):
         condensate_distant_analysis(condense(catalog_lines["GF(2)"]))
 
 
+def test_condensate_distant_size_matches_networkx(catalog_lines, gf3_t2_line, amphibian16):
+    # condensed points are distant when their class sets share only the
+    # class holding the zero vector; the graph is built from the edges alone
+    lines = [*catalog_lines.values(), gf3_t2_line, compute_line(amphibian16)]
+    checked = 0
+    for line in lines:
+        structure = condense(line)
+        if structure.is_empty:
+            continue
+        zero = next(i for i, vc in enumerate(structure.vertices) if (0, 0) in vc.members)
+        edges = [set(e) - {zero} for e in structure.edges]
+        adjacency = [
+            [j for j, other in enumerate(edges) if j != i and not edge & other] for i, edge in enumerate(edges)
+        ]
+        assert condensate_distant_analysis(structure) == oracles.nx_maximum_cliques(adjacency)[0], line.ring.label
+        checked += 1
+    assert checked == 4  # T(2), GF(2)*T(2), GF(3)*T(2), amphibian16
+
+
 def test_unimodular_to_nonunimodular_ratio_is_six(ternion_line, catalog_lines, gf3_t2_line):
     for line in (ternion_line, catalog_lines["GF(2)*T(2)"], gf3_t2_line):
         assert len(line.unimodular_points) == 6 * len(line.nonunimodular_points)

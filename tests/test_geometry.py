@@ -24,7 +24,6 @@ from ringline import (
     private_vectors,
     relation,
     sector_points,
-    twin_cliques,
     unimodular_partition,
     validate_tables,
 )
@@ -171,12 +170,13 @@ def test_unimodular_cliques_match_the_radical_image(spec, fields, monkeypatch):
         cliques = search(line, "unimodular")
         assert (len(cliques[0]), len(cliques)) == expected[kind], kind
     # the distant twin classes are the fibres over P(R/J), and the kernel's
-    # classes are these
+    # classes (point indices) are these
     fibres = oracles.distant_twin_classes(line.unimodular_points)
     assert (len(fibres), {len(f) for f in fibres}) == (expected["fibres"][0], {expected["fibres"][1]})
+    points = line.unimodular_points
     classes = {
-        frozenset(p.generator for p in cls)
-        for clique in twin_cliques(line, "unimodular", "distant")
+        frozenset(points[i].generator for i in cls)
+        for clique in sector_cliques(line, "unimodular", "distant")
         for cls in clique
     }
     assert classes == fibres

@@ -38,11 +38,23 @@ def test_ternions8_tables(ternions8):
     assert ternions8.mul(2, 3) == 3  # non-commutative pair
 
 
-def test_units_and_zero_divisors_partition_everywhere(catalog):
-    for ring in catalog.values():
+def test_units_and_zero_divisors_partition_everywhere(catalog, amphibian16):
+    # the units are read as the elements with a right inverse; the oracle
+    # asks for a two-sided one, and the non-commutative rings (M2(GF(2)),
+    # amphibian16, T(2) under a relabelling) would tell them apart
+    t2 = catalog["T(2)"]
+    rings = [
+        *catalog.values(),
+        validate_tables(*oracles.matrix_gf2_tables(), label="M2(GF(2))"),
+        amphibian16,
+        validate_tables(*oracles.relabelled(t2.add_table, t2.mul_table, 5)),
+    ]
+    for ring in rings:
         assert ring.units & ring.zero_divisors == frozenset()
         assert ring.units | ring.zero_divisors == frozenset(ring.elements())
         assert ring.units == frozenset(oracles.brute_units(ring.mul_table))
+        nonzero = range(1, ring.order)
+        assert all(any(ring.mul(x, z) == 0 for z in nonzero) for x in ring.zero_divisors), ring.label
 
 
 def test_tables_of_other_entries_are_read_through_int():
