@@ -43,9 +43,10 @@ def _named_candidates(order: int) -> list[str]:
     return specs
 
 
-def _identify_ring(ring: FiniteRing) -> list[str]:
+def _identify_ring(ring: FiniteRing) -> list[str] | None:
+    """Named constructions isomorphic to ``ring``; None above the search bound."""
     if ring.order > ISOMORPHISM_MAX_ORDER:
-        return []
+        return None
     matches = []
     for spec in _named_candidates(ring.order):
         try:
@@ -83,7 +84,11 @@ def cmd_ring_info(args) -> int:
     print(f"ideals by size: {census}")
     if is_file_spec:
         found = data["isomorphic_to"]
-        print(f"isomorphic to: {', '.join(found) if found else 'no named construction of this order'}")
+        if found is None:
+            text = f"n/a (isomorphism search is bounded to order {ISOMORPHISM_MAX_ORDER})"
+        else:
+            text = ", ".join(found) or "no named construction of this order"
+        print(f"isomorphic to: {text}")
     return 0
 
 

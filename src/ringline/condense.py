@@ -8,10 +8,9 @@ four quadruples of vectors arranged exactly like the projective line over
 GF(2).
 
 Reference lines over catalog rings are condensed the same way, from
-their unimodular sector.  Comparison merges the vertices of a side that
-lie on exactly the same edges, so structures match up to repeated
-vertices; condensates and references have none, so they are compared as
-they are.  Class sizes are structural multiplicities, not identity.
+their unimodular sector.  Both are signature quotients, so no two
+vertices lie on the same edges, and they are compared by exact
+isomorphism.  Class sizes are structural multiplicities, not identity.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .cliques import maximum_cliques
 from .constructors import construct
 from .errors import EmptyStructure, OrderTooLarge, TooLarge
 from .geometry import ZERO, RelationGraph, sector_incidence
-from .line import ProjectiveLine, Vector, compute_line, incidence, mask_indices
+from .line import ProjectiveLine, Vector, compute_line, mask_indices
 
 MAX_STRUCTURE_VERTICES = 200
 
@@ -95,16 +94,16 @@ def reference_structure(spec: str) -> IncidenceStructure:
 
 @dataclass(frozen=True)
 class StructureIsomorphism:
-    """Witness of an incidence-structure isomorphism, on the reduced forms."""
+    """Witness of an isomorphism from structure ``a`` to structure ``b``."""
 
-    a_reduced: IncidenceStructure
-    b_reduced: IncidenceStructure
+    a: IncidenceStructure
+    b: IncidenceStructure
     vertex_map: tuple[int, ...]
     edge_map: tuple[int, ...]
 
     def check(self) -> bool:
         """Re-verify that the maps preserve incidence both ways."""
-        a, b = self.a_reduced, self.b_reduced
+        a, b = self.a, self.b
         if sorted(self.vertex_map) != list(range(len(b.vertices))):
             return False
         if sorted(self.edge_map) != list(range(len(b.edges))):
@@ -118,26 +117,24 @@ class StructureIsomorphism:
 def structures_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> StructureIsomorphism | None:
     """Decide isomorphism of two incidence structures, with witness.
 
-    Both sides are reduced first (vertices on equal edge sets merged);
-    the search then backtracks over edge bijections, pruned by edge size,
-    vertex-degree profile and pairwise intersection sizes, and accepts
-    when the induced signature correspondence is a vertex bijection.  The
-    witness is the lexicographically least edge mapping.  TooLarge only for
-    equal reduced sizes above MAX_STRUCTURE_VERTICES.
+    Precondition, which ``condense`` and ``reference_structure`` meet: on
+    each side every vertex lies on its own non-empty edge set, so a vertex
+    is named by its signature.  The search backtracks over edge
+    bijections, pruned by edge size, vertex-degree profile and pairwise
+    intersection sizes, and accepts when the induced signature
+    correspondence is a vertex bijection.  The witness is the
+    lexicographically least edge mapping.  TooLarge only for equal sizes
+    above MAX_STRUCTURE_VERTICES.
     """
-    ra, rb = _reduced(a), _reduced(b)
-    if len(ra.vertices) != len(rb.vertices) or len(ra.edges) != len(rb.edges):
+    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
         return None
-    if len(ra.vertices) > MAX_STRUCTURE_VERTICES:
-        raise TooLarge(f"structure isomorphism is bounded to {MAX_STRUCTURE_VERTICES} reduced vertices")
-    m = len(ra.edges)
-    if m == 0:
-        return StructureIsomorphism(ra, rb, vertex_map=(), edge_map=())
-
-    sets_a = [frozenset(e) for e in ra.edges]
-    sets_b = [frozenset(e) for e in rb.edges]
-    degrees_a = [len(vc.signature) for vc in ra.vertices]
-    degrees_b = [len(vc.signature) for vc in rb.vertices]
+    if len(a.vertices) > MAX_STRUCTURE_VERTICES:
+        raise TooLarge(f"structure isomorphism is bounded to {MAX_STRUCTURE_VERTICES} vertices")
+    m = len(a.edges)
+    sets_a = [frozenset(e) for e in a.edges]
+    sets_b = [frozenset(e) for e in b.edges]
+    degrees_a = [len(vc.signature) for vc in a.vertices]
+    degrees_b = [len(vc.signature) for vc in b.vertices]
 
     # Not implied by the exact search: without these invariants, structures
     # that differ by one incidence cost seconds to minutes of backtracking.
@@ -157,7 +154,7 @@ def structures_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> Struc
 
     def extend(i: int) -> list[int] | None:
         if i == m:
-            return _signature_bijection(ra, rb, edge_map)
+            return _signature_bijection(a, b, edge_map)
         for j in candidates[i]:
             if taken[j]:
                 continue
@@ -176,25 +173,14 @@ def structures_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> Struc
     vertex_map = extend(0)
     if vertex_map is None:
         return None
-    return StructureIsomorphism(ra, rb, vertex_map=tuple(vertex_map), edge_map=tuple(edge_map))
+    return StructureIsomorphism(a, b, vertex_map=tuple(vertex_map), edge_map=tuple(edge_map))
 
 
-def _reduced(s: IncidenceStructure) -> IncidenceStructure:
-    """``s`` with the vertices on equal edge sets merged, or ``s`` itself when
-    every vertex lies on its own non-empty edge set (condensates and
-    references are such quotients already)."""
-    on = incidence(s.edges)
-    if len(set(on.values())) == len(on) == len(s.vertices):
-        return s
-    members = [[v for i in e for v in s.vertices[i].members] for e in s.edges]
-    return _signature_quotient(s.label, incidence(members), len(s.edges))
-
-
-def _signature_bijection(ra, rb, edge_map) -> list[int] | None:
+def _signature_bijection(a, b, edge_map) -> list[int] | None:
     """Vertex map induced by an edge bijection, or None if it is not one."""
-    by_signature = {vc.signature: i for i, vc in enumerate(rb.vertices)}
+    by_signature = {vc.signature: i for i, vc in enumerate(b.vertices)}
     vertex_map = []
-    for vc in ra.vertices:
+    for vc in a.vertices:
         target = by_signature.get(frozenset(edge_map[e] for e in vc.signature))
         if target is None:
             return None

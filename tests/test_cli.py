@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -23,6 +24,7 @@ from ringline import (
     max_distant_cliques,
     max_neighbour_cliques,
     validate_tables,
+    write_ring_file,
 )
 from ringline.cli import _atomic_write, build_line_report, main
 from ringline.line import line_to_json
@@ -63,6 +65,17 @@ def test_ring_info_identifies_ingested_file(capsys):
     assert code == 0
     assert "isomorphic to: T(2)" in out
     assert "units: 2" in out and "zero divisors: 6" in out
+
+
+def test_ring_info_above_the_isomorphism_bound_runs_no_search(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "t3.ring"
+    write_ring_file(path, construct("T(3)"))
+    monkeypatch.setattr(ringline.cli, "are_isomorphic", lambda a, b: pytest.fail("searched"))
+    code, out, _ = run(capsys, "ring", "info", f"file:{path}")
+    assert code == 0 and "order: 27\n" in out
+    assert "isomorphic to: n/a (isomorphism search is bounded to order 16)\n" in out
+    code, out, _ = run(capsys, "ring", "info", f"file:{path}", "--json")
+    assert code == 0 and json.loads(out)["isomorphic_to"] is None
 
 
 def test_ring_info_reads_the_order_bound_override(capsys, monkeypatch):
@@ -285,7 +298,7 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
     # first, so that only the scans of this report's line are counted
     for reference in condense.DEFAULT_CATALOG:
         condense.reference_structure(reference)
-    scans, graphs, condense_scans = [], [], []
+    scans, graphs = [], []
     scan, build = ringline.geometry.incidence, ringline.geometry.RelationGraph.of
 
     def counted_scan(orbits):
@@ -293,19 +306,12 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
         scans.append(len(orbits))
         return scan(orbits)
 
-    def counted_condense_scan(edges):
-        # matching builds incidences over class indices; an orbit holds vectors
-        edges = list(edges)
-        condense_scans.extend(e for e in edges if any(isinstance(v, tuple) for v in e))
-        return scan(edges)
-
     def counted_build(cls, edges, masks):
         edges = list(edges)
         graphs.append(len(edges))
         return build(edges, masks)
 
     monkeypatch.setattr(ringline.geometry, "incidence", counted_scan)
-    monkeypatch.setattr(condense, "incidence", counted_condense_scan)
     monkeypatch.setattr(ringline.geometry.RelationGraph, "of", classmethod(counted_build))
     ring = construct(spec)
     fresh = ringline.cli.compute_line(ring)
@@ -313,11 +319,9 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
     report = build_line_report(ring)
     line = report.line
     # one orbit scan per sector feeds the searches, the partition, the cross
-    # check and the condensation; the one row builder runs once per sector,
-    # and condense scans no orbit again
+    # check and the condensation; the one row builder runs once per sector
     assert scans == [len(line.unimodular_points), len(line.nonunimodular_points)]
     assert graphs == scans
-    assert condense_scans == []
     # the per-sector cache is not part of the line's value
     assert set(line.derived) == {"unimodular", "nonunimodular"}
     assert line == fresh and hash(line) == hash(fresh)
@@ -492,6 +496,18 @@ def test_table2_default(capsys):
     assert sum(1 for line in rows if line.endswith(" PASS")) == 3
     assert sum(1 for line in rows if "SKIPPED" in line) == 2
     assert rows[-1] == "result: PASS (3 passed, 0 failed, 2 skipped)"
+
+
+def test_readme_examples_match_the_cli(capsys):
+    # every "$ ringline ..." example in the README prints exactly its block
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    examples = [example.split("\n", 1) for example in block.split("$ ringline ")[1:]]
+    assert [command for command, _ in examples] == ['line compute "T(2)"', "table2"]
+    for command, expected in examples:
+        code, out, err = run(capsys, *shlex.split(command))
+        assert (code, err) == (0, "")
+        assert out == expected.rstrip("\n") + "\n", command
 
 
 def test_table2_json(capsys):

@@ -15,9 +15,11 @@ from ringline import (
     compute_line,
     condensate_distant_analysis,
     condense,
+    construct,
     identify_condensate,
     reference_structure,
     structures_isomorphic,
+    validate_tables,
 )
 
 
@@ -49,6 +51,10 @@ def test_condensate_classes_partition_covered_vectors(ternion_line, catalog_line
 def test_empty_condensate(catalog_lines):
     structure = condense(catalog_lines["GF(2)"])
     assert structure.is_empty
+    # with no vertices and no edges, the search itself gives the empty witness
+    witness = structures_isomorphic(structure, structure)
+    assert witness is not None and witness.check()
+    assert (witness.vertex_map, witness.edge_map) == ((), ())
 
 
 def test_gf3_ternion_condensate_shape(gf3_t2_line):
@@ -207,9 +213,9 @@ def test_isomorphism_distinguishes_unequal_structures():
     assert structures_isomorphic(fan, path) is None
 
 
-def test_isomorphism_merges_repeated_vertices(ternion_line):
-    # split one class of the condensate into two vertices on the same edges:
-    # the same structure up to a repeated vertex
+def test_isomorphism_is_exact(ternion_line):
+    # a class of the condensate split into two vertices on the same edges is
+    # a different structure: matching compares signature quotients as given
     t2 = condense(ternion_line)
     first, *rest = t2.vertices
     halves = (first.members[:1], first.members[1:])
@@ -217,14 +223,18 @@ def test_isomorphism_merges_repeated_vertices(ternion_line):
     edges = tuple(tuple(sorted(({0, 1} if 0 in e else set()) | {v + 1 for v in e if v})) for e in t2.edges)
     split = IncidenceStructure(label="split", vertices=vertices, edges=edges)
     assert len(split.vertices) == len(t2.vertices) + 1
-    witness = structures_isomorphic(split, t2)
-    assert witness is not None and witness.check()
-    assert witness.a_reduced.vertices == t2.vertices
-    assert structures_isomorphic(t2, split) is not None
-    # a vertex on no edge is dropped too
+    assert structures_isomorphic(split, t2) is None
+    assert structures_isomorphic(t2, split) is None
+    # so is the condensate with a vertex on no edge
     lone = VectorClass(members=((9, 9),), signature=frozenset())
     extra = IncidenceStructure(label="extra", vertices=t2.vertices + (lone,), edges=t2.edges)
-    assert structures_isomorphic(extra, t2) is not None
+    assert structures_isomorphic(extra, t2) is None
+    assert structures_isomorphic(t2, extra) is None
+    # the witness holds the compared structures themselves
+    reference = reference_structure("GF(2)")
+    witness = structures_isomorphic(t2, reference)
+    assert witness is not None and witness.check()
+    assert witness.a is t2 and witness.b is reference
 
 
 def test_structure_size_bound():
@@ -284,6 +294,30 @@ def test_identify_with_custom_catalog(ternion_line):
     # order-16 references are condensed, so they stay under the size bound
     catalog = ("GF(4)*GF(4)", "Z(16)", "GF(2)*GF(2)*GF(4)", "GF(2)")
     assert identify_condensate(ternion_line, catalog=catalog).matches == ("GF(2)",)
+
+
+# R x T(2) with R commutative condenses onto the line over R x GF(2), and
+# T(q) onto the line over GF(q); Z(4) x GF(2) and D(2) x GF(2) have
+# isomorphic lines
+RELABELLED_MATCHES = {
+    "T(2)": ("GF(2)",),
+    "GF(2)*T(2)": ("GF(2)*GF(2)",),
+    "GF(3)*T(2)": ("Z(6)", "GF(2)*GF(3)"),
+    "T(3)": ("GF(3)",),
+    "GF(4)*T(2)": ("GF(2)*GF(4)",),
+    "Z(4)*T(2)": ("Z(4)*GF(2)", "D(2)*GF(2)"),
+    "D(2)*T(2)": ("Z(4)*GF(2)", "D(2)*GF(2)"),
+}
+
+
+def test_identification_does_not_depend_on_labels():
+    catalog = DEFAULT_CATALOG + ("GF(3)", "GF(4)", "GF(2)*GF(4)", "Z(4)*GF(2)", "D(2)*GF(2)")
+    for spec, expected in RELABELLED_MATCHES.items():
+        ring = construct(spec)
+        for seed in (1, 2, 3):
+            relabelled = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed))
+            result = identify_condensate(compute_line(relabelled), catalog=catalog)
+            assert result.matches == expected, (spec, seed)
 
 
 def test_condensate_distant_sizes(ternion_line, catalog_lines, gf3_t2_line):
