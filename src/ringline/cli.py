@@ -19,7 +19,7 @@ from functools import cache
 
 from .condense import condensate_distant_analysis, identify_condensate
 from .constructors import SUPPORTED_FIELD_ORDERS, construct, load_ring_file
-from .errors import EmptySector, FileError, NotPartition, RinglineError
+from .errors import EmptySector, FileError, NotPartition, OrderTooLarge, RinglineError
 from .geometry import (
     SECTORS,
     cross_sector_check,
@@ -49,39 +49,50 @@ def _identify_ring(ring: FiniteRing) -> list[str] | None:
         return None
     matches = []
     for spec in _named_candidates(ring.order):
-        try:
-            candidate = construct(spec)
-        except RinglineError:
-            continue
-        if are_isomorphic(candidate, ring) is not None:
+        if are_isomorphic(construct(spec), ring) is not None:
             matches.append(spec)
     return matches
 
 
-def cmd_ring_info(args) -> int:
-    ring = construct(args.spec)
-    data = {
-        "schema": "ringline.ring_info/1",
+def _summary(ring: FiniteRing) -> dict:
+    """The ring lines that ``ring info`` and ``line compute`` both report."""
+    return {
         "ring": ring.label,
         "order": ring.order,
         "units": len(ring.units),
         "zero_divisors": len(ring.zero_divisors),
         "commutative": ring.is_commutative,
-        "ideals_by_size": {str(k): v for k, v in ideal_size_census(ring).items()},
     }
+
+
+def _summary_lines(summary: dict) -> list[str]:
+    return [
+        f"ring: {summary['ring']}",
+        f"order: {summary['order']}",
+        f"units: {summary['units']}",
+        f"zero divisors: {summary['zero_divisors']}",
+        f"commutative: {'yes' if summary['commutative'] else 'no'}",
+    ]
+
+
+def cmd_ring_info(args) -> int:
+    ring = construct(args.spec)
+    summary = _summary(ring)
+    try:
+        census = {str(k): v for k, v in ideal_size_census(ring).items()}
+    except OrderTooLarge as exc:
+        census, census_text = None, f"n/a ({exc})"
+    else:
+        census_text = ", ".join(f"{size}:{count}" for size, count in census.items())
+    data = {"schema": "ringline.ring_info/1", **summary, "ideals_by_size": census}
     is_file_spec = args.spec.strip().startswith("file:")
     if is_file_spec:
         data["isomorphic_to"] = _identify_ring(ring)
     if args.json:
         print(json.dumps(data, indent=2, sort_keys=True))
         return 0
-    print(f"ring: {ring.label}")
-    print(f"order: {ring.order}")
-    print(f"units: {len(ring.units)}")
-    print(f"zero divisors: {len(ring.zero_divisors)}")
-    print(f"commutative: {'yes' if ring.is_commutative else 'no'}")
-    census = ", ".join(f"{size}:{count}" for size, count in data["ideals_by_size"].items())
-    print(f"ideals by size: {census}")
+    print("\n".join(_summary_lines(summary)))
+    print(f"ideals by size: {census_text}")
     if is_file_spec:
         found = data["isomorphic_to"]
         if found is None:
@@ -112,11 +123,7 @@ def cmd_ring_validate(args) -> int:
 class LineReport:
     """Everything the ``line compute`` command prints."""
 
-    ring: str
-    order: int
-    units: int
-    zero_divisors: int
-    commutative: bool
+    summary: dict
     unimodular: int
     nonunimodular: int
     max_distant: dict[str, int | None]
@@ -170,11 +177,7 @@ def build_line_report(ring: FiniteRing) -> LineReport:
         max_neighbour["whole"] = max_neighbour["unimodular"] + (max_neighbour["nonunimodular"] or 0)
     ident = identify_condensate(line)
     return LineReport(
-        ring=ring.label,
-        order=ring.order,
-        units=len(ring.units),
-        zero_divisors=len(ring.zero_divisors),
-        commutative=ring.is_commutative,
+        summary=_summary(ring),
         unimodular=len(line.unimodular_points),
         nonunimodular=len(line.nonunimodular_points),
         max_distant=max_distant,
@@ -201,12 +204,7 @@ def _clique_line(values: dict[str, int | None]) -> str:
 
 
 def render_line_report(report: LineReport) -> str:
-    out = [
-        f"ring: {report.ring}",
-        f"order: {report.order}",
-        f"units: {report.units}",
-        f"zero divisors: {report.zero_divisors}",
-        f"commutative: {'yes' if report.commutative else 'no'}",
+    out = _summary_lines(report.summary) + [
         f"points: {report.unimodular + report.nonunimodular}"
         f" = {report.unimodular} unimodular + {report.nonunimodular} non-unimodular",
         f"max distant clique: {_clique_line(report.max_distant)}",
@@ -253,11 +251,7 @@ def line_report_json(report: LineReport) -> str:
         }
     data = {
         "schema": "ringline.line_report/1",
-        "ring": report.ring,
-        "order": report.order,
-        "units": report.units,
-        "zero_divisors": report.zero_divisors,
-        "commutative": report.commutative,
+        **report.summary,
         "unimodular_points": report.unimodular,
         "nonunimodular_points": report.nonunimodular,
         "max_distant": report.max_distant,

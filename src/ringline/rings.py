@@ -11,6 +11,7 @@ cheap at the orders this package targets.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
@@ -115,24 +116,6 @@ def _scaled_columns(rows, n: int) -> Table:
     """The columns of ``rows`` with every entry y read as n*y, one shared int per value."""
     scaled = tuple(range(0, n * n, n))
     return tuple(zip(*(itemgetter(*row)(scaled) for row in rows)))
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """A two-sided ideal, stored as its element set."""
-
-    elements: frozenset[int]
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.elements)
-
-    @property
-    def sorted_elements(self) -> tuple[int, ...]:
-        return tuple(sorted(self.elements))
-
-    def __repr__(self) -> str:  # noqa: D105
-        return f"Ideal({self.sorted_elements})"
 
 
 def _normalize(table, name: str) -> Table:
@@ -306,29 +289,22 @@ def validate_tables(add_table, mul_table, label: str | None = None) -> FiniteRin
 
 
 def _principal_ideal(ring: FiniteRing, a: int) -> frozenset[int]:
-    """Two-sided ideal generated by one element, closed to a fixed point."""
-    add, mul = ring.add_table, ring.mul_table
-    members = {0, a}
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(members)
-        for x in snapshot:
-            for y in snapshot:
-                s = add[x][y]
-                if s not in members:
-                    members.add(s)
-                    changed = True
-            for r in ring.elements():
-                for p in (mul[r][x], mul[x][r]):
-                    if p not in members:
-                        members.add(p)
-                        changed = True
-    return frozenset(members)
+    """Two-sided ideal generated by a: in a ring with 1, the additive span of r*a*s over r, s in R."""
+    add = ring.add_table
+    products = {x for ra in set(ring.columns[a]) for x in ring.mul_table[ra]}
+    members = [0]
+    seen = {0}
+    for m in members:  # grows while it is walked: a BFS over sums of products
+        for p in products:
+            s = add[m][p]
+            if s not in seen:
+                seen.add(s)
+                members.append(s)
+    return frozenset(seen)
 
 
-def enumerate_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
-    """All two-sided ideals of the ring, {0} and R included.
+def enumerate_ideals(ring: FiniteRing) -> tuple[frozenset[int], ...]:
+    """All two-sided ideals of the ring, {0} and R included, by size then elements.
 
     Computed as sums of principal two-sided ideals, closed under pairwise
     sum to a fixed point.  Exhaustive, hence bounded like line scans:
@@ -352,15 +328,12 @@ def enumerate_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
                     ideals.add(summed)
                     fresh.append(summed)
         frontier = fresh
-    return tuple(Ideal(s) for s in sorted(ideals, key=lambda s: (len(s), sorted(s))))
+    return tuple(sorted(ideals, key=lambda s: (len(s), sorted(s))))
 
 
 def ideal_size_census(ring: FiniteRing) -> dict[int, int]:
     """Map ideal cardinality -> number of ideals of that cardinality."""
-    census: dict[int, int] = {}
-    for ideal in enumerate_ideals(ring):
-        census[ideal.cardinality] = census.get(ideal.cardinality, 0) + 1
-    return dict(sorted(census.items()))
+    return dict(sorted(Counter(map(len, enumerate_ideals(ring))).items()))
 
 
 def are_isomorphic(ring_a: FiniteRing, ring_b: FiniteRing) -> tuple[int, ...] | None:

@@ -60,11 +60,18 @@ def test_ring_info_json(capsys):
     assert data["commutative"] is True
 
 
-def test_ring_info_identifies_ingested_file(capsys):
+def test_ring_info_identifies_ingested_file(capsys, tmp_path):
     code, out, _ = run(capsys, "ring", "info", f"file:{bundled_ring_path()}")
     assert code == 0
     assert "isomorphic to: T(2)" in out
     assert "units: 2" in out and "zero divisors: 6" in out
+    # relabelled tables of each other family with a candidate at its order
+    for seed, spec in enumerate(("GF(4)", "D(2)", "D(3)")):
+        ring = construct(spec)
+        path = tmp_path / f"{seed}.ring"
+        write_ring_file(path, validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed)))
+        code, out, _ = run(capsys, "ring", "info", f"file:{path}")
+        assert code == 0 and out.endswith(f"isomorphic to: {spec}\n"), spec
 
 
 def test_ring_info_above_the_isomorphism_bound_runs_no_search(capsys, tmp_path, monkeypatch):
@@ -80,8 +87,16 @@ def test_ring_info_above_the_isomorphism_bound_runs_no_search(capsys, tmp_path, 
 
 def test_ring_info_reads_the_order_bound_override(capsys, monkeypatch):
     monkeypatch.delenv("RINGLINE_MAX_ORDER", raising=False)
-    code, _, err = run(capsys, "ring", "info", "GF(5)*T(2)")
-    assert code == 2 and "set RINGLINE_MAX_ORDER to override" in err
+    code, out, err = run(capsys, "ring", "info", "GF(5)*T(2)")
+    # the ideal census alone is bounded; the rest of the report still prints
+    assert code == 0 and err == ""
+    assert (
+        "commutative: no\n"
+        "ideals by size: n/a (ideal enumeration is bounded to order 32, got 40;"
+        " set RINGLINE_MAX_ORDER to override)\n"
+    ) in out
+    code, out, _ = run(capsys, "ring", "info", "GF(5)*T(2)", "--json")
+    assert code == 0 and json.loads(out)["ideals_by_size"] is None
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
     code, out, _ = run(capsys, "ring", "info", "GF(5)*T(2)")
     assert code == 0
@@ -403,6 +418,8 @@ def test_condense_command(capsys):
     assert "class 0: (0,0) (0,6) (6,0) (6,6) | on 3 point(s)" in out
     assert "max distant set: 3" in out
     assert "matches: GF(2)" in out
+    code, out, _ = run(capsys, "condense", "GF(2)")
+    assert code == 0 and out == "ring: GF(2)\ncondensate: empty (no non-unimodular points)\n"
 
 
 def test_condense_json_custom_catalog(capsys):

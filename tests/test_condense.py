@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -212,6 +213,18 @@ def test_isomorphism_distinguishes_unequal_structures():
     path = build(((0, 1), (1, 2), (2, 3)), 4)
     assert structures_isomorphic(fan, path) is None
 
+    # K3,3 and the triangular prism, each graph vertex an edge on the graph
+    # edges at it: every edge has the same size, degree profile and meeting
+    # sizes, so only the exhaustive search tells the bipartite graph apart
+    def from_graph(graph_edges):
+        return build(tuple(tuple(k for k, e in enumerate(graph_edges) if v in e) for v in range(6)), 9)
+
+    k33 = from_graph(tuple((u, v) for u in range(3) for v in range(3, 6)))
+    prism = from_graph(((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)))
+    assert structures_isomorphic(k33, prism) is None
+    assert structures_isomorphic(prism, k33) is None
+    assert structures_isomorphic(k33, k33).check()
+
 
 def test_isomorphism_is_exact(ternion_line):
     # a class of the condensate split into two vertices on the same edges is
@@ -235,6 +248,10 @@ def test_isomorphism_is_exact(ternion_line):
     witness = structures_isomorphic(t2, reference)
     assert witness is not None and witness.check()
     assert witness.a is t2 and witness.b is reference
+    # a witness with two vertex images swapped does not preserve incidence
+    swapped = list(witness.vertex_map)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    assert not dataclasses.replace(witness, vertex_map=tuple(swapped)).check()
 
 
 def test_structure_size_bound():

@@ -158,6 +158,7 @@ def test_malformed_files(tmp_path):
         "empty.ring": ("", "expected a 'ring <n>' header line"),
         "header.ring": ("add\n0 1\n1 0\n", "expected a 'ring <n>' header line"),
         "rows.ring": ("ring 2\nadd\n0 1\nmul\n0 0\n0 1\n", "expected 7 content lines, found 6"),
+        "marker.ring": ("ring 2\n0 1\n1 0\n0 1\nmul\n0 0\n0 1\n", "expected 'add' and 'mul' section markers"),
         "token.ring": ("ring 2\nadd\n0 x\n1 0\nmul\n0 0\n0 1\n", "non-integer entry in row 0: '0 x'"),
         "float.ring": ("ring 2\nadd\n0 1\n1 0\nmul\n0 0\n0 1.0\n", "non-integer entry in row 1: '0 1.0'"),
         "width.ring": ("ring 2\nadd\n0 1 1\n1 0\nmul\n0 0\n0 1\n", "row 0 has 3 entries, expected 2"),
@@ -208,6 +209,7 @@ def test_header_is_exactly_ring_and_order(tmp_path):
     for header, message in (
         ("ring 2 junk", "malformed header"),
         ("ring 2 3", "malformed header"),
+        ("ring x", "malformed header 'ring x'"),
         ("foo 2", "expected a 'ring <n>' header line"),
     ):
         path = tmp_path / "header.ring"
