@@ -19,7 +19,6 @@ with the element listed second, so 0 and 1 are the two identities.
 
 from __future__ import annotations
 
-import itertools
 import re
 from importlib import resources
 from pathlib import Path
@@ -39,6 +38,13 @@ _GF4_MUL = (
 )
 
 
+def _residue_tables(n: int) -> tuple[Table, Table]:
+    """The tables of the residues mod n, for ``Z(n)`` and prime ``GF(p)``."""
+    add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    mul = tuple(tuple(i * j % n for j in range(n)) for i in range(n))
+    return add, mul
+
+
 def _field_tables(q: int, term: str) -> tuple[Table, Table]:
     """GF(q)'s tables; ``term`` (``GF(q)``, ``D(q)``, ``T(q)``) names an unsupported q."""
     if q not in SUPPORTED_FIELD_ORDERS:
@@ -46,31 +52,17 @@ def _field_tables(q: int, term: str) -> tuple[Table, Table]:
     if q == 4:
         add = tuple(tuple(i ^ j for j in range(4)) for i in range(4))
         return add, _GF4_MUL
-    add = tuple(tuple((i + j) % q for j in range(q)) for i in range(q))
-    mul = tuple(tuple((i * j) % q for j in range(q)) for i in range(q))
-    return add, mul
+    return _residue_tables(q)
 
 
 def _field_enumeration(q: int, mul: Table) -> list[int]:
     """Field elements as 0, 1, then powers of the least primitive element."""
-    if q == 2:
-        return [0, 1]
-    generator = None
-    for g in range(2, q):
-        power, order = g, 1
-        while power != 1:
-            power = mul[power][g]
-            order += 1
-        if order == q - 1:
-            generator = g
-            break
-    assert generator is not None, f"GF({q}) has a primitive element"
-    seq = [0, 1]
-    power = generator
-    while power != 1:
-        seq.append(power)
-        power = mul[power][generator]
-    return seq
+    for g in range(1, q):
+        seq = [0, 1]
+        while (power := mul[seq[-1]][g]) != 1:
+            seq.append(power)
+        if len(seq) == q:
+            return seq
 
 
 def _identity_swap(n: int, k: int) -> list[int]:
@@ -81,25 +73,10 @@ def _identity_swap(n: int, k: int) -> list[int]:
     return swap
 
 
-def _ring(label: str, elements, one, add, mul) -> FiniteRing:
-    """Validate the tables of ``add`` and ``mul`` on a listed element set.
-
-    ``elements`` lists the ring zero first.  Each element is labelled by
-    its list position, except that ``one`` and the element listed second
-    swap labels, so the identity gets label 1.
-    """
-    elements = list(elements)
-    elements = [elements[i] for i in _identity_swap(len(elements), elements.index(one))]
-    index = {x: i for i, x in enumerate(elements)}
-    add_table = tuple(tuple([index[add(x, y)] for y in elements]) for x in elements)
-    mul_table = tuple(tuple([index[mul(x, y)] for y in elements]) for x in elements)
-    return validate_tables(add_table, mul_table, label=label)
-
-
 def integers_mod(n: int) -> FiniteRing:
     if n < 2:
         raise ParseError(f"Z({n}) is not a ring with 1 != 0; n must be at least 2")
-    return _ring(f"Z({n})", range(n), 1, lambda x, y: (x + y) % n, lambda x, y: x * y % n)
+    return validate_tables(*_residue_tables(n), label=f"Z({n})")
 
 
 def galois_field(q: int) -> FiniteRing:
@@ -114,11 +91,13 @@ def dual_numbers(q: int) -> FiniteRing:
     (1, 0) then swaps labels with the pair listed second.
     """
     fadd, fmul = _field_tables(q, f"D({q})")
-    return _ring(
-        f"D({q})", itertools.product(range(q), repeat=2), (1, 0),
-        lambda x, y: (fadd[x[0]][y[0]], fadd[x[1]][y[1]]),
-        lambda x, y: (fmul[x[0]][y[0]], fadd[fmul[x[0]][y[1]]][fmul[x[1]][y[0]]]),
+    swap = _identity_swap(q * q, q)  # (1, 0) is listed at q
+    pairs = [divmod(listed, q) for listed in swap]  # label -> (a, b)
+    add = tuple(tuple([swap[fadd[a][c] * q + fadd[b][d]] for c, d in pairs]) for a, b in pairs)
+    mul = tuple(
+        tuple([swap[fmul[a][c] * q + fadd[fmul[a][d]][fmul[b][c]]] for c, d in pairs]) for a, b in pairs
     )
+    return validate_tables(add, mul, label=f"D({q})")
 
 
 def ternions(q: int) -> FiniteRing:
@@ -129,11 +108,20 @@ def ternions(q: int) -> FiniteRing:
     the identity (1, 0, 1) then swaps labels with the matrix listed second.
     """
     fadd, fmul = _field_tables(q, f"T({q})")
-    return _ring(
-        f"T({q})", itertools.product(_field_enumeration(q, fmul), repeat=3), (1, 0, 1),
-        lambda x, y: (fadd[x[0]][y[0]], fadd[x[1]][y[1]], fadd[x[2]][y[2]]),
-        lambda x, y: (fmul[x[0]][y[0]], fadd[fmul[x[0]][y[1]]][fmul[x[1]][y[2]]], fmul[x[2]][y[2]]),
+    listed = _field_enumeration(q, fmul)
+    pos = [listed.index(x) for x in range(q)]
+    fadd, fmul = ([[pos[table[x][y]] for y in listed] for x in listed] for table in (fadd, fmul))
+    swap = _identity_swap(q ** 3, q * q + 1)  # (1, 0, 1) is listed at q^2 + 1
+    triples = [(k // (q * q), k // q % q, k % q) for k in swap]  # label -> pos digits
+    add = tuple(
+        tuple([swap[(fadd[a][d] * q + fadd[b][e]) * q + fadd[c][f]] for d, e, f in triples])
+        for a, b, c in triples
     )
+    mul = tuple(
+        tuple([swap[(fmul[a][d] * q + fadd[fmul[a][e]][fmul[b][f]]) * q + fmul[c][f]] for d, e, f in triples])
+        for a, b, c in triples
+    )
+    return validate_tables(add, mul, label=f"T({q})")
 
 
 def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:

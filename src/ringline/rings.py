@@ -130,14 +130,13 @@ def _normalize(table, name: str) -> Table:
     if set(map(type, rows)) != {tuple} or set(map(type, chain.from_iterable(rows))) != {int}:
         rows = tuple(tuple(map(int, row)) for row in rows)
     n = len(rows)
-    if all(len(row) == n for row in rows) and (not rows or 0 <= min(map(min, rows)) and max(map(max, rows)) < n):
-        return rows
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise AxiomViolation("shape", (name, i), f"{name} row {i} has length {len(row)}, expected {n}")
-        for j, x in enumerate(row):
-            if not 0 <= x < n:
-                raise AxiomViolation("closure", (name, i, j), f"{name}[{i}][{j}] = {x} is out of range")
+    if not (all(len(row) == n for row in rows) and (not rows or 0 <= min(map(min, rows)) and max(map(max, rows)) < n)):
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise AxiomViolation("shape", (name, i), f"{name} row {i} has length {len(row)}, expected {n}")
+            for j, x in enumerate(row):
+                if not 0 <= x < n:
+                    raise AxiomViolation("closure", (name, i, j), f"{name}[{i}][{j}] = {x} is out of range")
     return rows
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import random
 from collections import Counter
 
@@ -254,6 +255,48 @@ def test_isomorphism_is_exact(ternion_line):
     assert not dataclasses.replace(witness, vertex_map=tuple(swapped)).check()
 
 
+def test_witness_maps_must_be_permutations(ternion_line):
+    # the incidence check reads only the images of a's vertices and edges, so
+    # a map with one more, repeated image passes it; it is still no bijection
+    witness = structures_isomorphic(condense(ternion_line), reference_structure("GF(2)"))
+    assert witness is not None and witness.check()
+    vertex_map, edge_map = witness.vertex_map, witness.edge_map
+    assert not dataclasses.replace(witness, vertex_map=vertex_map + vertex_map[:1]).check()
+    assert not dataclasses.replace(witness, edge_map=edge_map + edge_map[:1]).check()
+
+
+def _from_signatures(signatures, edge_count):
+    """A structure with one vertex per signature, the vertex on exactly those edges."""
+    vertices = tuple(
+        VectorClass(members=((v, 1),), signature=frozenset(sig)) for v, sig in enumerate(signatures)
+    )
+    edges = tuple(tuple(v for v, sig in enumerate(signatures) if e in sig) for e in range(edge_count))
+    return IncidenceStructure(label="synthetic", vertices=vertices, edges=edges)
+
+
+def test_leaf_rejects_an_edge_map_that_preserves_every_meet(monkeypatch):
+    # equal edge invariants and pairwise meets: only the vertex signatures
+    # at a full edge map tell these two apart
+    a = _from_signatures(({0}, {0, 1}, {0, 2, 4}, {1}, {1, 3, 4}, {2, 3}), 5)
+    b = _from_signatures(({0}, {0, 1, 4}, {0, 2}, {1}, {1, 3}, {2, 3, 4}), 5)
+    condense_module = importlib.import_module("ringline.condense")
+    original = condense_module._signature_bijection
+    rejected = []
+
+    def counted(x, y, edge_map):
+        vertex_map = original(x, y, edge_map)
+        rejected.append(vertex_map is None)
+        return vertex_map
+
+    monkeypatch.setattr(condense_module, "_signature_bijection", counted)
+    for x, y in ((a, b), (b, a)):
+        rejected.clear()
+        assert structures_isomorphic(x, y) is None
+        assert rejected == [True, True]
+    for x in (a, b):
+        assert structures_isomorphic(x, x).check()
+
+
 def test_structure_size_bound():
     # P(GF(2)^4) = P(GF(2))^4: 3^4 points, 4^4 distinct vector signatures
     big = reference_structure("GF(2)*GF(2)*GF(2)*GF(2)")
@@ -343,6 +386,13 @@ def test_condensate_distant_sizes(ternion_line, catalog_lines, gf3_t2_line):
     assert condensate_distant_analysis(reference_structure("GF(2)")) == 3
     with pytest.raises(EmptyStructure):
         condensate_distant_analysis(condense(catalog_lines["GF(2)"]))
+
+
+def test_distant_analysis_needs_the_zero_class():
+    # no vertex of a synthetic structure holds the zero vector (0, 0)
+    structure = _from_signatures(({0, 1}, {0}, {1}), 2)
+    with pytest.raises(EmptyStructure, match="zero vector"):
+        condensate_distant_analysis(structure)
 
 
 def test_condensate_distant_size_matches_networkx(catalog_lines, gf3_t2_line, amphibian16):

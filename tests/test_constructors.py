@@ -238,6 +238,7 @@ def test_bundled_path_exists():
 @pytest.mark.parametrize("spec", CATALOG_SPECS + (
     "T(3)", "T(4)", "T(5)", "D(7)", "GF(7)", "GF(3)*T(2)", "GF(4)*T(2)", "GF(5)*T(2)",
     "GF(7)*T(2)", "Z(4)*T(2)", "D(2)*T(2)", "T(2)*T(2)", "GF(2)*GF(2)*GF(4)",
+    "D(4)", "D(5)", "T(7)", "Z(2)", "Z(3)", "Z(16)",
 ))
 def test_named_rings_follow_the_documented_labelling(spec):
     # every CLI output is printed in these labels

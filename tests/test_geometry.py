@@ -375,6 +375,11 @@ def test_private_vectors(ternion_line):
         assert set(point.generators) < set(mine)
 
 
+def test_private_vectors_of_an_empty_sector(catalog_lines):
+    with pytest.raises(EmptySector):
+        private_vectors(catalog_lines["GF(2)"], "nonunimodular")
+
+
 def test_export_dot(ternion_line):
     doc = export_graph(ternion_line, "unimodular", "dot")
     assert doc.startswith('graph "')

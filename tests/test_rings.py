@@ -201,6 +201,14 @@ def test_tables_of_different_sizes_rejected():
     assert (err.value.kind, err.value.witness) == ("shape", ("mul", 2))
 
 
+def test_ragged_table_rejected():
+    # a short row fails the table's own shape check, before add and mul are compared
+    add = [[0, 1, 2], [1, 2], [2, 0, 1]]
+    with pytest.raises(AxiomViolation) as err:
+        validate_tables(add, construct("GF(3)").mul_table)
+    assert (err.value.kind, err.value.witness) == ("shape", ("add", 1))
+
+
 # ---------------------------------------------------------------- ideals
 
 
