@@ -24,7 +24,7 @@ from .geometry import (
     SECTORS,
     cross_sector_check,
     export_graph,
-    sector_cliques,
+    sector_clique_size,
     unimodular_partition,
 )
 from .line import ProjectiveLine, compute_line, line_to_json
@@ -158,8 +158,8 @@ def build_line_report(ring: FiniteRing) -> LineReport:
     partition = failure = None
     for sector in ("unimodular", "nonunimodular"):
         try:
-            max_distant[sector] = len(sector_cliques(line, sector, "distant")[0])
-            max_neighbour[sector] = len(sector_cliques(line, sector, "neighbour")[0])
+            max_distant[sector] = sector_clique_size(line, sector, "distant")
+            max_neighbour[sector] = sector_clique_size(line, sector, "neighbour")
             if sector == "unimodular":
                 partition = unimodular_partition(line)
         except EmptySector:

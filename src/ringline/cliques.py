@@ -25,11 +25,16 @@ into independent sets (Tomita & Seki, DMTCS 2003, LNCS 2731).  A clique
 takes at most one vertex per colour, so a vertex's bound is the sum of
 the heaviest weights of the colours before its own plus the heaviest
 weight so far in its own colour (weighted as in Östergård, Nordic J.
-Computing 8, 2001).  It branches in reverse colour order and prunes only
-a branch that cannot reach the best weight found so far, so every tie is
-listed.  All weights are positive, so a clique that is not maximal weighs
-less than one that holds it: a branch whose candidates run out is a
-clique to record, and no set of excluded vertices is kept.
+Computing 8, 2001).  It branches in reverse colour order.  All weights
+are positive, so a clique that is not maximal weighs less than one that
+holds it: a branch whose candidates run out is a clique to record, and
+no set of excluded vertices is kept.
+
+One kernel has two switches.  The leaf action: list every tie, pruning
+a branch that cannot reach the best weight, or (``maximum_size``) keep
+only the best weight, pruning one that cannot beat it.  The root point:
+``cliques_through`` starts at the quotient vertex holding one vertex, its
+neighbours the candidates, and so searches only the cliques through it.
 """
 
 from __future__ import annotations
@@ -53,6 +58,21 @@ def maximum_cliques(neighbours: Sequence[int]) -> tuple[int, list[Clique]]:
     clique.  ``expand`` lists the graph's cliques.  Recursion depth is at
     most the clique size.
     """
+    return _search(neighbours, None, True)
+
+
+def maximum_size(neighbours: Sequence[int]) -> int:
+    """The size of a maximum clique, found without listing the ties."""
+    return _search(neighbours, None, False)[0]
+
+
+def cliques_through(neighbours: Sequence[int], root: int) -> tuple[int, list[Clique]]:
+    """As ``maximum_cliques``, for the largest cliques through vertex ``root``, each taking it from its part."""
+    return _search(neighbours, root, True)
+
+
+def _search(neighbours: Sequence[int], root: int | None, ties: bool) -> tuple[int, list[Clique]]:
+    """The heaviest quotient cliques, through ``root``'s vertex unless it is None: all if ``ties``, else one."""
     if not neighbours:
         return 0, []
     false: dict[int, list[int]] = {}
@@ -69,7 +89,7 @@ def maximum_cliques(neighbours: Sequence[int]) -> tuple[int, list[Clique]]:
     pick = itemgetter(*[width - 1 - r for r in reversed(reps)])
     rows = [int("".join(pick(f"{neighbours[r]:0{width}b}")), 2) for r in reps]
     apart = [~(row | 1 << g) for g, row in enumerate(rows)]
-    best, found = 0, []
+    strict = int(not ties)  # a branch must beat the best weight, not just reach it
 
     def search(size: int, clique: list[tuple[int, ...]], cand: int) -> None:
         nonlocal best, found
@@ -86,18 +106,24 @@ def maximum_cliques(neighbours: Sequence[int]) -> tuple[int, list[Clique]]:
                 order.append((g, base + heaviest))
             base += heaviest
         for g, bound in reversed(order):
-            if size + bound < best:
+            if size + bound < best + strict:
                 return
             cand ^= 1 << g
             total, below = size + weight[g], cand & rows[g]
             if below:
                 search(total, clique + groups[g], below)
-            elif total >= best:
+            elif total >= best + strict:
                 if total > best:
                     best, found = total, []
                 found.append(tuple(sorted(clique + groups[g])))
 
-    search(0, [], (1 << len(groups)) - 1)
+    if root is None:
+        size, clique, cand = 0, [], (1 << len(groups)) - 1
+    else:
+        g = next(g for g, group in enumerate(groups) if any(root in part for part in group))
+        size, clique, cand = weight[g], groups[g], rows[g]
+    best, found = (0, []) if cand else (size, [tuple(sorted(clique))])
+    search(size, clique, cand)
     return best, sorted(found)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .cliques import maximum_cliques
+from .cliques import maximum_size
 from .constructors import construct
 from .errors import EmptyStructure, OrderTooLarge, TooLarge
 from .geometry import ZERO, RelationGraph, sector_incidence
@@ -226,4 +226,4 @@ def condensate_distant_analysis(structure: IncidenceStructure) -> int:
     zero = zero_classes[0]
     assert all(zero in e for e in structure.edges), "the zero class lies on every point"
     masks = {c: sum(1 << e for e in vc.signature) for c, vc in enumerate(structure.vertices) if c != zero}
-    return maximum_cliques(RelationGraph.of(structure.edges, masks).distant())[0]
+    return maximum_size(RelationGraph.of(structure.edges, masks).distant())

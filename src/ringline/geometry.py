@@ -31,7 +31,7 @@ from itertools import repeat
 from math import prod
 from operator import or_
 
-from .cliques import Clique, expand, maximum_cliques
+from .cliques import Clique, cliques_through, expand, maximum_cliques, maximum_size
 from .errors import EmptySector, NotPartition, SamePoint, UnknownFormat
 from .line import CyclicSubmodule, ProjectiveLine, Vector, incidence, mask_indices
 
@@ -87,25 +87,26 @@ class RelationGraph:
 class SectorIncidence:
     """Everything one sector of a line gives every stage, each derived once.
 
-    The points, their ``incidence`` masks, the neighbour rows and each
-    kind's maximum-clique search, the last two on first use.
+    The points, their ``incidence`` masks, the neighbour rows and the
+    clique searches on them, the last two on first use.
     """
 
     def __init__(self, points: tuple[CyclicSubmodule, ...]):
         self.points = points
         self.masks = incidence(p.orbit for p in points)
-        self.searched: dict[str, list[Clique]] = {}
+        self.searched: dict[tuple, object] = {}
 
     @cached_property
     def graph(self) -> RelationGraph:
         return RelationGraph.of([p.orbit[1:] for p in self.points], self.masks)  # orbit[0] is ZERO
 
-    def cliques(self, kind: str) -> list[Clique]:
-        """The maximum ``kind`` cliques as ``maximum_cliques`` gives them, searched once."""
-        if kind not in self.searched:
+    def search(self, kind: str, entry, *args):
+        """``entry(rows, *args)``, a ``cliques`` search on the ``kind`` rows, run once per kind, entry and args."""
+        key = kind, entry, args
+        if key not in self.searched:
             graph = self.graph
-            self.searched[kind] = maximum_cliques(graph.distant() if kind == "distant" else graph.neighbours)[1]
-        return self.searched[kind]
+            self.searched[key] = entry(graph.distant() if kind == "distant" else graph.neighbours, *args)
+        return self.searched[key]
 
 
 def sector_incidence(line: ProjectiveLine, sector: str) -> SectorIncidence:
@@ -115,11 +116,20 @@ def sector_incidence(line: ProjectiveLine, sector: str) -> SectorIncidence:
     return line.derived[sector]
 
 
-def sector_cliques(line: ProjectiveLine, sector: str, kind: str) -> list[Clique]:
-    """The sector's maximum ``kind`` cliques, on ``sector_points``; one search per line, sector and kind."""
+def _sector_search(line, sector, kind, entry):
     if not sector_points(line, sector):
         raise EmptySector(f"the {sector} sector of {line.ring.label} is empty")
-    return sector_incidence(line, sector).cliques(kind)
+    return sector_incidence(line, sector).search(kind, entry)
+
+
+def sector_cliques(line: ProjectiveLine, sector: str, kind: str) -> list[Clique]:
+    """The sector's maximum ``kind`` cliques as ``maximum_cliques`` lists them, on ``sector_points``."""
+    return _sector_search(line, sector, kind, maximum_cliques)[1]
+
+
+def sector_clique_size(line: ProjectiveLine, sector: str, kind: str) -> int:
+    """The size of the sector's maximum ``kind`` cliques, searched without listing them."""
+    return _sector_search(line, sector, kind, maximum_size)
 
 
 def _listed(line, sector, kind) -> tuple[tuple[CyclicSubmodule, ...], ...]:
@@ -166,16 +176,22 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
     they are pairwise neighbour; by pigeonhole a distant clique of size
     #classes meets every class exactly once.  So the one check on the
     maximum distant cliques is their size, and ``anchor_sets_checked`` is
-    their count.  Both are read off the sector's quotient cliques (see
-    ``sector_cliques``): the anchors are the points at the class minima of
-    the least one, and the count is the sum of the products of their
-    class sizes, so no clique is listed.
+    their count.  Both, and the anchors, are read off the quotient cliques
+    through sector point 0 (``cliques_through``), none of them listed.
+
+    Right multiplication by M in GL2(R) is a bijection of R^2 taking R(a, b)
+    to R((a, b)M), so it keeps freeness, unimodularity and intersection
+    sizes, hence the distant relation; by stable range 1 it takes any
+    unimodular point to R(1, 0) (see ``cli.build_line_report``).  So every
+    point lies on as many maximum distant cliques, c(0), as point 0 does,
+    and counting (point, clique) pairs gives #cliques * size = #points *
+    c(0).  Point 0 lies on one, so the least maximum clique holds it.
     """
     data = sector_incidence(line, "unimodular")
     points = data.points
-    shared = [m for v, m in data.masks.items() if v != ZERO]
-    best = max((m.bit_count() for m in shared), default=0)
-    classes = sorted({m for m in shared if m.bit_count() == best}, key=mask_indices)
+    shared = {m: m.bit_count() for v, m in data.masks.items() if v != ZERO}
+    best = max(shared.values(), default=0)
+    classes = sorted((m for m, size in shared.items() if size == best), key=mask_indices)
     covered = 0
     for cls in classes:
         if covered & cls:
@@ -191,17 +207,19 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
             f"point R{uncovered[0].generator} lies in no maximal vector class",
             witness=tuple(uncovered),
         )
-    cliques = sector_cliques(line, "unimodular", "distant")
-    anchors = [cls[0] for cls in cliques[0]]
-    if len(anchors) != len(classes):
+    size, cliques = data.search("distant", cliques_through, 0)
+    if size != len(classes):
         raise NotPartition(
             f"{len(classes)} classes cannot be anchored by a maximum distant"
-            f" clique of size {len(anchors)}"
+            f" clique of size {size}"
         )
+    anchors = [cls[0] for cls in cliques[0]]
     ordered = tuple(
         next(tuple(points[i] for i in mask_indices(c)) for c in classes if c >> a & 1) for a in anchors
     )
-    count = sum(prod(map(len, clique)) for clique in cliques)
+    # point 0 is the least of its part, which comes first in each clique
+    through = sum(prod(map(len, clique[1:])) for clique in cliques)
+    count = len(points) * through // size
     return SectorPartition(anchors=tuple(points[a] for a in anchors), classes=ordered, anchor_sets_checked=count)
 
 

@@ -278,32 +278,41 @@ def test_atomic_write_removes_its_temp_file_on_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_line_report_enumerates_each_sector_and_relation_once(monkeypatch):
+def test_line_report_searches_each_sector_and_relation_once(monkeypatch):
+    cliques = importlib.import_module("ringline.cliques")
     calls = []
-    search = ringline.geometry.maximum_cliques
+    kernel = cliques._search
 
-    def counted(adjacency):
-        size, cliques = search(adjacency)
-        calls.append((len(adjacency), size, len(cliques)))
-        return size, cliques
+    def counted(adjacency, root, ties):
+        size, found = kernel(adjacency, root, ties)
+        calls.append((len(adjacency), root, ties, size, len(found)))
+        return size, found
 
-    monkeypatch.setattr(ringline.geometry, "maximum_cliques", counted)
+    monkeypatch.setattr(cliques, "_search", counted)
     report = build_line_report(construct("T(2)"))
-    # 2 sectors x 2 relations; the whole line follows from the two sectors
-    # and the partition reads the unimodular distant twin cliques.  The 18
-    # unimodular points form 9 distant twin classes of 2, so 6 quotient
-    # cliques stand for the 48 maximum distant cliques.
-    assert calls == [(18, 3, 6), (18, 6, 6), (3, 1, 1), (3, 3, 1)]
+    # 2 sectors x 2 relations, each searched once for its size only, plus
+    # the partition's search through unimodular point 0; the whole line
+    # follows from the two sectors.  The 18 unimodular points form 9
+    # distant twin classes of 2, and point 0 lies on 2 quotient cliques of
+    # 3 classes: 2 * 2 * 2 = 8 cliques through it, so 18 * 8 / 3 = 48.
+    assert calls == [
+        (18, None, False, 3, 1),
+        (18, None, False, 6, 1),
+        (18, 0, True, 3, 2),
+        (3, None, False, 1, 1),
+        (3, None, False, 3, 1),
+    ]
     assert report.partition_class_sizes == (6, 6, 6)
     assert report.partition_anchor_sets == 48
-    # the searches are kept with the line: the partition and the listings
-    # read them again without a search of their own
+    # every search is kept with the line: the partition reads its search
+    # again, and each listing, asked for later, is one search of its own
     line = report.line
     assert ringline.geometry.unimodular_partition(line).anchor_sets_checked == 48
-    for sector, distant, neighbour in (("unimodular", 48, 6), ("nonunimodular", 3, 1)):
-        assert len(ringline.geometry.max_distant_cliques(line, sector)) == distant
-        assert len(ringline.geometry.max_neighbour_cliques(line, sector)) == neighbour
-    assert len(calls) == 4
+    for _ in range(2):
+        for sector, distant, neighbour in (("unimodular", 48, 6), ("nonunimodular", 3, 1)):
+            assert len(ringline.geometry.max_distant_cliques(line, sector)) == distant
+            assert len(ringline.geometry.max_neighbour_cliques(line, sector)) == neighbour
+    assert calls[5:] == [(18, None, True, 3, 6), (18, None, True, 6, 6), (3, None, True, 1, 1), (3, None, True, 3, 1)]
 
 
 @pytest.mark.parametrize("spec", ["T(2)", "GF(3)*T(2)"])

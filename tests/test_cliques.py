@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ringline.cliques import expand, maximum_cliques
+from ringline.cliques import cliques_through, expand, maximum_cliques, maximum_size
 from ringline.line import mask_indices
 
 
@@ -108,11 +108,27 @@ def twin_classes(adjacency, closed):
     return [tuple(members) for members in groups.values()]
 
 
+def check_through(adjacency, root):
+    """``cliques_through`` against networkx's largest cliques of the closed
+    neighbourhood of ``root`` that hold ``root``."""
+    hood = adjacency[root] | 1 << root
+    inside = [mask_indices(row & hood) if hood >> v & 1 else [] for v, row in enumerate(adjacency)]
+    nx_size, nx_best = oracles.nx_maximum_cliques(inside)
+    nx_best = {c for c in nx_best if root in c}
+    size, cliques = cliques_through(adjacency, root)
+    chosen = [[(root,) if root in part else part for part in clique] for clique in cliques]
+    assert size == nx_size
+    assert {frozenset(c) for c in expand(chosen)} == nx_best
+    assert sum(math.prod(len(part) for part in clique if root not in part) for clique in cliques) == len(nx_best)
+    assert min(tuple(sorted(c)) for c in nx_best) == min(tuple(sorted(map(min, clique))) for clique in chosen)
+
+
 def check_against_networkx(adjacency):
     size, cliques = maximum_cliques(adjacency)
     nx_size, nx_best = oracles.nx_maximum_cliques([mask_indices(row) for row in adjacency])
     listing = expand(cliques)
-    assert size == nx_size
+    assert size == maximum_size(adjacency) == nx_size
+    check_through(adjacency, len(adjacency) // 2)
     assert {frozenset(c) for c in listing} == nx_best
     assert listing == sorted(listing) and all(list(c) == sorted(c) for c in listing)
     assert sum(math.prod(map(len, clique)) for clique in cliques) == len(nx_best)
@@ -187,7 +203,10 @@ def test_kernel_is_invariant_under_relabelling(graph):
     for relabelled in (edges, [(label[a], label[b]) for a, b in edges]):
         adjacency = adjacency_from_edges(n, relabelled)
         size, cliques = maximum_cliques(adjacency)
-        _, nx_best = oracles.nx_maximum_cliques([mask_indices(row) for row in adjacency])
+        nx_size, nx_best = oracles.nx_maximum_cliques([mask_indices(row) for row in adjacency])
         assert tuple(part[0] for part in cliques[0]) == min(tuple(sorted(c)) for c in nx_best)
+        assert maximum_size(adjacency) == nx_size
+        for root in range(n):
+            check_through(adjacency, root)
         answers.append((size, len(cliques), sum(math.prod(map(len, clique)) for clique in cliques)))
     assert answers[0] == answers[1]

@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -28,8 +29,8 @@ from ringline import (
     validate_tables,
 )
 from ringline.cli import build_line_report, render_line_report
-from ringline.cliques import expand
-from ringline.geometry import sector_cliques, sector_incidence
+from ringline.cliques import cliques_through, expand
+from ringline.geometry import sector_clique_size, sector_cliques, sector_incidence
 
 
 def test_relation_examples(ternion_line):
@@ -180,6 +181,41 @@ def test_unimodular_cliques_match_the_radical_image(spec, fields, monkeypatch):
         for cls in clique
     }
     assert classes == fibres
+
+
+@pytest.mark.parametrize("spec, seed", [
+    ("T(2)", None),
+    ("GF(3)*T(2)", None),
+    ("T(3)", None),
+    ("GF(7)*T(2)", None),
+    ("T(4)", None),
+    ("T(2)*T(2)", None),
+    ("GF(3)*T(2)", 3),
+    ("T(3)", 1),
+    ("T(2)*T(2)", 2),
+])
+def test_cliques_through_point_0_give_every_count_and_the_least_clique(spec, seed, monkeypatch):
+    # GL2(R) acts transitively on the unimodular points and keeps both
+    # relations, so each point lies on as many maximum cliques as point 0,
+    # and the least maximum clique holds point 0
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    ring = construct(spec)
+    if seed is not None:
+        ring = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed))
+    line = compute_line(ring)
+    points = line.unimodular_points
+    for kind in ("distant", "neighbour"):
+        listed = expand(sector_cliques(line, "unimodular", kind))
+        size, through = sector_incidence(line, "unimodular").search(kind, cliques_through, 0)
+        assert size == len(listed[0]) == sector_clique_size(line, "unimodular", kind)
+        assert tuple(part[0] for part in through[0]) == listed[0]
+        count = sum(prod(map(len, clique[1:])) for clique in through)
+        assert count == sum(1 for clique in listed if clique[0] == 0)
+        assert len(points) * count == len(listed) * size
+        if kind == "distant" and spec != "T(2)*T(2)":  # its vector classes overlap: no partition
+            part = unimodular_partition(line)
+            assert part.anchors == tuple(points[i] for i in listed[0])
+            assert part.anchor_sets_checked == len(listed)
 
 
 def test_matrix_ring_line_is_twin_free_with_the_classical_cliques():
