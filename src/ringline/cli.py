@@ -10,13 +10,13 @@ requested check passes, 1 when a check fails, 2 on bad input.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from dataclasses import dataclass
 from functools import cache
 
+from . import jsontext
 from .condense import condensate_distant_analysis, identify_condensate
 from .constructors import SUPPORTED_FIELD_ORDERS, construct, load_ring_file
 from .errors import EmptySector, FileError, NotPartition, OrderTooLarge, RinglineError
@@ -89,7 +89,7 @@ def cmd_ring_info(args) -> int:
     if is_file_spec:
         data["isomorphic_to"] = _identify_ring(ring)
     if args.json:
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(jsontext.dumps(data))
         return 0
     print("\n".join(_summary_lines(summary)))
     print(f"ideals by size: {census_text}")
@@ -111,7 +111,7 @@ def cmd_ring_validate(args) -> int:
     else:
         data = {"valid": True, "order": ring.order, "units": len(ring.units), "zero_divisors": len(ring.zero_divisors)}
     if args.json:
-        print(json.dumps({"schema": "ringline.ring_validate/1", **data}, indent=2, sort_keys=True))
+        print(jsontext.dumps({"schema": "ringline.ring_validate/1", **data}))
     elif data["valid"]:
         print("VALID: order {order}, {units} units, {zero_divisors} zero divisors".format_map(data))
     else:
@@ -265,7 +265,7 @@ def line_report_json(report: LineReport) -> str:
             "edges": report.condensate_edges,
         },
     }
-    return json.dumps(data, indent=2, sort_keys=True)
+    return jsontext.dumps(data)
 
 
 def _label_slug(label: str) -> str:
@@ -348,7 +348,7 @@ def cmd_condense(args) -> int:
             "edges": [list(edge) for edge in structure.edges],
             "max_distant_set": distant,
         }
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(jsontext.dumps(data))
         return 0
     print(f"ring: {ring.label}")
     if ident.status == "empty":
@@ -438,7 +438,7 @@ def cmd_table2(args) -> int:
             "skipped": skipped,
             "all_pass": failed == 0,
         }
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(jsontext.dumps(data))
         return 1 if failed else 0
     header = f"{'row':<12} {'unimodular':>10} {'non-unimodular':>14}  {'condensate':<24} verdict"
     print("summary of the built-in catalog lines")

@@ -33,8 +33,9 @@ no set of excluded vertices is kept.
 One kernel has two switches.  The leaf action: list every tie, pruning
 a branch that cannot reach the best weight, or (``maximum_size``) keep
 only the best weight, pruning one that cannot beat it.  The root point:
-``cliques_through`` starts at the quotient vertex holding one vertex, its
-neighbours the candidates, and so searches only the cliques through it.
+``cliques_through``, or ``maximum_size`` given a root, starts at the
+quotient vertex holding one vertex, its neighbours the candidates, and so
+searches only the cliques through it.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ def maximum_cliques(neighbours: Sequence[int]) -> tuple[int, list[Clique]]:
     return _search(neighbours, None, True)
 
 
-def maximum_size(neighbours: Sequence[int]) -> int:
-    """The size of a maximum clique, found without listing the ties."""
-    return _search(neighbours, None, False)[0]
+def maximum_size(neighbours: Sequence[int], root: int | None = None) -> int:
+    """The size of a maximum clique (through vertex ``root`` unless it is None), found without listing the ties."""
+    return _search(neighbours, root, False)[0]
 
 
 def cliques_through(neighbours: Sequence[int], root: int) -> tuple[int, list[Clique]]:

@@ -16,7 +16,8 @@ isomorphism.  Class sizes are structural multiplicities, not identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
+from operator import itemgetter
 
 from .cliques import maximum_size
 from .constructors import construct
@@ -39,7 +40,12 @@ class VectorClass:
 
 @dataclass(frozen=True)
 class IncidenceStructure:
-    """Vector classes (vertices) and per-point vertex sets (edges)."""
+    """Vector classes (vertices) and per-point vertex sets (edges).
+
+    The edges' meet matrix and invariants, which matching reads, are built
+    on first use and kept with the structure, so a cached catalog
+    reference builds them once per process.
+    """
 
     label: str
     vertices: tuple[VectorClass, ...]
@@ -48,6 +54,21 @@ class IncidenceStructure:
     @property
     def is_empty(self) -> bool:
         return not self.vertices and not self.edges
+
+    @cached_property
+    def meets(self) -> tuple[tuple[int, ...], ...]:
+        """``meets[i][j]``: the number of vertices edges i and j share."""
+        sets = [frozenset(edge) for edge in self.edges]
+        return tuple(tuple(len(s & t) for t in sets) for s in sets)
+
+    @cached_property
+    def edge_invariants(self) -> tuple[tuple, ...]:
+        """Per edge: its size, its vertices' sorted degrees, its sorted meets with the other edges."""
+        degrees = [len(vc.signature) for vc in self.vertices]
+        return tuple(
+            (len(edge), tuple(sorted(degrees[v] for v in edge)), tuple(sorted(row[:i] + row[i + 1:])))
+            for i, (edge, row) in enumerate(zip(self.edges, self.meets))
+        )
 
 
 def condense(line: ProjectiveLine) -> IncidenceStructure:
@@ -121,7 +142,8 @@ def structures_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> Struc
     each side every vertex lies on its own non-empty edge set, so a vertex
     is named by its signature.  The search backtracks over edge
     bijections, pruned by edge size, vertex-degree profile and pairwise
-    intersection sizes, and accepts when the induced signature
+    intersection sizes, read from each structure's ``edge_invariants``
+    and ``meets`` rows, and accepts when the induced signature
     correspondence is a vertex bijection.  The witness is the
     lexicographically least edge mapping.  TooLarge only for equal sizes
     above MAX_STRUCTURE_VERTICES.
@@ -131,23 +153,13 @@ def structures_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> Struc
     if len(a.vertices) > MAX_STRUCTURE_VERTICES:
         raise TooLarge(f"structure isomorphism is bounded to {MAX_STRUCTURE_VERTICES} vertices")
     m = len(a.edges)
-    sets_a = [frozenset(e) for e in a.edges]
-    sets_b = [frozenset(e) for e in b.edges]
-    degrees_a = [len(vc.signature) for vc in a.vertices]
-    degrees_b = [len(vc.signature) for vc in b.vertices]
-
     # Not implied by the exact search: without these invariants, structures
     # that differ by one incidence cost seconds to minutes of backtracking.
-    def invariant(sets, degrees, i):
-        profile = tuple(sorted(degrees[v] for v in sets[i]))
-        meets = tuple(sorted(len(sets[i] & sets[j]) for j in range(m) if j != i))
-        return (len(sets[i]), profile, meets)
-
-    inv_a = [invariant(sets_a, degrees_a, i) for i in range(m)]
-    inv_b = [invariant(sets_b, degrees_b, i) for i in range(m)]
+    inv_a, inv_b = a.edge_invariants, b.edge_invariants
     if sorted(inv_a) != sorted(inv_b):
         return None
     candidates = [[j for j in range(m) if inv_b[j] == inv_a[i]] for i in range(m)]
+    meets_a, meets_b = a.meets, b.meets
 
     edge_map = [0] * m  # entries below i are the partial map
     taken = [False] * m
@@ -155,13 +167,11 @@ def structures_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> Struc
     def extend(i: int) -> list[int] | None:
         if i == m:
             return _signature_bijection(a, b, edge_map)
+        if i:  # edge i's meets with the mapped edges, and a reader of a candidate's with their
+            # images (both give a tuple, or an int when i == 1)
+            placed, images = itemgetter(*range(i))(meets_a[i]), itemgetter(*edge_map[:i])
         for j in candidates[i]:
-            if taken[j]:
-                continue
-            if any(
-                len(sets_a[i] & sets_a[k]) != len(sets_b[j] & sets_b[edge_map[k]])
-                for k in range(i)
-            ):
+            if taken[j] or i and images(meets_b[j]) != placed:
                 continue
             edge_map[i] = j
             taken[j] = True

@@ -116,10 +116,10 @@ def sector_incidence(line: ProjectiveLine, sector: str) -> SectorIncidence:
     return line.derived[sector]
 
 
-def _sector_search(line, sector, kind, entry):
+def _sector_search(line, sector, kind, entry, *args):
     if not sector_points(line, sector):
         raise EmptySector(f"the {sector} sector of {line.ring.label} is empty")
-    return sector_incidence(line, sector).search(kind, entry)
+    return sector_incidence(line, sector).search(kind, entry, *args)
 
 
 def sector_cliques(line: ProjectiveLine, sector: str, kind: str) -> list[Clique]:
@@ -128,8 +128,15 @@ def sector_cliques(line: ProjectiveLine, sector: str, kind: str) -> list[Clique]
 
 
 def sector_clique_size(line: ProjectiveLine, sector: str, kind: str) -> int:
-    """The size of the sector's maximum ``kind`` cliques, searched without listing them."""
-    return _sector_search(line, sector, kind, maximum_size)
+    """The size of the sector's maximum ``kind`` cliques, searched without listing them.
+
+    On the unimodular sector only the cliques through point 0 are searched.
+    GL2(R) acts transitively on the unimodular points and keeps the distant
+    relation, hence the neighbour relation (see ``unimodular_partition``),
+    so it maps a maximum clique of either kind onto one through any point.
+    """
+    root = 0 if sector == "unimodular" else None
+    return _sector_search(line, sector, kind, maximum_size, root)
 
 
 def _listed(line, sector, kind) -> tuple[tuple[CyclicSubmodule, ...], ...]:

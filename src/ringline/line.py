@@ -13,11 +13,11 @@ relatives, built once per ring), sorted as ints and read back through
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, itemgetter
 
+from . import jsontext
 from .errors import OrderTooLarge
 from .rings import FiniteRing, soft_max_order
 
@@ -227,4 +227,4 @@ def line_to_dict(line: ProjectiveLine) -> dict:
 
 
 def line_to_json(line: ProjectiveLine) -> str:
-    return json.dumps(line_to_dict(line), indent=2, sort_keys=True) + "\n"
+    return jsontext.dumps(line_to_dict(line)) + "\n"

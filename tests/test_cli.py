@@ -290,14 +290,15 @@ def test_line_report_searches_each_sector_and_relation_once(monkeypatch):
 
     monkeypatch.setattr(cliques, "_search", counted)
     report = build_line_report(construct("T(2)"))
-    # 2 sectors x 2 relations, each searched once for its size only, plus
-    # the partition's search through unimodular point 0; the whole line
+    # 2 sectors x 2 relations, each searched once for its size only (the
+    # unimodular ones through point 0, as the sector is vertex-transitive),
+    # plus the partition's search through unimodular point 0; the whole line
     # follows from the two sectors.  The 18 unimodular points form 9
     # distant twin classes of 2, and point 0 lies on 2 quotient cliques of
     # 3 classes: 2 * 2 * 2 = 8 cliques through it, so 18 * 8 / 3 = 48.
     assert calls == [
-        (18, None, False, 3, 1),
-        (18, None, False, 6, 1),
+        (18, 0, False, 3, 1),
+        (18, 0, False, 6, 1),
         (18, 0, True, 3, 2),
         (3, None, False, 1, 1),
         (3, None, False, 3, 1),

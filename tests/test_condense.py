@@ -338,6 +338,47 @@ def test_one_moved_incidence_is_not_isomorphic():
     assert structures_isomorphic(mutated, ref) is None
 
 
+class _CountedRows(tuple):
+    """A meet matrix that counts the rows read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return tuple.__getitem__(self, index)
+
+
+def test_one_added_incidence_is_refused_before_the_search(monkeypatch):
+    # GF(5)*T(2)'s condensate (28 classes, 18 edges) matches P(GF(2) x
+    # GF(5)).  Adding one class of degree 1 to an edge that lacks it keeps
+    # the counts, and the signatures distinct.  The edge invariants must
+    # refuse the copy both ways before the search reads a meet row (without
+    # them the search takes 0.1-0.2 s here), while relabelled copies match.
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    condensate = condense(compute_line(construct("GF(5)*T(2)")))
+    reference = reference_structure("GF(2)*GF(5)")
+    assert (len(condensate.vertices), len(condensate.edges)) == (28, 18)
+    assert structures_isomorphic(condensate, reference).check()
+    edges = [set(e) for e in condensate.edges]
+    added = next(v for v, vc in enumerate(condensate.vertices) if len(vc.signature) == 1 and v not in edges[0])
+    edges[0].add(added)
+    edges = tuple(tuple(sorted(e)) for e in edges)
+    vertices = tuple(
+        VectorClass(vc.members, frozenset(i for i, e in enumerate(edges) if v in e))
+        for v, vc in enumerate(condensate.vertices)
+    )
+    assert len({vc.signature for vc in vertices}) == 28
+    changed = IncidenceStructure(label="changed", vertices=vertices, edges=edges)
+    rows = vars(changed)["meets"] = _CountedRows(changed.meets)  # where the cached property keeps it
+    assert structures_isomorphic(changed, reference) is None
+    assert structures_isomorphic(reference, changed) is None
+    assert rows.reads == 0
+    for seed in (3, 11):
+        relabelled = _permuted(condensate, seed)
+        assert structures_isomorphic(relabelled, reference).check()
+        assert structures_isomorphic(reference, relabelled).check()
+
+
 def test_identify_condensate(ternion_line, catalog_lines, gf3_t2_line):
     assert identify_condensate(ternion_line).matches == ("GF(2)",)
     assert identify_condensate(catalog_lines["GF(2)*T(2)"]).matches == ("GF(2)*GF(2)",)

@@ -29,7 +29,7 @@ from ringline import (
     validate_tables,
 )
 from ringline.cli import build_line_report, render_line_report
-from ringline.cliques import cliques_through, expand
+from ringline.cliques import cliques_through, expand, maximum_size
 from ringline.geometry import sector_clique_size, sector_cliques, sector_incidence
 
 
@@ -216,6 +216,25 @@ def test_cliques_through_point_0_give_every_count_and_the_least_clique(spec, see
             part = unimodular_partition(line)
             assert part.anchors == tuple(points[i] for i in listed[0])
             assert part.anchor_sets_checked == len(listed)
+
+
+LADDER = ("T(2)", "GF(3)*T(2)", "T(3)", "GF(7)*T(2)", "T(4)", "T(2)*T(2)")
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+@pytest.mark.parametrize("spec", LADDER)
+def test_unimodular_sizes_through_point_0_are_the_whole_sector_sizes(spec, seed, monkeypatch):
+    # sector_clique_size searches the unimodular sector through point 0
+    # only; the whole-sector size-only search must give the same size
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    ring = construct(spec)
+    if seed is not None:
+        ring = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed))
+    line = compute_line(ring)
+    graph = sector_incidence(line, "unimodular").graph
+    for kind, rows in (("distant", graph.distant()), ("neighbour", graph.neighbours)):
+        assert sector_clique_size(line, "unimodular", kind) == maximum_size(rows), kind
+    assert {key[2] for key in sector_incidence(line, "unimodular").searched} == {(0,)}
 
 
 def test_matrix_ring_line_is_twin_free_with_the_classical_cliques():
