@@ -4,7 +4,8 @@ Commands: ``ring info``, ``ring validate``, ``line compute``,
 ``line export``, ``condense``, ``table2``.  Output is plain text by
 default and JSON (stable key order) with ``--json``; repeated runs of the
 same command print byte-identical output.  Exit codes: 0 when every
-requested check passes, 1 when a check fails, 2 on bad input.
+requested check passes, 1 when a check fails, 2 on bad input, 141 when
+the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 
@@ -518,10 +520,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
+        return code
     except RinglineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: the end of output, not a failed check
+        with suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:  # stdout may have no descriptor
+            os.dup2(devnull.fileno(), sys.stdout.fileno())  # what is still buffered goes there at exit
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":

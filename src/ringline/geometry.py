@@ -285,8 +285,12 @@ def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
     lexicographic order, weighted by how many points contain them; edges
     join vectors sharing a point, in lexicographic pair order.  Vectors with
     one signature (``incidence`` mask) are true twins: their closed
-    neighbourhood is the union of their points' orbits, sorted once per
-    signature, and vector k's edges (k, b) are the part of it above k.  The
+    neighbourhood is the union of their points' orbits, and vector k's
+    edges (k, b) are the part of it above k.  An orbit, read as vertex
+    indices, is already ascending, so a one-point signature's neighbourhood
+    is its point's orbit; only a signature of several points merges and
+    sorts its orbits.  Each signature builds the list of its edges' right
+    ends once, and each vector's edges are one slice of it, joined.  The
     JSON text is laid out as ``json.dumps(indent=2, sort_keys=True)`` would
     lay it out.  An empty sector gives an empty document.
     """
@@ -295,26 +299,33 @@ def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
     data = sector_incidence(line, sector)
     points, masks = data.points, data.masks
     vertices = {v: k for k, v in enumerate(sorted(masks))}  # vector -> its index
-    orbits = [set(map(vertices.__getitem__, p.orbit)) for p in points]
-    closed = {m: sorted(set().union(*map(orbits.__getitem__, mask_indices(m)))) for m in set(masks.values())}
+    orbits = [list(map(vertices.__getitem__, p.orbit)) for p in points]  # ascending, as the orbits are
     sep = "" if line.ring.order <= 10 else "_"  # two-digit ids for small rings
     ids = [f"{a}{sep}{b}" for a, b in vertices]
     head, mid, tail, joint = _EDGE_TEXT[fmt]
     rights = [i + tail for i in ids]
-    edges = []
+    closed = {}  # signature -> its ascending neighbourhood, their right ends, its weight
+    for m in set(masks.values()):
+        if m & (m - 1):
+            hood = sorted(set().union(*map(orbits.__getitem__, mask_indices(m))))
+        else:
+            hood = orbits[m.bit_length() - 1]
+        closed[m] = hood, list(map(rights.__getitem__, hood)), m.bit_count()
+    edges, weights = [], []
     for k, v in enumerate(vertices):
-        hood = closed[masks[v]]  # ascending, and holds k
+        hood, texts, weight = closed[masks[v]]  # hood holds k
+        weights.append(weight)
         if hood[-1] > k:
             left = head + ids[k] + mid
-            edges.append(left + (joint + left).join(map(rights.__getitem__, hood[bisect_right(hood, k):])))
+            edges.append(left + (joint + left).join(texts[bisect_right(hood, k):]))
     if fmt == "dot":
         name = f"{line.ring.label} {sector}".replace('"', '\\"')
-        nodes = [f'  "{i}" [weight={masks[v].bit_count()}];' for i, v in zip(ids, vertices)]
+        nodes = [f'  "{i}" [weight={w}];' for i, w in zip(ids, weights)]
         return "\n".join([f'graph "{name}" {{', *nodes, *edges, "}", ""])
     nodes = [
         f'    {{\n      "id": "{i}",\n      "vector": [\n        {a},\n        {b}\n      ],'
-        f'\n      "weight": {masks[a, b].bit_count()}\n    }}'
-        for i, (a, b) in zip(ids, vertices)
+        f'\n      "weight": {w}\n    }}'
+        for i, (a, b), w in zip(ids, vertices, weights)
     ]
     return (
         f'{{\n  "edges": {_json_list(edges)},\n  "ring": {json.dumps(line.ring.label)},'

@@ -49,7 +49,11 @@ def unimodularity_witness(ring: FiniteRing, vector: Vector) -> Vector | None:
 
 def is_unimodular(ring: FiniteRing, vector: Vector) -> bool:
     """Whether 1 lies in r1*R + r2*R: some y in r2*R lies in 1 - r1*R."""
-    r1, r2 = _check_vector(ring, vector)
+    return _unimodular(ring, *_check_vector(ring, vector))
+
+
+def _unimodular(ring: FiniteRing, r1: int, r2: int) -> bool:
+    """``is_unimodular`` on components already range-checked."""
     return not ring.one_minus_multiples[r1].isdisjoint(ring.mul_table[r2])
 
 
@@ -91,8 +95,9 @@ def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
     R*a + ann(v) = R, so a + t is a unit u for some t in ann(v), and
     w = u*v.  If r1*x1 + r2*x2 = 1, then (u*r1)(x1*u^-1) + (u*r2)(x2*u^-1)
     = 1, so every generator, v included, decides unimodularity, and
-    ``is_unimodular`` tests v itself.  Only free vectors are tested:
-    r1*x1 + r2*x2 = 1 and a*v = 0 force a = 0.
+    ``is_unimodular``'s test runs on v itself, on the components checked
+    once above.  Only free vectors are tested: r1*x1 + r2*x2 = 1 and
+    a*v = 0 force a = 0.
     """
     r1, r2 = _check_vector(ring, vector)
     orbit = map(add, ring.scaled_columns[r1], ring.columns[r2])
@@ -105,7 +110,7 @@ def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
         generator=generators[0],
         orbit=_vectors_at(ring, sorted(orbit)),
         free=free,
-        unimodular=free and is_unimodular(ring, vector),
+        unimodular=free and _unimodular(ring, r1, r2),
         generators=generators,
     )
 

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -630,3 +632,34 @@ def test_consecutive_main_calls_match_fresh_processes(capsys, tmp_path):
         assert (out.read_bytes() if out.exists() else None) == fresh_file, command
     assert fresh_file is not None
     assert ringline.cli.build_parser() is ringline.cli.build_parser()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [("line", "compute", "T(2)"), ("condense", "GF(5)*T(2)", "--json")])
+def test_closed_stdout_ends_quietly_with_141(argv, unbuffered):
+    # the reader has gone before the command writes.  With a buffered stdout
+    # the short report is still buffered when the command returns and the
+    # 22 kB one is written mid-command; unbuffered, both fail in print
+    env = dict(os.environ, PYTHONPATH=str(Path(ringline.cli.__file__).parents[1]), RINGLINE_MAX_ORDER="64")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringline", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b""), argv
+
+
+def test_closed_stdout_without_a_descriptor_returns_141(capsys):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with contextlib.redirect_stdout(Closed()):
+        code = main(["line", "compute", "T(2)"])
+    assert (code, capsys.readouterr().err) == (141, "")

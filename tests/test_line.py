@@ -96,6 +96,23 @@ def test_vector_bounds_checked(ternions8):
         cyclic_submodule(ternions8, (8, 0))
     with pytest.raises(ValueError):
         unimodularity_witness(ternions8, (0, -1))
+    with pytest.raises(ValueError):
+        is_unimodular(ternions8, (0, 8))
+
+
+def test_scan_checks_each_point_once(monkeypatch):
+    calls = []
+    real = ringline.line._check_vector
+
+    def counted(ring, vector):
+        calls.append(vector)
+        return real(ring, vector)
+
+    monkeypatch.setattr(ringline.line, "_check_vector", counted)
+    for spec in ("T(2)", "Z(4)*GF(2)", "GF(3)*T(2)"):
+        calls.clear()
+        line = compute_line(construct(spec))
+        assert sorted(calls) == sorted(p.generator for p in line.points), spec
 
 
 def test_unimodular_implies_free_everywhere(catalog):
