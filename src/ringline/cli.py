@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Commands: ``ring info``, ``ring validate``, ``line compute``,
-``line export``, ``condense``, ``table2``.  Output is plain text by
-default and JSON (stable key order) with ``--json``; repeated runs of the
-same command print byte-identical output.  Exit codes: 0 when every
-requested check passes, 1 when a check fails, 2 on bad input, 141 when
-the reader closes stdout early.
+``line export``, ``condense``, ``table2``.  Each handler computes its
+result and returns an ``Outcome``: its exit code, its ``--json``
+document (None for ``line export``) and its text view, a callable, so a
+``--json`` run never builds the text.  ``main`` alone writes stdout: the
+document (stable key order) with ``--json``, else the text view.
+Repeated runs of the same command print byte-identical output.
+Exit codes: 0 when every requested check passes, 1 when a check fails,
+2 on bad input, 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import argparse
 import os
 import sys
 import time
+from collections import Counter
+from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
@@ -31,6 +36,9 @@ from .geometry import (
 )
 from .line import ProjectiveLine, compute_line, line_to_json
 from .rings import FiniteRing, ISOMORPHISM_MAX_ORDER, are_isomorphic, ideal_size_census
+
+
+Outcome = tuple[int, dict | None, Callable[[], str]]  # exit code, --json document, text view
 
 
 def _named_candidates(order: int) -> list[str]:
@@ -77,7 +85,7 @@ def _summary_lines(summary: dict) -> list[str]:
     ]
 
 
-def cmd_ring_info(args) -> int:
+def cmd_ring_info(args) -> Outcome:
     ring = construct(args.spec)
     summary = _summary(ring)
     try:
@@ -87,38 +95,32 @@ def cmd_ring_info(args) -> int:
     else:
         census_text = ", ".join(f"{size}:{count}" for size, count in census.items())
     data = {"schema": "ringline.ring_info/1", **summary, "ideals_by_size": census}
-    is_file_spec = args.spec.strip().startswith("file:")
-    if is_file_spec:
+    if args.spec.strip().startswith("file:"):
         data["isomorphic_to"] = _identify_ring(ring)
-    if args.json:
-        print(jsontext.dumps(data))
-        return 0
-    print("\n".join(_summary_lines(summary)))
-    print(f"ideals by size: {census_text}")
-    if is_file_spec:
-        found = data["isomorphic_to"]
-        if found is None:
-            text = f"n/a (isomorphism search is bounded to order {ISOMORPHISM_MAX_ORDER})"
-        else:
-            text = ", ".join(found) or "no named construction of this order"
-        print(f"isomorphic to: {text}")
-    return 0
+
+    def text() -> str:
+        lines = [*_summary_lines(summary), f"ideals by size: {census_text}"]
+        if "isomorphic_to" in data:
+            found = data["isomorphic_to"]
+            if found is None:
+                shown = f"n/a (isomorphism search is bounded to order {ISOMORPHISM_MAX_ORDER})"
+            else:
+                shown = ", ".join(found) or "no named construction of this order"
+            lines.append(f"isomorphic to: {shown}")
+        return "\n".join(lines)
+
+    return 0, data, text
 
 
-def cmd_ring_validate(args) -> int:
+def cmd_ring_validate(args) -> Outcome:
+    data = {"schema": "ringline.ring_validate/1"}
     try:
         ring = load_ring_file(args.file)
     except RinglineError as exc:
-        data = {"valid": False, "error": str(exc)}
-    else:
-        data = {"valid": True, "order": ring.order, "units": len(ring.units), "zero_divisors": len(ring.zero_divisors)}
-    if args.json:
-        print(jsontext.dumps({"schema": "ringline.ring_validate/1", **data}))
-    elif data["valid"]:
-        print("VALID: order {order}, {units} units, {zero_divisors} zero divisors".format_map(data))
-    else:
-        print(f"INVALID: {data['error']}")
-    return 0 if data["valid"] else 1
+        data.update(valid=False, error=str(exc))
+        return 1, data, lambda: f"INVALID: {data['error']}"
+    data.update(valid=True, order=ring.order, units=len(ring.units), zero_divisors=len(ring.zero_divisors))
+    return 0, data, lambda: "VALID: order {order}, {units} units, {zero_divisors} zero divisors".format_map(data)
 
 
 @dataclass
@@ -243,7 +245,8 @@ def render_line_report(report: LineReport) -> str:
     return "\n".join(out)
 
 
-def line_report_json(report: LineReport) -> str:
+def line_report_json(report: LineReport) -> dict:
+    """The ``line compute --json`` document."""
     partition = None
     if report.partition_class_sizes is not None:
         partition = {
@@ -251,7 +254,7 @@ def line_report_json(report: LineReport) -> str:
             "anchor_sets_checked": report.partition_anchor_sets,
             "unique": True,
         }
-    data = {
+    return {
         "schema": "ringline.line_report/1",
         **report.summary,
         "unimodular_points": report.unimodular,
@@ -267,7 +270,6 @@ def line_report_json(report: LineReport) -> str:
             "edges": report.condensate_edges,
         },
     }
-    return jsontext.dumps(data)
 
 
 def _label_slug(label: str) -> str:
@@ -275,14 +277,9 @@ def _label_slug(label: str) -> str:
     return label.translate(table)
 
 
-def cmd_line_compute(args) -> int:
-    started = time.perf_counter()
+def cmd_line_compute(args) -> Outcome:
     ring = construct(args.spec)
     report = build_line_report(ring)
-    if args.json:
-        print(line_report_json(report))
-    else:
-        print(render_line_report(report))
     if args.fixtures:
         try:
             os.makedirs(args.fixtures, exist_ok=True)
@@ -291,9 +288,7 @@ def cmd_line_compute(args) -> int:
         path = os.path.join(args.fixtures, f"{_label_slug(ring.label)}.line.json")
         _atomic_write(path, line_to_json(report.line))
         print(f"fixture written to {path}", file=sys.stderr)
-    if args.timing:
-        print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return 0
+    return 0, line_report_json(report), lambda: render_line_report(report)
 
 
 _SECTOR_FLAGS = {"u": "unimodular", "n": "nonunimodular", "all": "whole"}
@@ -318,54 +313,43 @@ def _atomic_write(path: str, content: str) -> None:
         raise FileError(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_line_export(args) -> int:
-    ring = construct(args.spec)
-    line = compute_line(ring)
-    document = export_graph(line, _SECTOR_FLAGS[args.sector], args.format)
-    _atomic_write(args.out, document)
-    print(f"wrote {args.out}")
-    return 0
+def cmd_line_export(args) -> Outcome:
+    line = compute_line(construct(args.spec))
+    _atomic_write(args.out, export_graph(line, _SECTOR_FLAGS[args.sector], args.format))
+    return 0, None, lambda: f"wrote {args.out}"
 
 
-def cmd_condense(args) -> int:
+def cmd_condense(args) -> Outcome:
     ring = construct(args.spec)
     line = compute_line(ring)
     catalog = tuple(s.strip() for s in args.catalog.split(",")) if args.catalog is not None else None
     ident = identify_condensate(line, catalog)
     structure = ident.condensate
     distant = None if structure.is_empty else condensate_distant_analysis(structure)
-    if args.json:
-        data = {
-            "schema": "ringline.condensate/1",
-            "ring": ring.label,
-            "status": ident.status,
-            "matches": list(ident.matches),
-            "classes": [
-                {
-                    "members": [list(v) for v in vc.members],
-                    "points": sorted(vc.signature),
-                }
-                for vc in structure.vertices
-            ],
-            "edges": [list(edge) for edge in structure.edges],
-            "max_distant_set": distant,
-        }
-        print(jsontext.dumps(data))
-        return 0
-    print(f"ring: {ring.label}")
-    if ident.status == "empty":
-        print("condensate: empty (no non-unimodular points)")
-        return 0
-    print(f"condensate: {len(structure.vertices)} classes, {len(structure.edges)} edges")
-    for index, vc in enumerate(structure.vertices):
-        members = " ".join(f"({a},{b})" for a, b in vc.members)
-        print(f"class {index}: {members} | on {len(vc.signature)} point(s)")
-    for index, edge in enumerate(structure.edges):
-        print(f"edge {index}: classes {' '.join(str(v) for v in edge)}")
-    print(f"max distant set: {distant}")
-    matched = ", ".join(ident.matches) if ident.matches else "no catalog match"
-    print(f"matches: {matched}")
-    return 0
+    data = {
+        "schema": "ringline.condensate/1",
+        "ring": ring.label,
+        "status": ident.status,
+        "matches": list(ident.matches),
+        "classes": [
+            {"members": [list(v) for v in vc.members], "points": sorted(vc.signature)} for vc in structure.vertices
+        ],
+        "edges": [list(edge) for edge in structure.edges],
+        "max_distant_set": distant,
+    }
+
+    def text() -> str:
+        if ident.status == "empty":
+            return f"ring: {ring.label}\ncondensate: empty (no non-unimodular points)"
+        lines = [f"ring: {ring.label}", f"condensate: {len(structure.vertices)} classes, {len(structure.edges)} edges"]
+        for index, vc in enumerate(structure.vertices):
+            members = " ".join(f"({a},{b})" for a, b in vc.members)
+            lines.append(f"class {index}: {members} | on {len(vc.signature)} point(s)")
+        lines += (f"edge {index}: classes {' '.join(map(str, edge))}" for index, edge in enumerate(structure.edges))
+        matched = ", ".join(ident.matches) if ident.matches else "no catalog match"
+        return "\n".join([*lines, f"max distant set: {distant}", f"matches: {matched}"])
+
+    return 0, data, text
 
 
 @dataclass
@@ -416,55 +400,49 @@ def _table2_results(ring_a: str | None, ring_b: str | None) -> list[dict]:
             "matches": sorted(ident.matches),
         }
         entry["computed"] = computed
-        ok = (
-            computed["unimodular"] == row.expect_unimodular
-            and computed["nonunimodular"] == row.expect_nonunimodular
-            and frozenset(ident.matches) == row.expect_matches
-        )
-        entry["verdict"] = "PASS" if ok else "FAIL"
+        entry["verdict"] = "PASS" if computed == entry["expected"] else "FAIL"
         results.append(entry)
     return results
 
 
-def cmd_table2(args) -> int:
+def cmd_table2(args) -> Outcome:
     results = _table2_results(args.ring_a, args.ring_b)
-    failed = sum(1 for r in results if r["verdict"] == "FAIL")
-    passed = sum(1 for r in results if r["verdict"] == "PASS")
-    skipped = sum(1 for r in results if r["verdict"] == "SKIPPED")
-    if args.json:
-        data = {
-            "schema": "ringline.table2/1",
-            "rows": results,
-            "passed": passed,
-            "failed": failed,
-            "skipped": skipped,
-            "all_pass": failed == 0,
-        }
-        print(jsontext.dumps(data))
-        return 1 if failed else 0
-    header = f"{'row':<12} {'unimodular':>10} {'non-unimodular':>14}  {'condensate':<24} verdict"
-    print("summary of the built-in catalog lines")
-    print(header)
-    for entry in results:
-        if entry["verdict"] == "SKIPPED":
-            print(f"{entry['row']:<12} {'-':>10} {'-':>14}  {'-':<24} SKIPPED ({entry['note']})")
-            continue
-        computed = entry["computed"]
-        matches = ", ".join(computed["matches"]) if computed["matches"] else "no catalog match"
-        verdict = entry["verdict"]
-        if verdict == "FAIL":
-            expected = entry["expected"]
-            wanted = ", ".join(expected["matches"]) if expected["matches"] else "no catalog match"
-            verdict = (
-                f"FAIL (expected {expected['unimodular']}/{expected['nonunimodular']}"
-                f" with {wanted})"
+    verdicts = Counter(r["verdict"] for r in results)
+    passed, failed, skipped = verdicts["PASS"], verdicts["FAIL"], verdicts["SKIPPED"]
+    data = {
+        "schema": "ringline.table2/1",
+        "rows": results,
+        "passed": passed,
+        "failed": failed,
+        "skipped": skipped,
+        "all_pass": failed == 0,
+    }
+
+    def text() -> str:
+        header = f"{'row':<12} {'unimodular':>10} {'non-unimodular':>14}  {'condensate':<24} verdict"
+        lines = ["summary of the built-in catalog lines", header]
+        for entry in results:
+            if entry["verdict"] == "SKIPPED":
+                lines.append(f"{entry['row']:<12} {'-':>10} {'-':>14}  {'-':<24} SKIPPED ({entry['note']})")
+                continue
+            computed = entry["computed"]
+            matches = ", ".join(computed["matches"]) if computed["matches"] else "no catalog match"
+            verdict = entry["verdict"]
+            if verdict == "FAIL":
+                expected = entry["expected"]
+                wanted = ", ".join(expected["matches"]) if expected["matches"] else "no catalog match"
+                verdict = (
+                    f"FAIL (expected {expected['unimodular']}/{expected['nonunimodular']}"
+                    f" with {wanted})"
+                )
+            lines.append(
+                f"{entry['row']:<12} {computed['unimodular']:>10} {computed['nonunimodular']:>14}"
+                f"  {matches:<24} {verdict}"
             )
-        print(
-            f"{entry['row']:<12} {computed['unimodular']:>10} {computed['nonunimodular']:>14}"
-            f"  {matches:<24} {verdict}"
-        )
-    print(f"result: {'FAIL' if failed else 'PASS'} ({passed} passed, {failed} failed, {skipped} skipped)")
-    return 1 if failed else 0
+        lines.append(f"result: {'FAIL' if failed else 'PASS'} ({passed} passed, {failed} failed, {skipped} skipped)")
+        return "\n".join(lines)
+
+    return (1 if failed else 0), data, text
 
 
 @cache
@@ -474,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ringline",
         description="Projective lines over small finite rings",
     )
+    parser.set_defaults(json=False, timing=False)  # what main reads of every command
     sub = parser.add_subparsers(dest="command", required=True)
 
     ring = sub.add_parser("ring", help="ring-level reports")
@@ -517,12 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: its handler computes, and only here is stdout written."""
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        code = args.handler(args)
+        code, document, text = args.handler(args)
+        print(jsontext.dumps(document) if args.json else text())
         sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
-        return code
     except RinglineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -530,6 +510,9 @@ def main(argv: list[str] | None = None) -> int:
         with suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:  # stdout may have no descriptor
             os.dup2(devnull.fileno(), sys.stdout.fileno())  # what is still buffered goes there at exit
         return 141  # 128 + SIGPIPE
+    if args.timing:
+        print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import io
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -267,10 +269,38 @@ def test_unwritable_output_exits_2_without_temp_files(capsys, tmp_path):
         (("line", "compute", "T(2)", "--fixtures"), tmp_path / "plain"),
         (("line", "compute", "T(2)", "--fixtures"), tmp_path / "taken"),
     ):
-        code, _, err = run(capsys, *command, str(target))
-        assert code == 2, target
+        code, out, err = run(capsys, *command, str(target))
+        assert (code, out) == (2, ""), target  # the report is not printed when its fixture fails
         assert err.startswith("error: cannot write "), err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["T_2.line.json", "plain", "taken"]
+
+
+@pytest.mark.parametrize("argv", [("line", "compute", "T(2)", "--json"), ("condense", "T(2)", "--json")])
+def test_json_runs_never_build_the_text_view(capsys, monkeypatch, argv):
+    args = ringline.cli.build_parser().parse_args(argv)
+    handler, documents = args.handler, []
+
+    def untexted(args):
+        code, document, _ = handler(args)
+        documents.append(document)
+        return code, document, lambda: pytest.fail("text view built")
+
+    args.handler = untexted
+    monkeypatch.setattr(ringline.cli, "build_parser", lambda: SimpleNamespace(parse_args=lambda argv: args))
+    assert run(capsys, *argv) == (0, ringline.jsontext.dumps(documents[0]) + "\n", "")
+
+
+def test_only_main_writes_stdout():
+    # every other print in the CLI module goes to stderr
+    tree = ast.parse(Path(ringline.cli.__file__).read_text(encoding="utf-8"))
+    stray = [
+        (function.name, call.lineno)
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef) and function.name != "main"
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "print"
+        and not any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in call.keywords)
+    ]
+    assert stray == []
 
 
 def test_atomic_write_removes_its_temp_file_on_error(tmp_path):
@@ -282,23 +312,32 @@ def test_atomic_write_removes_its_temp_file_on_error(tmp_path):
 
 def test_line_report_searches_each_sector_and_relation_once(monkeypatch):
     cliques = importlib.import_module("ringline.cliques")
-    calls = []
+    calls, asked = [], []
     kernel = cliques._search
 
     def counted(adjacency, root, ties):
         size, found = kernel(adjacency, root, ties)
         calls.append((len(adjacency), root, ties, size, len(found)))
+        asked.append((tuple(adjacency), root, ties))
         return size, found
 
     monkeypatch.setattr(cliques, "_search", counted)
-    report = build_line_report(construct("T(2)"))
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
     # 2 sectors x 2 relations, each searched once for its size only (the
     # unimodular ones through point 0, as the sector is vertex-transitive),
     # plus the partition's search through unimodular point 0; the whole line
-    # follows from the two sectors.  The 18 unimodular points form 9
-    # distant twin classes of 2, and point 0 lies on 2 quotient cliques of
-    # 3 classes: 2 * 2 * 2 = 8 cliques through it, so 18 * 8 / 3 = 48.
-    assert calls == [
+    # follows from the two sectors.  No report asks one question twice.
+    for spec in ("T(2)", "GF(3)*T(2)", "T(3)", "GF(7)*T(2)", "T(4)"):  # the benchmark's report ladder
+        del calls[:], asked[:]
+        report = build_line_report(construct(spec))
+        assert [call[1:3] for call in calls] == [(0, False), (0, False), (0, True), (None, False), (None, False)], spec
+        assert len(set(asked)) == len(asked), spec
+        assert report.partition_class_sizes is not None, spec
+    report = build_line_report(construct("T(2)"))
+    # The 18 unimodular points form 9 distant twin classes of 2, and point 0
+    # lies on 2 quotient cliques of 3 classes: 2 * 2 * 2 = 8 cliques through
+    # it, so 18 * 8 / 3 = 48.
+    assert calls[-5:] == [
         (18, 0, False, 3, 1),
         (18, 0, False, 6, 1),
         (18, 0, True, 3, 2),
@@ -307,15 +346,21 @@ def test_line_report_searches_each_sector_and_relation_once(monkeypatch):
     ]
     assert report.partition_class_sizes == (6, 6, 6)
     assert report.partition_anchor_sets == 48
-    # every search is kept with the line: the partition reads its search
-    # again, and each listing, asked for later, is one search of its own
+    # nothing is kept between questions: the partition, asked again, is one
+    # search through unimodular point 0, and each listing is one search
     line = report.line
+    del calls[:]
     assert ringline.geometry.unimodular_partition(line).anchor_sets_checked == 48
-    for _ in range(2):
-        for sector, distant, neighbour in (("unimodular", 48, 6), ("nonunimodular", 3, 1)):
-            assert len(ringline.geometry.max_distant_cliques(line, sector)) == distant
-            assert len(ringline.geometry.max_neighbour_cliques(line, sector)) == neighbour
-    assert calls[5:] == [(18, None, True, 3, 6), (18, None, True, 6, 6), (3, None, True, 1, 1), (3, None, True, 3, 1)]
+    for sector, distant, neighbour in (("unimodular", 48, 6), ("nonunimodular", 3, 1)):
+        assert len(ringline.geometry.max_distant_cliques(line, sector)) == distant
+        assert len(ringline.geometry.max_neighbour_cliques(line, sector)) == neighbour
+    assert calls == [
+        (18, 0, True, 3, 2),
+        (18, None, True, 3, 6),
+        (18, None, True, 6, 6),
+        (3, None, True, 1, 1),
+        (3, None, True, 3, 1),
+    ]
 
 
 @pytest.mark.parametrize("spec", ["T(2)", "GF(3)*T(2)"])

@@ -7,6 +7,7 @@ import pytest
 
 import golden
 import oracles
+import ringline.cliques
 import ringline.geometry
 from ringline import (
     SECTORS,
@@ -183,6 +184,18 @@ def test_unimodular_cliques_match_the_radical_image(spec, fields, monkeypatch):
     assert classes == fibres
 
 
+def kernel_calls(monkeypatch) -> list[tuple[int | None, bool]]:
+    """The (root, ties) of every search the clique kernel runs from now on."""
+    calls, kernel = [], ringline.cliques._search
+
+    def counted(rows, root, ties):
+        calls.append((root, ties))
+        return kernel(rows, root, ties)
+
+    monkeypatch.setattr(ringline.cliques, "_search", counted)
+    return calls
+
+
 @pytest.mark.parametrize("spec, seed", [
     ("T(2)", None),
     ("GF(3)*T(2)", None),
@@ -204,16 +217,19 @@ def test_cliques_through_point_0_give_every_count_and_the_least_clique(spec, see
         ring = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed))
     line = compute_line(ring)
     points = line.unimodular_points
+    calls = kernel_calls(monkeypatch)
     for kind in ("distant", "neighbour"):
         listed = expand(sector_cliques(line, "unimodular", kind))
-        size, through = sector_incidence(line, "unimodular").search(kind, cliques_through, 0)
+        size, through = cliques_through(sector_incidence(line, "unimodular").rows(kind), 0)
         assert size == len(listed[0]) == sector_clique_size(line, "unimodular", kind)
         assert tuple(part[0] for part in through[0]) == listed[0]
         count = sum(prod(map(len, clique[1:])) for clique in through)
         assert count == sum(1 for clique in listed if clique[0] == 0)
         assert len(points) * count == len(listed) * size
         if kind == "distant" and spec != "T(2)*T(2)":  # its vector classes overlap: no partition
+            del calls[:]
             part = unimodular_partition(line)
+            assert calls == [(0, True)]  # one search, through point 0
             assert part.anchors == tuple(points[i] for i in listed[0])
             assert part.anchor_sets_checked == len(listed)
 
@@ -231,10 +247,11 @@ def test_unimodular_sizes_through_point_0_are_the_whole_sector_sizes(spec, seed,
     if seed is not None:
         ring = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed))
     line = compute_line(ring)
-    graph = sector_incidence(line, "unimodular").graph
-    for kind, rows in (("distant", graph.distant()), ("neighbour", graph.neighbours)):
-        assert sector_clique_size(line, "unimodular", kind) == maximum_size(rows), kind
-    assert {key[2] for key in sector_incidence(line, "unimodular").searched} == {(0,)}
+    calls = kernel_calls(monkeypatch)
+    sizes = {kind: sector_clique_size(line, "unimodular", kind) for kind in ("distant", "neighbour")}
+    assert calls == [(0, False), (0, False)]  # one size-only search per relation, through point 0
+    for kind in sizes:
+        assert sizes[kind] == maximum_size(sector_incidence(line, "unimodular").rows(kind)), kind
 
 
 def test_matrix_ring_line_is_twin_free_with_the_classical_cliques():
