@@ -17,10 +17,9 @@ import argparse
 import os
 import sys
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cache
 
 from . import jsontext
@@ -34,7 +33,7 @@ from .geometry import (
     sector_clique_size,
     unimodular_partition,
 )
-from .line import ProjectiveLine, compute_line, line_to_json
+from .line import compute_line, line_to_json
 from .rings import FiniteRing, ISOMORPHISM_MAX_ORDER, are_isomorphic, ideal_size_census
 
 
@@ -123,24 +122,16 @@ def cmd_ring_validate(args) -> Outcome:
     return 0, data, lambda: "VALID: order {order}, {units} units, {zero_divisors} zero divisors".format_map(data)
 
 
-@dataclass
-class LineReport:
-    """Everything the ``line compute`` command prints."""
+class LineReport(namedtuple("LineReport", (
+    "summary unimodular nonunimodular max_distant max_neighbour partition_class_sizes"
+    " partition_anchor_sets partition_failure cross_sector_all_neighbour condensate_status"
+    " condensate_matches condensate_classes condensate_edges line"
+))):
+    """Everything the ``line compute`` command prints.
 
-    summary: dict
-    unimodular: int
-    nonunimodular: int
-    max_distant: dict[str, int | None]
-    max_neighbour: dict[str, int | None]
-    partition_class_sizes: tuple[int, ...] | None
-    partition_anchor_sets: int | None
-    partition_failure: str | None  # why partition is None, when a check refuted it
-    cross_sector_all_neighbour: bool | None
-    condensate_status: str
-    condensate_matches: tuple[str, ...]
-    condensate_classes: int
-    condensate_edges: int
-    line: ProjectiveLine
+    ``partition_failure`` says why the partition fields are None, when a
+    check refuted the partition.
+    """
 
 
 def build_line_report(ring: FiniteRing) -> LineReport:
@@ -352,14 +343,10 @@ def cmd_condense(args) -> Outcome:
     return 0, data, text
 
 
-@dataclass
-class _Table2Row:
-    name: str
-    source: str | None  # construction spec, or None when a file is needed
-    file_flag: str | None
-    expect_unimodular: int
-    expect_nonunimodular: int
-    expect_matches: frozenset[str]
+class _Table2Row(namedtuple(
+    "_Table2Row", "name source file_flag expect_unimodular expect_nonunimodular expect_matches"
+)):
+    """One row of the paper's Table 2: ``source`` is a construction spec, or None when a file is needed."""
 
 
 _TABLE2_ROWS = (

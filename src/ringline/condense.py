@@ -15,7 +15,7 @@ isomorphism.  Class sizes are structural multiplicities, not identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 from operator import itemgetter
 
@@ -30,26 +30,17 @@ MAX_STRUCTURE_VERTICES = 200
 DEFAULT_CATALOG = ("GF(2)", "Z(4)", "D(2)", "Z(6)", "GF(2)*GF(2)", "GF(2)*GF(3)")
 
 
-@dataclass(frozen=True)
-class VectorClass:
+class VectorClass(namedtuple("VectorClass", "members signature")):
     """Vectors sharing one membership signature over the structure's edges."""
 
-    members: tuple[Vector, ...]
-    signature: frozenset[int]
 
-
-@dataclass(frozen=True)
-class IncidenceStructure:
+class IncidenceStructure(namedtuple("IncidenceStructure", "label vertices edges")):
     """Vector classes (vertices) and per-point vertex sets (edges).
 
     The edges' meet matrix and invariants, which matching reads, are built
     on first use and kept with the structure, so a cached catalog
     reference builds them once per process.
     """
-
-    label: str
-    vertices: tuple[VectorClass, ...]
-    edges: tuple[tuple[int, ...], ...]
 
     @property
     def is_empty(self) -> bool:
@@ -113,14 +104,8 @@ def reference_structure(spec: str) -> IncidenceStructure:
     return _signature_quotient(f"P({ring.label})", sector.masks, len(sector.points))
 
 
-@dataclass(frozen=True)
-class StructureIsomorphism:
+class StructureIsomorphism(namedtuple("StructureIsomorphism", "a b vertex_map edge_map")):
     """Witness of an isomorphism from structure ``a`` to structure ``b``."""
-
-    a: IncidenceStructure
-    b: IncidenceStructure
-    vertex_map: tuple[int, ...]
-    edge_map: tuple[int, ...]
 
     def check(self) -> bool:
         """Re-verify that the maps preserve incidence both ways."""
@@ -198,13 +183,11 @@ def _signature_bijection(a, b, edge_map) -> list[int] | None:
     return vertex_map
 
 
-@dataclass(frozen=True)
-class CondensateIdentification:
-    """Outcome of matching a condensate against the reference catalog."""
+class CondensateIdentification(namedtuple("CondensateIdentification", "status matches condensate")):
+    """Outcome of matching a condensate against the reference catalog.
 
-    status: str  # "matched" | "no catalog match" | "empty"
-    matches: tuple[str, ...]
-    condensate: IncidenceStructure
+    ``status`` is "matched", "no catalog match" or "empty".
+    """
 
 
 def identify_condensate(

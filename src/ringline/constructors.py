@@ -20,8 +20,7 @@ with the element listed second, so 0 and 1 are the two identities.
 from __future__ import annotations
 
 import re
-from importlib import resources
-from pathlib import Path
+from os import PathLike
 
 from .errors import FileError, ParseError, UnsupportedField
 from .rings import FiniteRing, Table, validate_tables
@@ -180,7 +179,7 @@ def construct(spec: str) -> FiniteRing:
     return ring
 
 
-def load_ring_file(path: str | Path) -> FiniteRing:
+def load_ring_file(path: str | PathLike) -> FiniteRing:
     """Parse and validate the text Cayley-table format.
 
     Layout: a ``ring <n>`` header, an ``add`` line followed by n rows of n
@@ -189,9 +188,9 @@ def load_ring_file(path: str | Path) -> FiniteRing:
     of the labels 0..n-1; only a row holding another token goes through
     ``int()``, so out-of-range entries reach ``validate_tables``.
     """
-    p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FileError(f"cannot read ring file {path}: {exc}") from exc
     lines = [ln.strip() for ln in text.splitlines()]
@@ -231,17 +230,21 @@ def load_ring_file(path: str | Path) -> FiniteRing:
     return validate_tables(rows(2), rows(n + 3), label=f"file:{path}")
 
 
-def write_ring_file(path: str | Path, ring: FiniteRing) -> None:
+def write_ring_file(path: str | PathLike, ring: FiniteRing) -> None:
     """Write a ring in the canonical text Cayley-table format."""
     lines = [f"ring {ring.order}", "add"]
     lines += [" ".join(str(x) for x in row) for row in ring.add_table]
     lines.append("mul")
     lines += [" ".join(str(x) for x in row) for row in ring.mul_table]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
-def bundled_ring_path(name: str = "ternions8") -> Path:
-    """Filesystem path of a ring file shipped with the package."""
+def bundled_ring_path(name: str = "ternions8") -> PathLike:
+    """Filesystem path, a ``pathlib.Path``, of a ring file shipped with the package."""
+    from importlib import resources
+    from pathlib import Path
+
     resource = resources.files("ringline").joinpath("rings", f"{name}.ring")
     with resources.as_file(resource) as concrete:
         return Path(concrete)

@@ -23,7 +23,7 @@ maximum distant cliques come from 120 quotient cliques of 5 classes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import repeat
 from math import prod
@@ -65,11 +65,8 @@ def _meeting(masks, members) -> int:
     return reduce(or_, map(masks.get, members, repeat(0)), 0)
 
 
-@dataclass(frozen=True)
-class RelationGraph:
+class RelationGraph(namedtuple("RelationGraph", "neighbours")):
     """Neighbour bitmask rows of a sector or a condensate; ``distant()`` is the complement."""
-
-    neighbours: tuple[int, ...]
 
     @classmethod
     def of(cls, edges, masks) -> "RelationGraph":
@@ -148,8 +145,7 @@ def max_neighbour_cliques(line: ProjectiveLine, sector: str) -> tuple[tuple[Cycl
     return _listed(line, sector, "neighbour")
 
 
-@dataclass(frozen=True)
-class SectorPartition:
+class SectorPartition(namedtuple("SectorPartition", "anchors classes anchor_sets_checked")):
     """The canonical split of the unimodular sector into neighbour classes.
 
     A class is the set of points through one of the sector's most-shared
@@ -159,10 +155,6 @@ class SectorPartition:
     ``anchors[k]``.  ``anchor_sets_checked`` is the number of maximum
     distant cliques, each of which picks exactly one point per class.
     """
-
-    anchors: tuple[CyclicSubmodule, ...]
-    classes: tuple[tuple[CyclicSubmodule, ...], ...]
-    anchor_sets_checked: int
 
     @property
     def class_sizes(self) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ relatives, built once per ring), sorted as ints and read back through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import add, itemgetter
 
@@ -57,15 +57,8 @@ def _unimodular(ring: FiniteRing, r1: int, r2: int) -> bool:
     return not ring.one_minus_multiples[r1].isdisjoint(ring.mul_table[r2])
 
 
-@dataclass(frozen=True)
-class CyclicSubmodule:
+class CyclicSubmodule(namedtuple("CyclicSubmodule", "generator orbit free unimodular generators")):
     """One left cyclic submodule of R^2: canonical generator plus orbit."""
-
-    generator: Vector
-    orbit: tuple[Vector, ...]
-    free: bool
-    unimodular: bool
-    generators: tuple[Vector, ...]
 
     @cached_property
     def orbit_set(self) -> frozenset[Vector]:
@@ -115,13 +108,8 @@ def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
     )
 
 
-@dataclass(frozen=True)
-class ProjectiveLine:
+class ProjectiveLine(namedtuple("ProjectiveLine", "ring unimodular_points nonunimodular_points")):
     """All free cyclic submodules of R^2, split into the two sectors."""
-
-    ring: FiniteRing
-    unimodular_points: tuple[CyclicSubmodule, ...]
-    nonunimodular_points: tuple[CyclicSubmodule, ...]
 
     @cached_property
     def points(self) -> tuple[CyclicSubmodule, ...]:

@@ -11,8 +11,7 @@ cheap at the orders this package targets.
 from __future__ import annotations
 
 import os
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain, product
 from operator import itemgetter
@@ -38,16 +37,8 @@ def soft_max_order() -> int:
         raise ParseError(f"{_MAX_ORDER_ENV} must be an integer, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
-class FiniteRing:
+class FiniteRing(namedtuple("FiniteRing", "order add_table mul_table units zero_divisors label")):
     """A validated finite ring: two Cayley tables plus derived element sets."""
-
-    order: int
-    add_table: Table
-    mul_table: Table
-    units: frozenset[int]
-    zero_divisors: frozenset[int]
-    label: str
 
     def elements(self) -> range:
         return range(self.order)
