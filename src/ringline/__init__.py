@@ -6,41 +6,14 @@ neighbour/distant structure, and the condensation of the non-unimodular
 sector onto reference ring lines.
 """
 
-from .errors import (
-    AxiomViolation,
-    EmptySector,
-    EmptyStructure,
-    FileError,
-    IdentityMissing,
-    NotPartition,
-    OrderTooLarge,
-    ParseError,
-    RinglineError,
-    SamePoint,
-    TooLarge,
-    UnknownFormat,
-    UnsupportedField,
-)
-from .rings import (
-    DEFAULT_MAX_ORDER,
-    ISOMORPHISM_MAX_ORDER,
-    FiniteRing,
-    are_isomorphic,
-    enumerate_ideals,
-    ideal_size_census,
-    soft_max_order,
-    validate_tables,
-)
+from .errors import BadInput, NoAnswer, RinglineError, TooLarge
+from .rings import FiniteRing, are_isomorphic, enumerate_ideals, ideal_size_census, validate_tables
 from .constructors import (
     SUPPORTED_FIELD_ORDERS,
     bundled_ring_path,
     construct,
-    dual_numbers,
-    galois_field,
-    integers_mod,
     load_ring_file,
     product,
-    ternions,
     write_ring_file,
 )
 from .line import (
@@ -82,32 +55,21 @@ from .condense import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomViolation",
+    "BadInput",
     "CondensateIdentification",
     "CyclicSubmodule",
     "DEFAULT_CATALOG",
-    "DEFAULT_MAX_ORDER",
-    "EmptySector",
-    "EmptyStructure",
-    "FileError",
     "FiniteRing",
-    "ISOMORPHISM_MAX_ORDER",
-    "IdentityMissing",
     "IncidenceStructure",
-    "NotPartition",
-    "OrderTooLarge",
-    "ParseError",
+    "NoAnswer",
     "ProjectiveLine",
     "RelationGraph",
     "RinglineError",
     "SECTORS",
     "SUPPORTED_FIELD_ORDERS",
-    "SamePoint",
     "SectorPartition",
     "StructureIsomorphism",
     "TooLarge",
-    "UnknownFormat",
-    "UnsupportedField",
     "VectorClass",
     "are_isomorphic",
     "bundled_ring_path",
@@ -117,13 +79,10 @@ __all__ = [
     "construct",
     "cross_sector_check",
     "cyclic_submodule",
-    "dual_numbers",
     "enumerate_ideals",
     "export_graph",
-    "galois_field",
     "ideal_size_census",
     "identify_condensate",
-    "integers_mod",
     "is_unimodular",
     "line_to_dict",
     "line_to_json",
@@ -135,9 +94,7 @@ __all__ = [
     "reference_structure",
     "relation",
     "sector_points",
-    "soft_max_order",
     "structures_isomorphic",
-    "ternions",
     "unimodular_partition",
     "unimodularity_witness",
     "validate_tables",

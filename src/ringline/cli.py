@@ -25,7 +25,7 @@ from functools import cache
 from . import jsontext
 from .condense import condensate_distant_analysis, identify_condensate
 from .constructors import SUPPORTED_FIELD_ORDERS, construct, load_ring_file
-from .errors import EmptySector, FileError, NotPartition, OrderTooLarge, RinglineError
+from .errors import BadInput, NoAnswer, RinglineError, TooLarge
 from .geometry import (
     SECTORS,
     cross_sector_check,
@@ -89,7 +89,7 @@ def cmd_ring_info(args) -> Outcome:
     summary = _summary(ring)
     try:
         census = {str(k): v for k, v in ideal_size_census(ring).items()}
-    except OrderTooLarge as exc:
+    except TooLarge as exc:
         census, census_text = None, f"n/a ({exc})"
     else:
         census_text = ", ".join(f"{size}:{count}" for size, count in census.items())
@@ -115,7 +115,7 @@ def cmd_ring_validate(args) -> Outcome:
     data = {"schema": "ringline.ring_validate/1"}
     try:
         ring = load_ring_file(args.file)
-    except RinglineError as exc:
+    except BadInput as exc:
         data.update(valid=False, error=str(exc))
         return 1, data, lambda: f"INVALID: {data['error']}"
     data.update(valid=True, order=ring.order, units=len(ring.units), zero_divisors=len(ring.zero_divisors))
@@ -148,22 +148,21 @@ def build_line_report(ring: FiniteRing) -> LineReport:
     larger sector value and its max neighbour size their sum.
     """
     line = compute_line(ring)
-    max_distant: dict[str, int | None] = {}
-    max_neighbour: dict[str, int | None] = {}
-    partition = failure = None
-    for sector in ("unimodular", "nonunimodular"):
-        try:
-            max_distant[sector] = sector_clique_size(line, sector, "distant")
-            max_neighbour[sector] = sector_clique_size(line, sector, "neighbour")
-            if sector == "unimodular":
-                partition = unimodular_partition(line)
-        except EmptySector:
-            max_distant[sector] = max_neighbour[sector] = None
-        except NotPartition as exc:
-            failure = str(exc)
+    # R(1, 0) is unimodular, so only the non-unimodular sector can be empty
+    max_distant = {"unimodular": sector_clique_size(line, "unimodular", "distant")}
+    max_neighbour = {"unimodular": sector_clique_size(line, "unimodular", "neighbour")}
+    try:
+        partition, failure = unimodular_partition(line), None
+    except NoAnswer as exc:
+        partition, failure = None, str(exc)
+    try:
+        max_distant["nonunimodular"] = sector_clique_size(line, "nonunimodular", "distant")
+        max_neighbour["nonunimodular"] = sector_clique_size(line, "nonunimodular", "neighbour")
+    except NoAnswer:  # the sector is empty
+        max_distant["nonunimodular"] = max_neighbour["nonunimodular"] = None
     try:
         cross, _ = cross_sector_check(line)
-    except EmptySector:
+    except NoAnswer:  # the non-unimodular sector is empty
         cross = None
     if cross is False:  # would contradict the proof above; report n/a, not a wrong size
         max_distant["whole"] = max_neighbour["whole"] = None
@@ -275,7 +274,7 @@ def cmd_line_compute(args) -> Outcome:
         try:
             os.makedirs(args.fixtures, exist_ok=True)
         except OSError as exc:
-            raise FileError(f"cannot write {args.fixtures}: {exc}") from exc
+            raise BadInput(f"cannot write {args.fixtures}: {exc}") from exc
         path = os.path.join(args.fixtures, f"{_label_slug(ring.label)}.line.json")
         _atomic_write(path, line_to_json(report.line))
         print(f"fixture written to {path}", file=sys.stderr)
@@ -288,7 +287,7 @@ _SECTOR_FLAGS = {"u": "unimodular", "n": "nonunimodular", "all": "whole"}
 def _atomic_write(path: str, content: str) -> None:
     """Write a unique temp file beside ``path`` (umask mode, not mkstemp's 0600), then rename it.
 
-    An OS error (missing directory, ``path`` a directory, ...) becomes a FileError.
+    An OS error (missing directory, ``path`` a directory, ...) becomes a BadInput.
     """
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
@@ -301,7 +300,7 @@ def _atomic_write(path: str, content: str) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise FileError(f"cannot write {path}: {exc}") from exc
+        raise BadInput(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_line_export(args) -> Outcome:

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .cliques import maximum_size
 from .constructors import construct
-from .errors import EmptyStructure, OrderTooLarge, TooLarge
+from .errors import NoAnswer, TooLarge
 from .geometry import ZERO, RelationGraph, sector_incidence
 from .line import ProjectiveLine, Vector, compute_line, mask_indices
 
@@ -95,11 +95,11 @@ def reference_structure(spec: str) -> IncidenceStructure:
     Built like a condensate: vectors on the same points form one vertex
     (the zero vector's class lies on every point), one edge per point.
     Built once per spec and process (the structure is immutable); a call
-    that raises, such as OrderTooLarge, is not cached.
+    that raises, such as TooLarge, is not cached.
     """
     ring = construct(spec)
     if ring.order > 16:
-        raise OrderTooLarge(f"reference lines are bounded to ring order 16, got {ring.order}")
+        raise TooLarge(f"reference lines are bounded to ring order 16, got {ring.order}")
     sector = sector_incidence(compute_line(ring), "unimodular")
     return _signature_quotient(f"P({ring.label})", sector.masks, len(sector.points))
 
@@ -212,11 +212,12 @@ def condensate_distant_analysis(structure: IncidenceStructure) -> int:
     vector, mirroring the orbit-intersection rule one level up.
     """
     if structure.is_empty:
-        raise EmptyStructure("cannot analyse an empty incidence structure")
+        raise NoAnswer("cannot analyse an empty incidence structure")
     zero_classes = [i for i, vc in enumerate(structure.vertices) if ZERO in vc.members]
     if len(zero_classes) != 1:
-        raise EmptyStructure("structure has no class containing the zero vector")
+        raise NoAnswer("structure has no class containing the zero vector")
     zero = zero_classes[0]
-    assert all(zero in e for e in structure.edges), "the zero class lies on every point"
+    if not all(zero in e for e in structure.edges):
+        raise NoAnswer("the zero vector's class is not on every edge")
     masks = {c: sum(1 << e for e in vc.signature) for c, vc in enumerate(structure.vertices) if c != zero}
     return maximum_size(RelationGraph.of(structure.edges, masks).distant())

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from os import PathLike
 
-from .errors import FileError, ParseError, UnsupportedField
+from .errors import BadInput
 from .rings import FiniteRing, Table, validate_tables
 
 SUPPORTED_FIELD_ORDERS = (2, 3, 4, 5, 7)
@@ -47,7 +47,7 @@ def _residue_tables(n: int) -> tuple[Table, Table]:
 def _field_tables(q: int, term: str) -> tuple[Table, Table]:
     """GF(q)'s tables; ``term`` (``GF(q)``, ``D(q)``, ``T(q)``) names an unsupported q."""
     if q not in SUPPORTED_FIELD_ORDERS:
-        raise UnsupportedField(f"{term} is not supported; q must be one of {SUPPORTED_FIELD_ORDERS}")
+        raise BadInput(f"{term} is not supported; q must be one of {SUPPORTED_FIELD_ORDERS}")
     if q == 4:
         add = tuple(tuple(i ^ j for j in range(4)) for i in range(4))
         return add, _GF4_MUL
@@ -74,7 +74,7 @@ def _identity_swap(n: int, k: int) -> list[int]:
 
 def integers_mod(n: int) -> FiniteRing:
     if n < 2:
-        raise ParseError(f"Z({n}) is not a ring with 1 != 0; n must be at least 2")
+        raise BadInput(f"Z({n}) is not a ring with 1 != 0; n must be at least 2")
     return validate_tables(*_residue_tables(n), label=f"Z({n})")
 
 
@@ -153,11 +153,11 @@ def _term(text: str) -> FiniteRing:
     if text.startswith("file:"):
         path = text[len("file:"):].strip()
         if not path:
-            raise ParseError("file: spec needs a path")
+            raise BadInput("file: spec needs a path")
         return load_ring_file(path)
     match = _TERM_RE.fullmatch(text)
     if match is None:
-        raise ParseError(f"bad ring spec term {text!r}")
+        raise BadInput(f"bad ring spec term {text!r}")
     family, number = match.group(1), int(match.group(2))
     if family == "Z":
         return integers_mod(number)
@@ -172,7 +172,7 @@ def construct(spec: str) -> FiniteRing:
     """Build the ring described by a spec string like "GF(2)*T(2)"."""
     terms = [t.strip() for t in spec.split("*")]
     if not terms or any(not t for t in terms):
-        raise ParseError(f"bad ring spec {spec!r}")
+        raise BadInput(f"bad ring spec {spec!r}")
     ring = _term(terms[0])
     for term in terms[1:]:
         ring = product(ring, _term(term))
@@ -192,22 +192,22 @@ def load_ring_file(path: str | PathLike) -> FiniteRing:
         with open(path, encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise FileError(f"cannot read ring file {path}: {exc}") from exc
+        raise BadInput(f"cannot read ring file {path}: {exc}") from exc
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("ring "):
-        raise FileError(f"{path}: expected a 'ring <n>' header line")
+        raise BadInput(f"{path}: expected a 'ring <n>' header line")
     head = lines[0].split()
     try:
         n = int(head[1])
     except ValueError:
-        raise FileError(f"{path}: malformed header {lines[0]!r}") from None
+        raise BadInput(f"{path}: malformed header {lines[0]!r}") from None
     if len(head) != 2 or n < 0:
-        raise FileError(f"{path}: malformed header {lines[0]!r}")
+        raise BadInput(f"{path}: malformed header {lines[0]!r}")
     if len(lines) != 2 * n + 3:
-        raise FileError(f"{path}: expected {2 * n + 3} content lines, found {len(lines)}")
+        raise BadInput(f"{path}: expected {2 * n + 3} content lines, found {len(lines)}")
     if lines[1] != "add" or lines[n + 2] != "mul":
-        raise FileError(f"{path}: expected 'add' and 'mul' section markers")
+        raise BadInput(f"{path}: expected 'add' and 'mul' section markers")
 
     as_label = {str(i): i for i in range(n)}.__getitem__
 
@@ -221,9 +221,9 @@ def load_ring_file(path: str | PathLike) -> FiniteRing:
                 try:
                     row = tuple(map(int, tokens))
                 except ValueError:
-                    raise FileError(f"{path}: non-integer entry in row {offset}: {line!r}") from None
+                    raise BadInput(f"{path}: non-integer entry in row {offset}: {line!r}") from None
             if len(row) != n:
-                raise FileError(f"{path}: row {offset} has {len(row)} entries, expected {n}")
+                raise BadInput(f"{path}: row {offset} has {len(row)} entries, expected {n}")
             out.append(row)
         return out
 

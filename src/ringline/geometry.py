@@ -31,7 +31,7 @@ from operator import or_
 
 from . import jsontext
 from .cliques import Clique, cliques_through, expand, maximum_cliques, maximum_size
-from .errors import EmptySector, NotPartition, SamePoint, UnknownFormat
+from .errors import BadInput, NoAnswer
 from .line import CyclicSubmodule, ProjectiveLine, Vector, incidence, mask_indices
 
 SECTORS = ("unimodular", "nonunimodular", "whole")
@@ -54,9 +54,10 @@ def relation(p: CyclicSubmodule, q: CyclicSubmodule, allow_same: bool = False) -
     if p.orbit_set == q.orbit_set:
         if allow_same:
             return "neighbour"
-        raise SamePoint(f"relation of point R{p.generator} with itself (pass allow_same=True for the reflexive convention)")
+        raise BadInput(f"relation of point R{p.generator} with itself (pass allow_same=True for the reflexive convention)")
     overlap = len(p.orbit_set & q.orbit_set)
-    assert overlap >= 1, "every cyclic submodule contains the zero vector"
+    if not overlap:
+        raise BadInput(f"R{p.generator} and R{q.generator} do not both hold the zero vector")
     return "distant" if overlap == 1 else "neighbour"
 
 
@@ -107,10 +108,10 @@ def sector_incidence(line: ProjectiveLine, sector: str) -> SectorIncidence:
 
 
 def _nonempty(line: ProjectiveLine, sector: str) -> SectorIncidence:
-    """``sector_incidence``, or EmptySector when the sector has no points."""
+    """``sector_incidence``; NoAnswer when the sector has no points."""
     data = sector_incidence(line, sector)
     if not data.points:
-        raise EmptySector(f"the {sector} sector of {line.ring.label} is empty")
+        raise NoAnswer(f"the {sector} sector of {line.ring.label} is empty")
     return data
 
 
@@ -164,7 +165,7 @@ class SectorPartition(namedtuple("SectorPartition", "anchors classes anchor_sets
 def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
     """Partition the unimodular sector into its most-shared-vector classes.
 
-    The classes must be disjoint and cover the sector (NotPartition names
+    The classes must be disjoint and cover the sector (else NoAnswer names
     the offending point).  Points of one class share a nonzero vector, so
     they are pairwise neighbour; by pigeonhole a distant clique of size
     #classes meets every class exactly once.  So the one check on the
@@ -189,20 +190,20 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
     for cls in classes:
         if covered & cls:
             twice = points[mask_indices(covered & cls)[0]]
-            raise NotPartition(
+            raise NoAnswer(
                 f"point R{twice.generator} lies in two maximal vector classes",
                 witness=(twice,),
             )
         covered |= cls
     uncovered = [points[i] for i in mask_indices(~covered & ((1 << len(points)) - 1))]
     if uncovered:
-        raise NotPartition(
+        raise NoAnswer(
             f"point R{uncovered[0].generator} lies in no maximal vector class",
             witness=tuple(uncovered),
         )
     size, cliques = cliques_through(data.rows("distant"), 0)
     if size != len(classes):
-        raise NotPartition(
+        raise NoAnswer(
             f"{len(classes)} classes cannot be anchored by a maximum distant"
             f" clique of size {size}"
         )
@@ -224,7 +225,7 @@ def cross_sector_check(line: ProjectiveLine) -> tuple[bool, tuple[CyclicSubmodul
     """
     unimodular, nonunimodular = line.unimodular_points, line.nonunimodular_points
     if not nonunimodular or not unimodular:
-        raise EmptySector(f"{line.ring.label}: both sectors must be non-empty for the cross check")
+        raise NoAnswer(f"{line.ring.label}: both sectors must be non-empty for the cross check")
     data = sector_incidence(line, "unimodular")
     sector = (1 << len(unimodular)) - 1
     for nu in nonunimodular:
@@ -283,7 +284,7 @@ def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
     the hand-laid exports.  An empty sector gives an empty document.
     """
     if fmt not in _EDGE_TEXT:
-        raise UnknownFormat(f"unknown export format {fmt!r}; expected 'dot' or 'json'")
+        raise BadInput(f"unknown export format {fmt!r}; expected 'dot' or 'json'")
     data = sector_incidence(line, sector)
     points, masks = data.points, data.masks
     vertices = {v: k for k, v in enumerate(sorted(masks))}  # vector -> its index

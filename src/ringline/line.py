@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import add, itemgetter
 
 from . import jsontext
-from .errors import OrderTooLarge
+from .errors import TooLarge
 from .rings import FiniteRing, soft_max_order
 
 Vector = tuple[int, int]
@@ -180,7 +180,7 @@ def compute_line(ring: FiniteRing) -> ProjectiveLine:
     """
     limit = soft_max_order()
     if ring.order > limit:
-        raise OrderTooLarge(
+        raise TooLarge(
             f"line computation is bounded to order {limit} (ring has order {ring.order});"
             " set RINGLINE_MAX_ORDER to override"
         )

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import chain, product
 from operator import itemgetter
 
-from .errors import AxiomViolation, IdentityMissing, OrderTooLarge, ParseError
+from .errors import BadInput, TooLarge
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -34,7 +34,7 @@ def soft_max_order() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ParseError(f"{_MAX_ORDER_ENV} must be an integer, got {raw!r}") from None
+        raise BadInput(f"{_MAX_ORDER_ENV} must be an integer, got {raw!r}") from None
 
 
 class FiniteRing(namedtuple("FiniteRing", "order add_table mul_table units zero_divisors label")):
@@ -109,6 +109,11 @@ def _scaled_columns(rows, n: int) -> Table:
     return tuple(zip(*(itemgetter(*row)(scaled) for row in rows)))
 
 
+def _violation(kind: str, witness: tuple, message: str | None = None) -> BadInput:
+    """The BadInput of the failed axiom ``kind``, exhibited by the elements ``witness``."""
+    return BadInput(message or f"{kind} fails at {witness}", witness, kind)
+
+
 def _normalize(table, name: str) -> Table:
     """The table as int tuples; the first shape or closure violation raises.
 
@@ -124,10 +129,10 @@ def _normalize(table, name: str) -> Table:
     if not (all(len(row) == n for row in rows) and (not rows or 0 <= min(map(min, rows)) and max(map(max, rows)) < n)):
         for i, row in enumerate(rows):
             if len(row) != n:
-                raise AxiomViolation("shape", (name, i), f"{name} row {i} has length {len(row)}, expected {n}")
+                raise _violation("shape", (name, i), f"{name} row {i} has length {len(row)}, expected {n}")
             for j, x in enumerate(row):
                 if not 0 <= x < n:
-                    raise AxiomViolation("closure", (name, i, j), f"{name}[{i}][{j}] = {x} is out of range")
+                    raise _violation("closure", (name, i, j), f"{name}[{i}][{j}] = {x} is out of range")
     return rows
 
 
@@ -200,7 +205,7 @@ def _holds_on_generators(add: Table, mul: Table) -> bool:
 
 
 def _raise_first_violation(add: Table, mul: Table) -> None:
-    """Scan every triple (a, b, c) and raise AxiomViolation at the first failure."""
+    """Scan every triple (a, b, c) and raise the ``_violation`` of the first failure."""
     n = len(add)
     for a in range(n):
         add_a = add[a]
@@ -210,13 +215,13 @@ def _raise_first_violation(add: Table, mul: Table) -> None:
             ab_prod = mul_a[b]
             for c in range(n):
                 if add[ab_sum][c] != add_a[add[b][c]]:
-                    raise AxiomViolation("additive_associativity", (a, b, c))
+                    raise _violation("additive_associativity", (a, b, c))
                 if mul[ab_prod][c] != mul_a[mul[b][c]]:
-                    raise AxiomViolation("multiplicative_associativity", (a, b, c))
+                    raise _violation("multiplicative_associativity", (a, b, c))
                 if mul_a[add[b][c]] != add[ab_prod][mul_a[c]]:
-                    raise AxiomViolation("left_distributivity", (a, b, c))
+                    raise _violation("left_distributivity", (a, b, c))
                 if mul[add_a[b]][c] != add[mul[a][c]][mul[b][c]]:
-                    raise AxiomViolation("right_distributivity", (a, b, c))
+                    raise _violation("right_distributivity", (a, b, c))
 
 
 def validate_tables(add_table, mul_table, label: str | None = None) -> FiniteRing:
@@ -233,30 +238,30 @@ def validate_tables(add_table, mul_table, label: str | None = None) -> FiniteRin
     when that proof fails does the full triple loop run, and it reports
     the first failing triple in (a, b, c) order.
 
-    Raises AxiomViolation (carrying the failed axiom name and a witness
-    tuple) or IdentityMissing.
+    Raises BadInput: a failed axiom carries its name as ``kind`` and a
+    witness tuple; a missing identity carries neither.
     """
     add = _normalize(add_table, "add")
     mul = _normalize(mul_table, "mul")
     n = len(add)
     if n < 2:
-        raise IdentityMissing("a ring needs 1 != 0, so the order must be at least 2")
+        raise BadInput("a ring needs 1 != 0, so the order must be at least 2")
     if len(mul) != n:
-        raise AxiomViolation("shape", ("mul", n), "add and mul tables have different sizes")
+        raise _violation("shape", ("mul", n), "add and mul tables have different sizes")
 
     for i in range(n):
         if add[0][i] != i or add[i][0] != i:
-            raise AxiomViolation("additive_identity", (i,))
+            raise _violation("additive_identity", (i,))
     for a in range(n):
         for b in range(a + 1, n):
             if add[a][b] != add[b][a]:
-                raise AxiomViolation("additive_commutativity", (a, b))
+                raise _violation("additive_commutativity", (a, b))
     for a in range(n):
         if 0 not in add[a]:
-            raise AxiomViolation("additive_inverse", (a,))
+            raise _violation("additive_inverse", (a,))
     for i in range(n):
         if mul[1][i] != i or mul[i][1] != i:
-            raise IdentityMissing(f"no two-sided multiplicative identity at index 1 (element {i} misbehaves)")
+            raise BadInput(f"no two-sided multiplicative identity at index 1 (element {i} misbehaves)")
 
     if not _holds_on_generators(add, mul):
         _raise_first_violation(add, mul)
@@ -302,7 +307,7 @@ def enumerate_ideals(ring: FiniteRing) -> tuple[frozenset[int], ...]:
     """
     limit = soft_max_order()
     if ring.order > limit:
-        raise OrderTooLarge(
+        raise TooLarge(
             f"ideal enumeration is bounded to order {limit}, got {ring.order};"
             " set RINGLINE_MAX_ORDER to override"
         )
@@ -336,7 +341,7 @@ def are_isomorphic(ring_a: FiniteRing, ring_b: FiniteRing) -> tuple[int, ...] | 
     """
     bound = ISOMORPHISM_MAX_ORDER
     if ring_a.order > bound or ring_b.order > bound:
-        raise OrderTooLarge(f"isomorphism search is bounded to order {bound}")
+        raise TooLarge(f"isomorphism search is bounded to order {bound}")
     n = ring_a.order
     if n != ring_b.order:
         return None

@@ -229,6 +229,22 @@ def test_line_compute_empty_sector_report(capsys):
     assert data["cross_sector_all_neighbour"] is None
     assert data["condensate"]["status"] == "empty"
     assert data["partition"]["class_sizes"] == [1, 1, 1]
+    # the text view of a field's line: every stage with no answer says n/a
+    code, out, err = run(capsys, "line", "compute", "GF(3)")
+    assert code == 0 and err == ""
+    assert out == (
+        "ring: GF(3)\n"
+        "order: 3\n"
+        "units: 2\n"
+        "zero divisors: 1\n"
+        "commutative: yes\n"
+        "points: 4 = 4 unimodular + 0 non-unimodular\n"
+        "max distant clique: unimodular 4, non-unimodular n/a, whole 4\n"
+        "max neighbour clique: unimodular 1, non-unimodular n/a, whole 1\n"
+        "partition: class sizes 1+1+1+1, identical for all 1 maximum distant cliques\n"
+        "cross-sector: n/a (a sector is empty)\n"
+        "condensate: empty\n"
+    )
 
 
 def test_line_compute_timing_goes_to_stderr(capsys):

@@ -8,9 +8,8 @@ import golden
 import oracles
 from ringline import (
     DEFAULT_CATALOG,
-    EmptyStructure,
     IncidenceStructure,
-    OrderTooLarge,
+    NoAnswer,
     TooLarge,
     VectorClass,
     compute_line,
@@ -126,7 +125,7 @@ def test_vertex_signatures_match_brute_force_orbits(catalog_lines, gf3_t2_line, 
 
 
 def test_reference_structure_order_bound():
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(TooLarge, match=r"^reference lines are bounded to ring order 16, got 24$"):
         reference_structure("GF(3)*T(2)")
 
 
@@ -300,7 +299,7 @@ def test_structure_size_bound():
     # P(GF(2)^4) = P(GF(2))^4: 3^4 points, 4^4 distinct vector signatures
     big = reference_structure("GF(2)*GF(2)*GF(2)*GF(2)")
     assert (len(big.vertices), len(big.edges)) == (256, 81)
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=r"^structure isomorphism is bounded to 200 vertices$"):
         structures_isomorphic(big, big)
     # the bound needs equal sizes: 201 classes, each alone on its own edge,
     # cannot match 4 classes
@@ -424,14 +423,20 @@ def test_condensate_distant_sizes(ternion_line, catalog_lines, gf3_t2_line):
     for line in (ternion_line, catalog_lines["GF(2)*T(2)"], gf3_t2_line):
         assert condensate_distant_analysis(condense(line)) == 3
     assert condensate_distant_analysis(reference_structure("GF(2)")) == 3
-    with pytest.raises(EmptyStructure):
+    with pytest.raises(NoAnswer, match=r"^cannot analyse an empty incidence structure$"):
         condensate_distant_analysis(condense(catalog_lines["GF(2)"]))
 
 
 def test_distant_analysis_needs_the_zero_class():
     # no vertex of a synthetic structure holds the zero vector (0, 0)
     structure = _from_signatures(({0, 1}, {0}, {1}), 2)
-    with pytest.raises(EmptyStructure, match="zero vector"):
+    with pytest.raises(NoAnswer, match="^structure has no class containing the zero vector$"):
+        condensate_distant_analysis(structure)
+    # here vertex 0 holds it but misses edge 1; a raise, so python -O checks it too
+    structure = _from_signatures(({0}, {0, 1}, {1}), 2)
+    zero_class = VectorClass(members=((0, 0),), signature=frozenset({0}))
+    structure = structure._replace(vertices=(zero_class, *structure.vertices[1:]))
+    with pytest.raises(NoAnswer, match="^the zero vector's class is not on every edge$"):
         condensate_distant_analysis(structure)
 
 

@@ -11,12 +11,10 @@ import ringline.cliques
 import ringline.geometry
 from ringline import (
     SECTORS,
+    BadInput,
     CyclicSubmodule,
-    EmptySector,
-    NotPartition,
+    NoAnswer,
     ProjectiveLine,
-    SamePoint,
-    UnknownFormat,
     compute_line,
     construct,
     cross_sector_check,
@@ -43,9 +41,13 @@ def test_relation_examples(ternion_line):
     assert relation(p10, p11) == "distant"
     assert relation(p10, p16) == "neighbour"
     assert relation(n46, n47) == "neighbour"
-    with pytest.raises(SamePoint):
+    with pytest.raises(BadInput, match=r"^relation of point R\(1, 0\) with itself \(pass allow_same=True"):
         relation(p10, p10)
     assert relation(p10, p10, allow_same=True) == "neighbour"
+    # a hand-built orbit without (0, 0) is no cyclic submodule; a raise, so python -O checks it too
+    p, q = fake((1, 1), {(1, 1), (5, 5)}), fake((2, 2), {(0, 0), (2, 2)})
+    with pytest.raises(BadInput, match=r"^R\(1, 1\) and R\(2, 2\) do not both hold the zero vector$"):
+        relation(p, q)
 
 
 def test_relation_is_symmetric_and_total(catalog_lines):
@@ -110,7 +112,7 @@ def test_field_line_cliques(catalog_lines):
     assert len(distant) == 1 and len(distant[0]) == 3
     neighbour = max_neighbour_cliques(line, "unimodular")
     assert all(len(c) == 1 for c in neighbour) and len(neighbour) == 3
-    with pytest.raises(EmptySector):
+    with pytest.raises(NoAnswer, match=r"^the nonunimodular sector of GF\(2\) is empty$"):
         max_distant_cliques(line, "nonunimodular")
 
 
@@ -338,7 +340,7 @@ def test_gf3_ternion_partition(gf3_t2_line):
 
 
 def test_klein_product_line_has_no_partition(catalog_lines):
-    with pytest.raises(NotPartition):
+    with pytest.raises(NoAnswer, match=r"^point R\(0, 1\) lies in two maximal vector classes$"):
         unimodular_partition(catalog_lines["GF(2)*GF(2)"])
 
 
@@ -364,7 +366,7 @@ def test_partition_rejects_point_in_no_class():
         fake((4, 4), {zero, (4, 4), (7, 7)}),
     )
     line = ProjectiveLine(ring=None, unimodular_points=points, nonunimodular_points=())
-    with pytest.raises(NotPartition):
+    with pytest.raises(NoAnswer, match=r"^point R\(3, 3\) lies in no maximal vector class$"):
         unimodular_partition(line)
 
 
@@ -372,7 +374,7 @@ def test_cross_sector(ternion_line, catalog_lines, gf3_t2_line):
     assert cross_sector_check(ternion_line) == (True, None)
     assert cross_sector_check(catalog_lines["GF(2)*T(2)"]) == (True, None)
     assert cross_sector_check(gf3_t2_line) == (True, None)
-    with pytest.raises(EmptySector):
+    with pytest.raises(NoAnswer, match=r"^GF\(2\): both sectors must be non-empty for the cross check$"):
         cross_sector_check(catalog_lines["GF(2)"])
     # the witness is the first non-unimodular point with a distant
     # unimodular point, and the first such unimodular point
@@ -414,7 +416,7 @@ def test_report_stages_equal_their_brute_force_forms(report_rings):
         assert cross_sector_check(line) == (first is None, first), name
         try:
             part = unimodular_partition(line)
-        except NotPartition as exc:
+        except NoAnswer as exc:
             assert report.partition_class_sizes is report.partition_anchor_sets is None, name
             assert report.partition_failure == str(exc), name
             continue
@@ -448,7 +450,7 @@ def test_private_vectors(ternion_line):
 
 
 def test_private_vectors_of_an_empty_sector(catalog_lines):
-    with pytest.raises(EmptySector):
+    with pytest.raises(NoAnswer, match=r"^the nonunimodular sector of GF\(2\) is empty$"):
         private_vectors(catalog_lines["GF(2)"], "nonunimodular")
 
 
@@ -592,7 +594,7 @@ def test_export_reads_each_signature_once(monkeypatch, export_lines):
 
 
 def test_export_unknown_format(ternion_line):
-    with pytest.raises(UnknownFormat):
+    with pytest.raises(BadInput, match=r"^unknown export format 'gml'; expected 'dot' or 'json'$"):
         export_graph(ternion_line, "whole", "gml")
 
 

@@ -9,7 +9,8 @@ import oracles
 import ringline.line
 from ringline import (
     SECTORS,
-    OrderTooLarge,
+    BadInput,
+    TooLarge,
     compute_line,
     construct,
     cyclic_submodule,
@@ -359,7 +360,7 @@ def test_sweep_builds_each_free_unit_class_once(monkeypatch, spec):
 def test_order_bound_and_overrides(monkeypatch):
     ring = construct("Z(33)")
     monkeypatch.delenv("RINGLINE_MAX_ORDER", raising=False)
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(TooLarge, match=r"^line computation is bounded to order 32 \(ring has order 33\); set RINGLINE"):
         compute_line(ring)
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "33")
     line = compute_line(ring)
@@ -367,9 +368,7 @@ def test_order_bound_and_overrides(monkeypatch):
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "40")
     assert compute_line(ring).unimodular_points == line.unimodular_points
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "not-a-number")
-    from ringline import ParseError
-
-    with pytest.raises(ParseError):
+    with pytest.raises(BadInput, match="^RINGLINE_MAX_ORDER must be an integer, got 'not-a-number'$"):
         compute_line(ring)
 
 

@@ -5,11 +5,23 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 import ringline
-from ringline import bundled_ring_path, compute_line, condense, construct, cyclic_submodule, jsontext
+from ringline import (
+    BadInput,
+    NoAnswer,
+    RinglineError,
+    TooLarge,
+    bundled_ring_path,
+    compute_line,
+    condense,
+    construct,
+    cyclic_submodule,
+    jsontext,
+)
 from ringline.cli import build_line_report
 from ringline.geometry import RelationGraph
 
@@ -25,6 +37,23 @@ def test_exports_are_sorted_unique_and_resolve():
     names = ringline.__all__
     assert names == sorted(set(names))
     assert [name for name in names if not hasattr(ringline, name)] == []
+    # every public name is exported, and the acceptance tests import only exports
+    public = {name for name, value in vars(ringline).items() if not (name[0] == "_" or isinstance(value, ModuleType))}
+    assert set(names) == public
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "ringline"
+        for alias in node.names
+    }
+    assert imported and imported <= set(names)
+
+
+def test_errors_are_one_class_per_reaction():
+    # bad input (exit 2), a bound hit, a stage with no answer
+    assert set(RinglineError.__subclasses__()) == {BadInput, TooLarge, NoAnswer}
+    assert [cls for cls in (BadInput, TooLarge, NoAnswer) if cls.__subclasses__()] == []
 
 
 def test_names_the_benchmark_reads_resolve():
