@@ -27,7 +27,7 @@ from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import repeat
 from math import prod
-from operator import or_
+from operator import countOf, or_
 
 from . import jsontext
 from .cliques import Clique, cliques_through, expand, maximum_cliques, maximum_size
@@ -183,7 +183,10 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
     """
     data = sector_incidence(line, "unimodular")
     points = data.points
-    shared = {m: m.bit_count() for v, m in data.masks.items() if v != ZERO}
+    masks = set(data.masks.values())
+    if countOf(data.masks.values(), data.masks.get(ZERO)) == 1:  # no nonzero vector has the zero's mask
+        masks.discard(data.masks[ZERO])
+    shared = {m: m.bit_count() for m in masks}
     best = max(shared.values(), default=0)
     classes = sorted((m for m, size in shared.items() if size == best), key=mask_indices)
     covered = 0

@@ -108,8 +108,50 @@ def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
     )
 
 
-class ProjectiveLine(namedtuple("ProjectiveLine", "ring unimodular_points nonunimodular_points")):
-    """All free cyclic submodules of R^2, split into the two sectors."""
+class ProjectiveLine(namedtuple("ProjectiveLine", "ring")):
+    """All free cyclic submodules of R^2, split into the two sectors, each built on first read."""
+
+    @cached_property
+    def unimodular_points(self) -> tuple[CyclicSubmodule, ...]:
+        return self._sector(True)
+
+    @cached_property
+    def nonunimodular_points(self) -> tuple[CyclicSubmodule, ...]:
+        return self._sector(False)
+
+    def _sector(self, unimodular: bool) -> tuple[CyclicSubmodule, ...]:
+        """Walk R^2 for the first sector read; the other sector keeps its canonical generators.
+
+        v is free exactly when the left-annihilator masks of r1 and r2 share
+        only bit 0.  Unit multiples share that test, so in code order
+        (row-major over (r1, r2)) each unseen free vector is its class's
+        least member, the canonical generator, and its r1 is least in U*r1:
+        other rows are skipped whole.  A class of the other sector only marks
+        its unit multiples seen; that sector is built from the kept
+        generators, in order, when it is read.
+        """
+        ring = self.ring
+        if "_deferred" in self.__dict__:
+            return tuple(cyclic_submodule(ring, v) for v in self.__dict__.pop("_deferred"))
+        n, ann, vectors = ring.order, ring.left_annihilators, ring.vectors
+        seen: set[Vector] = set()
+        points, deferred = [], []
+        for r1, ann1, unit_multiples in zip(ring.elements(), ann, ring.unit_columns):
+            if min(unit_multiples) < r1:  # u*v < v for a unit u and every v in this row
+                continue
+            for ann2, v in zip(ann, vectors[r1 * n:r1 * n + n]):
+                if ann1 & ann2 != 1 or v in seen:
+                    continue
+                if _unimodular(ring, *v) == unimodular:
+                    point = cyclic_submodule(ring, v)
+                    seen.update(point.generators)
+                    points.append(point)
+                else:
+                    deferred.append(v)
+                    units = map(add, ring.scaled_unit_columns[r1], ring.unit_columns[v[1]])
+                    seen.update(map(vectors.__getitem__, units))
+        self.__dict__["_deferred"] = deferred
+        return tuple(points)
 
     @cached_property
     def points(self) -> tuple[CyclicSubmodule, ...]:
@@ -165,17 +207,9 @@ def mask_indices(mask: int) -> tuple[int, ...]:
 
 
 def compute_line(ring: FiniteRing) -> ProjectiveLine:
-    """Scan all of R^2 and assemble the generalized projective line.
+    """The generalized projective line over ``ring``; each sector is built on first read.
 
-    v is free exactly when no a != 0 has a*r1 = a*r2 = 0, that is when
-    the left-annihilator masks of r1 and r2 share only bit 0.  Unit
-    multiples share that test, so in code order (row-major over
-    (r1, r2)), each unseen free vector gets one ``cyclic_submodule`` call,
-    which marks its unit class seen.  A smaller class member would have
-    come first, so each point is built at its canonical generator, in
-    sorted order.  The least member (r1, r2) of a class has the least r1
-    in U*r1, so rows whose r1 is not are skipped whole.  The ring's code
-    tables are built on first use, here.
+    The order bound is checked here, before any sector is built.
     RINGLINE_MAX_ORDER overrides the soft bound of 32.
     """
     limit = soft_max_order()
@@ -184,23 +218,7 @@ def compute_line(ring: FiniteRing) -> ProjectiveLine:
             f"line computation is bounded to order {limit} (ring has order {ring.order});"
             " set RINGLINE_MAX_ORDER to override"
         )
-    n, ann, vectors = ring.order, ring.left_annihilators, ring.vectors
-    seen: set[Vector] = set()
-    unimodular: list[CyclicSubmodule] = []
-    nonunimodular: list[CyclicSubmodule] = []
-    for r1, ann1, unit_multiples in zip(ring.elements(), ann, ring.unit_columns):
-        if min(unit_multiples) < r1:  # u*v < v for a unit u and every v in this row
-            continue
-        for ann2, v in zip(ann, vectors[r1 * n:r1 * n + n]):
-            if ann1 & ann2 == 1 and v not in seen:
-                point = cyclic_submodule(ring, v)
-                seen.update(point.generators)
-                (unimodular if point.unimodular else nonunimodular).append(point)
-    return ProjectiveLine(
-        ring=ring,
-        unimodular_points=tuple(unimodular),
-        nonunimodular_points=tuple(nonunimodular),
-    )
+    return ProjectiveLine(ring)
 
 
 def line_to_dict(line: ProjectiveLine) -> dict:

@@ -172,16 +172,20 @@ def _holds_on_generators(add: Table, mul: Table) -> bool:
     1. Additive associativity by Light's test: (x+g)+y == x+(g+y) for all
        x, y in R and g in A.  The elements g that satisfy this identity
        form a submagma of (R, +) that contains 0 and A, so it is all of R.
-    2. Right distributivity (x+g)a == xa + ga and left distributivity
-       a(x+g) == ax + ag for all x, a in R and g in A.  Now that (R, +) is
-       an abelian group, the elements for which a distributive law holds
-       are closed under +, and every element is a nonempty sum of
-       generators (0 included, as a multiple of one), so both laws hold.
+    2. Right distributivity (x+g)a == xa + ga for all x, a in R, and left
+       distributivity a(x+g) == ax + ag for all x in R and a in A, g in A.
+       In the abelian group (R, +), for a fixed a, the y with (x+y)a ==
+       xa + ya for all x are closed under +, and so are the y with
+       a(x+y) == ax + ay; every element is a nonempty sum of generators (0
+       included, as a multiple of one).  By right distributivity, the a
+       with a(x+y) == ax + ay for all x, y are closed under + too, so both
+       laws hold on R^3.
     3. Multiplicative associativity on A^3 only.  Under both distributive
        laws the associator (ab)c - a(bc) is additive in each argument, so
        it vanishes on R^3 once it vanishes on A^3.
 
-    Cost O(n^2 k) for k generators, with k <= log2 n in a group.
+    Cost O(n^2 k): 3n + 2k gathers of n entries for each of the k
+    generators, with k <= log2 n in a group.
     """
     gens = _additive_generators(add)
     if gens is None:
@@ -190,7 +194,7 @@ def _holds_on_generators(add: Table, mul: Table) -> bool:
     # plus_g(t)[x] == t[x+g] (+ commutes), row_of[a](t)[x] == t[a*x] and
     # col_of[a](t)[x] == t[x*a].
     cols = tuple(zip(*mul))
-    row_of = [itemgetter(*row) for row in mul]
+    row_of = {a: itemgetter(*mul[a]) for a in gens}
     col_of = [itemgetter(*col) for col in cols]
     for g in gens:
         plus_g = itemgetter(*add[g])
@@ -199,6 +203,7 @@ def _holds_on_generators(add: Table, mul: Table) -> bool:
         for a in range(len(mul)):
             if plus_g(cols[a]) != col_of[a](add[mul[g][a]]):  # (x+g)a == ga + xa
                 return False
+        for a in gens:
             if plus_g(mul[a]) != row_of[a](add[mul[a][g]]):  # a(x+g) == ag + ax
                 return False
     return all(mul[mul[a][b]][c] == mul[a][mul[b][c]] for a in gens for b in gens for c in gens)

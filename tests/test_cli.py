@@ -17,6 +17,7 @@ import pytest
 import oracles
 import ringline.cli
 import ringline.geometry
+import ringline.line
 import ringline.rings
 from conftest import DATA
 from ringline import (
@@ -263,6 +264,40 @@ def test_line_export(capsys, tmp_path, ternion_line):
     assert out == f"wrote {out_path}\n"
     assert out_path.read_text() == export_graph(ternion_line, "nonunimodular", "dot")
     assert not out_path.with_suffix(".dot.tmp").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, unimodular",
+    [
+        pytest.param(("condense", "GF(3)*T(2)"), {False}, id="condense"),
+        pytest.param(("line", "export", "GF(3)*T(2)", "--sector", "n", "--format", "dot", "--out", "{out}"), {False},
+                     id="export-n"),
+        pytest.param(("line", "export", "GF(3)*T(2)", "--sector", "u", "--format", "json", "--out", "{out}"), {True},
+                     id="export-u"),
+        pytest.param(("line", "export", "GF(3)*T(2)", "--sector", "all", "--format", "json", "--out", "{out}"),
+                     {True, False}, id="export-all"),
+        pytest.param(("line", "compute", "GF(3)*T(2)"), {True, False}, id="compute"),
+    ],
+)
+def test_commands_build_each_point_they_read_once_and_no_other(capsys, monkeypatch, tmp_path, argv, unimodular):
+    condense = importlib.import_module("ringline.condense")
+    condense.reference_structure.cache_clear()
+    spec = argv[2] if argv[0] == "line" else argv[1]
+    expected = [p for p in compute_line(construct(spec)).points if p.unimodular in unimodular]
+    built = []
+    real = ringline.line.cyclic_submodule
+
+    def counted(ring, vector):
+        point = real(ring, vector)
+        built.append((ring.label, point))
+        return point
+
+    monkeypatch.setattr(ringline.line, "cyclic_submodule", counted)
+    code, _, _ = run(capsys, *(a.format(out=tmp_path / "graph") for a in argv))
+    assert code == 0
+    assert sorted(p for label, p in built if label == spec) == expected
+    # a catalog reference reads only its unimodular sector
+    assert all(p.unimodular for label, p in built if label != spec)
 
 
 def test_line_export_beside_a_directory_named_like_the_old_temp_file(capsys, tmp_path):

@@ -355,6 +355,13 @@ def fake(generator, orbit, unimodular=True):
     )
 
 
+def fake_line(unimodular_points, nonunimodular_points):
+    """A line with no ring whose two sectors are seeded by hand, as if already read."""
+    line = ProjectiveLine(ring=None)
+    vars(line).update(unimodular_points=unimodular_points, nonunimodular_points=nonunimodular_points)
+    return line
+
+
 def test_partition_rejects_point_in_no_class():
     # three pairwise-distant points plus one sharing a vector with two of
     # them cannot be split by most-shared vectors
@@ -365,7 +372,7 @@ def test_partition_rejects_point_in_no_class():
         fake((3, 3), {zero, (3, 3), (6, 6)}),
         fake((4, 4), {zero, (4, 4), (7, 7)}),
     )
-    line = ProjectiveLine(ring=None, unimodular_points=points, nonunimodular_points=())
+    line = fake_line(points, ())
     with pytest.raises(NoAnswer, match=r"^point R\(3, 3\) lies in no maximal vector class$"):
         unimodular_partition(line)
 
@@ -388,7 +395,7 @@ def test_cross_sector(ternion_line, catalog_lines, gf3_t2_line):
         fake((4, 4), {zero, (1, 1), (1, 3), (1, 5)}, unimodular=False),
         fake((4, 6), {zero, (2, 6), (4, 6)}, unimodular=False),
     )
-    line = ProjectiveLine(ring=None, unimodular_points=uni, nonunimodular_points=non)
+    line = fake_line(uni, non)
     assert cross_sector_check(line) == (False, (non[1], uni[0]))
 
 

@@ -112,8 +112,8 @@ def test_scan_checks_each_point_once(monkeypatch):
     monkeypatch.setattr(ringline.line, "_check_vector", counted)
     for spec in ("T(2)", "Z(4)*GF(2)", "GF(3)*T(2)"):
         calls.clear()
-        line = compute_line(construct(spec))
-        assert sorted(calls) == sorted(p.generator for p in line.points), spec
+        points = compute_line(construct(spec)).points
+        assert sorted(calls) == sorted(p.generator for p in points), spec
 
 
 def test_unimodular_implies_free_everywhere(catalog):
@@ -352,9 +352,65 @@ def test_sweep_builds_each_free_unit_class_once(monkeypatch, spec):
         return real(ring, vector)
 
     monkeypatch.setattr(ringline.line, "cyclic_submodule", counted)
-    compute_line(ring)
+    compute_line(ring).points
     assert len(calls) == len(classes)
     assert {min(c) for c in classes} == set(calls)
+
+
+def _eager_sectors(ring):
+    """Both sectors as a scan of every vector in code order builds them."""
+    seen, sectors = set(), {True: [], False: []}
+    for v in product(ring.elements(), repeat=2):
+        point = cyclic_submodule(ring, v)
+        if point.free and v not in seen:
+            seen.update(point.generators)
+            sectors[point.unimodular].append(point)
+    return tuple(sectors[True]), tuple(sectors[False])
+
+
+@pytest.mark.parametrize("seed", [None, 3, 11])
+@pytest.mark.parametrize("spec", ["T(2)", "Z(4)*Z(4)", "GF(3)*T(2)", "D(2)*T(2)", "amphibian16"])
+def test_sectors_read_in_either_order_match_the_eager_scan(spec, seed, amphibian16):
+    ring = amphibian16 if spec == "amphibian16" else construct(spec)
+    if seed is not None:
+        ring = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed))
+    expected = _eager_sectors(ring)
+    assert expected[0]
+    first_unimodular = compute_line(ring)
+    assert (first_unimodular.unimodular_points, first_unimodular.nonunimodular_points) == expected
+    first_nonunimodular = compute_line(ring)
+    assert first_nonunimodular.nonunimodular_points == expected[1]
+    assert first_nonunimodular.unimodular_points == expected[0]
+
+
+@pytest.mark.parametrize("read", ["unimodular_points", "nonunimodular_points", "points"])
+def test_a_sector_read_builds_only_its_own_points_once(monkeypatch, read):
+    built = []
+    real = ringline.line.cyclic_submodule
+
+    def counted(ring, vector):
+        point = real(ring, vector)
+        built.append(point)
+        return point
+
+    monkeypatch.setattr(ringline.line, "cyclic_submodule", counted)
+    line = compute_line(construct("GF(3)*T(2)"))
+    assert built == []
+    points = getattr(line, read)
+    assert sorted(built) == sorted(points)  # each point read, once, and no other
+    # the other sector, read later, is built once from the kept generators
+    points = line.points
+    assert sorted(built) == list(points)
+
+
+def test_order_bound_is_checked_before_any_sector_is_read(monkeypatch):
+    built = []
+    monkeypatch.setattr(ringline.line, "cyclic_submodule", lambda ring, vector: built.append(vector))
+    monkeypatch.delenv("RINGLINE_MAX_ORDER", raising=False)
+    ring = construct("Z(33)")
+    with pytest.raises(TooLarge):
+        compute_line(ring)
+    assert built == [] and "vectors" not in vars(ring)
 
 
 def test_order_bound_and_overrides(monkeypatch):

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -148,6 +148,52 @@ def test_generator_proof_agrees_with_full_scan_on_mutants(catalog):
             validate_tables(add, mul)
         assert (err.value.kind, err.value.witness) == expected
     assert len(verdicts) >= 1000 and verdicts.count(True) >= len(rings)
+
+
+def test_generator_proof_agrees_with_full_scan_on_mutants_off_the_generators(catalog):
+    # left distributivity is checked only for left factors in the greedy
+    # generating set, so corrupt only rows mul[a] with a outside it
+    rng = random.Random(5)
+    rings = [(ring.add_table, ring.mul_table) for ring in catalog.values()]
+    rings += [oracles.relabelled(add, mul, seed) for add, mul in rings for seed in (3, 11)]
+    rings += [(ring.add_table, ring.mul_table) for ring in map(construct, ("GF(3)*T(2)", "Z(4)*T(2)"))]
+    verdicts = []
+    for _ in range(600):
+        add, mul = rng.choice(rings)
+        n = len(add)
+        gens = _additive_generators(tuple(map(tuple, add)))
+        rows = [a for a in range(n) if a not in gens and a != 1]
+        mul = [list(row) for row in mul]
+        for _ in range(rng.choice((1, 2))):
+            i, j = rng.choice(rows), rng.choice([k for k in range(n) if k != 1])
+            mul[i][j] = rng.choice([v for v in range(n) if v != mul[i][j]])
+        expected = oracles.axiom_failure(add, mul)
+        proof = _holds_on_generators(tuple(map(tuple, add)), tuple(map(tuple, mul)))
+        assert proof == (expected is None), (add, mul, expected)
+        verdicts.append(proof)
+        if expected is None:
+            validate_tables(add, mul)
+            continue
+        with pytest.raises(BadInput) as err:
+            validate_tables(add, mul)
+        assert (err.value.kind, err.value.witness) == expected
+    assert verdicts.count(False) >= 500
+
+
+def test_near_ring_fails_only_left_distributivity():
+    # the maps of Z3 fixing 0, added pointwise and multiplied by composition:
+    # every ring axiom but left distributivity holds, so only that check
+    # of the proof can refuse them
+    maps = [(0, 0, 0), (0, 1, 2)] + [(0, *f) for f in product(range(3), repeat=2) if f not in ((0, 0), (1, 2))]
+    index = {f: i for i, f in enumerate(maps)}
+    add = [[index[tuple((f[x] + g[x]) % 3 for x in range(3))] for g in maps] for f in maps]
+    mul = [[index[tuple(f[g[x]] for x in range(3))] for g in maps] for f in maps]
+    expected = oracles.axiom_failure(add, mul)
+    assert expected[0] == "left_distributivity"
+    assert not _holds_on_generators(tuple(map(tuple, add)), tuple(map(tuple, mul)))
+    with pytest.raises(BadInput) as err:
+        validate_tables(add, mul)
+    assert (err.value.kind, err.value.witness) == expected
 
 
 def test_addition_that_is_no_group_skips_the_proof():
