@@ -2,8 +2,9 @@
 
 Two distinct points are distant when their orbits meet only in the zero
 vector and neighbour otherwise; a point is neighbour to itself only with
-``allow_same=True``.  Each sector's ``incidence`` masks and neighbour rows
-are made once per line (``sector_incidence``), and every stage reads them.
+``allow_same=True``.  Each sector's indexes and neighbour rows are made
+once per line, on first read (``sector_incidence``), and every stage reads
+them.
 
 Maximum cliques are searched on the twin quotient (see ``cliques``).  On
 the unimodular sector the distant twin classes are the fibres of
@@ -27,12 +28,13 @@ from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import repeat
 from math import prod
-from operator import countOf, or_
+from operator import add, countOf, or_
 
 from . import jsontext
 from .cliques import Clique, cliques_through, expand, maximum_cliques, maximum_size
 from .errors import BadInput, NoAnswer
 from .line import CyclicSubmodule, ProjectiveLine, Vector, incidence, mask_indices
+from .rings import FiniteRing
 
 SECTORS = ("unimodular", "nonunimodular", "whole")
 
@@ -71,9 +73,9 @@ class RelationGraph(namedtuple("RelationGraph", "neighbours")):
 
     @classmethod
     def of(cls, edges, masks) -> "RelationGraph":
-        """Row i ORs the ``masks`` of edge i's members (a point's vectors or a
-        condensed point's classes), without bit i; the zero, on every edge,
-        is left out of the edge or has no mask."""
+        """Row i ORs the ``masks`` of edge i's members (the codes of a point's
+        nonzero Z*v, or a condensed point's classes), without bit i; the
+        zero, on every edge, is left out of the edge or has no mask."""
         return cls(tuple(_meeting(masks, edge) & ~(1 << i) for i, edge in enumerate(edges)))
 
     def distant(self) -> tuple[int, ...]:
@@ -81,19 +83,58 @@ class RelationGraph(namedtuple("RelationGraph", "neighbours")):
         return tuple(full & ~(row | 1 << i) for i, row in enumerate(self.neighbours))
 
 
-class SectorIncidence:
-    """Everything one sector of a line gives every stage, each derived once.
+def _multiples(ring: FiniteRing, point: CyclicSubmodule) -> map:
+    """The codes of the point's zero-divisor multiples z*v, z ascending, so 0*v = (0, 0) first."""
+    r1, r2 = point.generator
+    return map(add, ring.scaled_zero_divisor_columns[r1], ring.zero_divisor_columns[r2])
 
-    The points, their ``incidence`` masks and, on first use, the neighbour rows.
+
+def _shared_codes(ring: FiniteRing, point: CyclicSubmodule) -> map:
+    """The codes of the point's nonzero Z*v: every vector it may share with another point."""
+    codes = _multiples(ring, point)
+    next(codes)  # 0*v
+    return codes
+
+
+def shared_incidence(ring: FiniteRing, points) -> dict[int, int]:
+    """The code of each zero-divisor multiple z*v of each point, mapped to the mask of the points holding it."""
+    index: dict[int, int] = {}
+    get = index.get
+    for i, point in enumerate(points):
+        bit = 1 << i
+        for code in _multiples(ring, point):
+            index[code] = get(code, 0) | bit
+    return index
+
+
+class SectorIncidence(namedtuple("SectorIncidence", "ring points")):
+    """Everything one sector of a line gives every stage, each derived on first read.
+
+    ``shared`` indexes only the vectors that points can share, by code: the
+    zero-divisor multiples Z*v of each point R*v, Z the non-units.  A point
+    is free, and a free w in R*v has R*w = R*v, since both have |R| vectors;
+    so a free vector lies on its own point alone.  For a unit a, a*v is
+    free.  A non-unit a has some b != 0 with b*a = 0, since a finite ring is
+    Dedekind-finite (``rings.validate_tables``), so b*(a*v) = 0 and a*v is
+    not free.  So R*v is its generators U*v, each on this point alone, and
+    Z*v, which ``shared`` holds with the mask of every point through it.
+    The neighbour rows, the partition and the cross check read ``shared``.
+    ``masks``, the full ``incidence`` of the orbits, is for the stages that
+    need every vector: condensation, the reference structures, private
+    vectors and the export.  Each is built only when it is read.
     """
 
-    def __init__(self, points: tuple[CyclicSubmodule, ...]):
-        self.points = points
-        self.masks = incidence(p.orbit for p in points)
+    @cached_property
+    def masks(self) -> dict[Vector, int]:
+        return incidence(p.orbit for p in self.points)
+
+    @cached_property
+    def shared(self) -> dict[int, int]:
+        return shared_incidence(self.ring, self.points)
 
     @cached_property
     def graph(self) -> RelationGraph:
-        return RelationGraph.of([p.orbit[1:] for p in self.points], self.masks)  # orbit[0] is ZERO
+        return RelationGraph.of([_shared_codes(self.ring, p) for p in self.points], self.shared)
 
     def rows(self, kind: str) -> tuple[int, ...]:
         """The bitmask rows of the ``kind`` ("distant" or "neighbour") relation."""
@@ -103,7 +144,7 @@ class SectorIncidence:
 def sector_incidence(line: ProjectiveLine, sector: str) -> SectorIncidence:
     """The sector's ``SectorIncidence``, built on first use and kept in ``line.derived``."""
     if sector not in line.derived:
-        line.derived[sector] = SectorIncidence(sector_points(line, sector))
+        line.derived[sector] = SectorIncidence(line.ring, sector_points(line, sector))
     return line.derived[sector]
 
 
@@ -182,13 +223,14 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
     c(0).  Point 0 lies on one, so the least maximum clique holds it.
     """
     data = sector_incidence(line, "unimodular")
-    points = data.points
-    masks = set(data.masks.values())
-    if countOf(data.masks.values(), data.masks.get(ZERO)) == 1:  # no nonzero vector has the zero's mask
-        masks.discard(data.masks[ZERO])
-    shared = {m: m.bit_count() for m in masks}
-    best = max(shared.values(), default=0)
-    classes = sorted((m for m, size in shared.items() if size == best), key=mask_indices)
+    points, index = data.points, data.shared
+    masks = set(index.values())
+    if countOf(index.values(), index[0]) == 1:  # no nonzero vector has the zero's mask
+        masks.discard(index[0])
+    masks.update(1 << i for i in range(len(points)))  # a point's generators lie on it alone
+    sizes = {m: m.bit_count() for m in masks}
+    best = max(sizes.values(), default=0)
+    classes = sorted((m for m, size in sizes.items() if size == best), key=mask_indices)
     covered = 0
     for cls in classes:
         if covered & cls:
@@ -224,7 +266,8 @@ def cross_sector_check(line: ProjectiveLine) -> tuple[bool, tuple[CyclicSubmodul
     """Whether every non-unimodular point is neighbour to every unimodular one.
 
     Returns (True, None) or (False, counterexample pair), reading each point's
-    unimodular neighbours off the unimodular masks of its nonzero vectors.
+    unimodular neighbours off the unimodular ``shared`` masks of its nonzero
+    Z*v; its other vectors are free, so they lie on it alone.
     """
     unimodular, nonunimodular = line.unimodular_points, line.nonunimodular_points
     if not nonunimodular or not unimodular:
@@ -232,7 +275,7 @@ def cross_sector_check(line: ProjectiveLine) -> tuple[bool, tuple[CyclicSubmodul
     data = sector_incidence(line, "unimodular")
     sector = (1 << len(unimodular)) - 1
     for nu in nonunimodular:
-        distant = sector & ~_meeting(data.masks, nu.orbit[1:])
+        distant = sector & ~_meeting(data.shared, _shared_codes(line.ring, nu))
         if distant:
             return False, (nu, unimodular[mask_indices(distant)[0]])
     return True, None

@@ -77,25 +77,32 @@ def _vectors_at(ring: FiniteRing, codes: list[int]) -> tuple[Vector, ...]:
 def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
     """Orbit of a vector under left multiplication, with classification.
 
-    The orbit is {(a*r1, a*r2)}: in codes, one sum of the scaled column of
-    r1 and the column of r2, sorted as ints.  v is free, a -> a*v
-    injective, when no a != 0 has a*v = 0, that is when the
-    left-annihilator masks of r1 and r2 share only bit 0; otherwise the
-    codes are deduplicated first.  The generators of R*v are its unit
-    multiples u*v, the same sum over the unit columns; the canonical one
-    is the least.  Finite rings have stable range 1 (Bass, *K-theory and
-    stable algebra*, Publ. IHES 22, 1964): if R*w = R*v, then w = a*v with
-    R*a + ann(v) = R, so a + t is a unit u for some t in ann(v), and
-    w = u*v.  If r1*x1 + r2*x2 = 1, then (u*r1)(x1*u^-1) + (u*r2)(x2*u^-1)
-    = 1, so every generator, v included, decides unimodularity, and
-    ``is_unimodular``'s test runs on v itself, on the components checked
-    once above.  Only free vectors are tested: r1*x1 + r2*x2 = 1 and
-    a*v = 0 force a = 0.
+    v is free, a -> a*v injective, when no a != 0 has a*v = 0, that is when
+    the left-annihilator masks of r1 and r2 share only bit 0.  Finite rings
+    have stable range 1 (Bass, *K-theory and stable algebra*, Publ. IHES
+    22, 1964): if R*w = R*v, then w = a*v with R*a + ann(v) = R, so a + t is
+    a unit u for some t in ann(v), and w = u*v.  If r1*x1 + r2*x2 = 1, then
+    (u*r1)(x1*u^-1) + (u*r2)(x2*u^-1) = 1, so every generator, v included,
+    decides unimodularity, and ``is_unimodular``'s test runs on v itself,
+    on the components checked once above.  Only free vectors are tested:
+    r1*x1 + r2*x2 = 1 and a*v = 0 force a = 0.
     """
     r1, r2 = _check_vector(ring, vector)
+    free = ring.left_annihilators[r1] & ring.left_annihilators[r2] == 1
+    return _submodule(ring, r1, r2, free, free and _unimodular(ring, r1, r2))
+
+
+def _submodule(ring: FiniteRing, r1: int, r2: int, free: bool, unimodular: bool) -> CyclicSubmodule:
+    """R*(r1, r2) with its classification as given; every point of a line is built here.
+
+    The orbit is {(a*r1, a*r2)}: in codes, one sum of the scaled column of
+    r1 and the column of r2, sorted as ints; a vector that is not free has
+    its codes deduplicated first.  The generators of R*v are its unit
+    multiples u*v, the same sum over the unit columns; the canonical one is
+    the least.
+    """
     orbit = map(add, ring.scaled_columns[r1], ring.columns[r2])
     units = map(add, ring.scaled_unit_columns[r1], ring.unit_columns[r2])
-    free = ring.left_annihilators[r1] & ring.left_annihilators[r2] == 1
     if not free:  # a*v = b*v for some a != b
         orbit, units = set(orbit), set(units)
     generators = _vectors_at(ring, sorted(units))
@@ -103,7 +110,7 @@ def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
         generator=generators[0],
         orbit=_vectors_at(ring, sorted(orbit)),
         free=free,
-        unimodular=free and _unimodular(ring, r1, r2),
+        unimodular=unimodular,
         generators=generators,
     )
 
@@ -126,13 +133,15 @@ class ProjectiveLine(namedtuple("ProjectiveLine", "ring")):
         only bit 0.  Unit multiples share that test, so in code order
         (row-major over (r1, r2)) each unseen free vector is its class's
         least member, the canonical generator, and its r1 is least in U*r1:
-        other rows are skipped whole.  A class of the other sector only marks
-        its unit multiples seen; that sector is built from the kept
-        generators, in order, when it is read.
+        other rows are skipped whole.  Each class is tested for unimodularity
+        once, at that generator, and its point is built with the verdict.  A
+        class of the other sector only marks its unit multiples seen; that
+        sector is built from the kept generators, in order, when it is read,
+        with no second test.
         """
         ring = self.ring
         if "_deferred" in self.__dict__:
-            return tuple(cyclic_submodule(ring, v) for v in self.__dict__.pop("_deferred"))
+            return tuple(_submodule(ring, *v, True, unimodular) for v in self.__dict__.pop("_deferred"))
         n, ann, vectors = ring.order, ring.left_annihilators, ring.vectors
         seen: set[Vector] = set()
         points, deferred = [], []
@@ -143,7 +152,7 @@ class ProjectiveLine(namedtuple("ProjectiveLine", "ring")):
                 if ann1 & ann2 != 1 or v in seen:
                     continue
                 if _unimodular(ring, *v) == unimodular:
-                    point = cyclic_submodule(ring, v)
+                    point = _submodule(ring, *v, True, unimodular)
                     seen.update(point.generators)
                     points.append(point)
                 else:
@@ -183,6 +192,15 @@ def incidence(orbits) -> dict[Vector, int]:
 
     Bit i is set when the vector lies on the i-th orbit, so a vector lies
     on k points when its mask has k bits.
+
+    On the points of a line only zero-divisor multiples can have two bits.
+    A point R*v is free, and a free w in R*v has R*w = R*v, since both have
+    |R| vectors: a free vector lies on its own point alone.  For a unit a,
+    a*v is free.  A non-unit a has some b != 0 with b*a = 0, since a finite
+    ring is Dedekind-finite (``rings.validate_tables``), so b*(a*v) = 0 and
+    a*v is not free.  So the vectors that points share are among the Z*v,
+    Z the non-units, and ``geometry.SectorIncidence.shared`` indexes those
+    alone for the stages that read only shared vectors.
     """
     masks: dict[Vector, int] = {}
     for index, orbit in enumerate(orbits):

@@ -77,6 +77,16 @@ class FiniteRing(namedtuple("FiniteRing", "order add_table mul_table units zero_
         return _scaled_columns([self.mul_table[u] for u in sorted(self.units)], self.order)
 
     @cached_property
+    def zero_divisor_columns(self) -> Table:
+        """``columns`` restricted to the zero divisors: ``zero_divisor_columns[r][k] = z_k*r``, z ascending from 0."""
+        return tuple(zip(*(self.mul_table[z] for z in sorted(self.zero_divisors))))
+
+    @cached_property
+    def scaled_zero_divisor_columns(self) -> Table:
+        """``zero_divisor_columns`` times n, the first digit of the codes of the zero-divisor multiples."""
+        return _scaled_columns([self.mul_table[z] for z in sorted(self.zero_divisors)], self.order)
+
+    @cached_property
     def vectors(self) -> tuple[tuple[int, int], ...]:
         """Every vector of R^2 at its code: ``vectors[r1*n + r2] = (r1, r2)``."""
         return tuple(product(self.elements(), repeat=2))

@@ -285,14 +285,14 @@ def test_commands_build_each_point_they_read_once_and_no_other(capsys, monkeypat
     spec = argv[2] if argv[0] == "line" else argv[1]
     expected = [p for p in compute_line(construct(spec)).points if p.unimodular in unimodular]
     built = []
-    real = ringline.line.cyclic_submodule
+    real = ringline.line._submodule
 
-    def counted(ring, vector):
-        point = real(ring, vector)
+    def counted(ring, *args):
+        point = real(ring, *args)
         built.append((ring.label, point))
         return point
 
-    monkeypatch.setattr(ringline.line, "cyclic_submodule", counted)
+    monkeypatch.setattr(ringline.line, "_submodule", counted)
     code, _, _ = run(capsys, *(a.format(out=tmp_path / "graph") for a in argv))
     assert code == 0
     assert sorted(p for label, p in built if label == spec) == expected
@@ -421,30 +421,38 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
     # first, so that only the scans of this report's line are counted
     for reference in condense.DEFAULT_CATALOG:
         condense.reference_structure(reference)
-    scans, graphs = [], []
-    scan, build = ringline.geometry.incidence, ringline.geometry.RelationGraph.of
+    scans, indexes, graphs = [], [], []
+    geometry = ringline.geometry
+    scan, index, build = geometry.incidence, geometry.shared_incidence, geometry.RelationGraph.of
 
     def counted_scan(orbits):
         orbits = list(orbits)
         scans.append(len(orbits))
         return scan(orbits)
 
+    def counted_index(ring, points):
+        indexes.append(len(points))
+        return index(ring, points)
+
     def counted_build(cls, edges, masks):
         edges = list(edges)
         graphs.append(len(edges))
         return build(edges, masks)
 
-    monkeypatch.setattr(ringline.geometry, "incidence", counted_scan)
-    monkeypatch.setattr(ringline.geometry.RelationGraph, "of", classmethod(counted_build))
+    monkeypatch.setattr(geometry, "incidence", counted_scan)
+    monkeypatch.setattr(geometry, "shared_incidence", counted_index)
+    monkeypatch.setattr(geometry.RelationGraph, "of", classmethod(counted_build))
     ring = construct(spec)
     fresh = ringline.cli.compute_line(ring)
     before = line_to_json(fresh)
     report = build_line_report(ring)
     line = report.line
-    # one orbit scan per sector feeds the searches, the partition, the cross
-    # check and the condensation; the one row builder runs once per sector
-    assert scans == [len(line.unimodular_points), len(line.nonunimodular_points)]
-    assert graphs == scans
+    # one shared-vector index per sector feeds the searches, the partition
+    # and the cross check, and the one row builder runs once per sector;
+    # only the condensation walks whole orbits, the non-unimodular ones
+    assert indexes == [len(line.unimodular_points), len(line.nonunimodular_points)]
+    assert graphs == indexes
+    assert scans == [len(line.nonunimodular_points)]
     # the per-sector cache is not part of the line's value
     assert set(line.derived) == {"unimodular", "nonunimodular"}
     assert line == fresh and hash(line) == hash(fresh)

@@ -1,7 +1,8 @@
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -356,8 +357,24 @@ def fake(generator, orbit, unimodular=True):
 
 
 def fake_line(unimodular_points, nonunimodular_points):
-    """A line with no ring whose two sectors are seeded by hand, as if already read."""
-    line = ProjectiveLine(ring=None)
+    """A line whose two sectors are seeded by hand, as if already read.
+
+    Its stand-in ring has only the zero-divisor tables the shared-vector
+    index reads, made so that each point's Z*v is its orbit without its
+    generator, the zero first.  Code r1*8 + r2 stands for (r1, r2); each
+    point has its own second component, which alone picks its row.
+    """
+    multiples = {}
+    for point in unimodular_points + nonunimodular_points:
+        assert point.generator[1] not in multiples
+        multiples[point.generator[1]] = tuple(8 * a + b for a, b in point.orbit if (a, b) not in point.generators)
+    width = max(map(len, multiples.values()))
+    ring = SimpleNamespace(
+        label="fake",
+        zero_divisor_columns=multiples,
+        scaled_zero_divisor_columns=defaultdict(lambda: (0,) * width),
+    )
+    line = ProjectiveLine(ring=ring)
     vars(line).update(unimodular_points=unimodular_points, nonunimodular_points=nonunimodular_points)
     return line
 
@@ -392,11 +409,33 @@ def test_cross_sector(ternion_line, catalog_lines, gf3_t2_line):
         fake((1, 5), {zero, (1, 5), (2, 7)}),
     )
     non = (
-        fake((4, 4), {zero, (1, 1), (1, 3), (1, 5)}, unimodular=False),
+        fake((4, 4), {zero, (4, 4), (2, 2), (2, 6), (2, 7)}, unimodular=False),
         fake((4, 6), {zero, (2, 6), (4, 6)}, unimodular=False),
     )
     line = fake_line(uni, non)
     assert cross_sector_check(line) == (False, (non[1], uni[0]))
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize(
+    "spec", ["T(2)", "T(3)", "T(4)", "GF(3)*T(2)", "T(2)*T(2)", "Z(4)*Z(4)", "D(3)*GF(2)", "GF(7)", "amphibian16"]
+)
+def test_points_share_only_zero_divisor_multiples(spec, seed, amphibian16, monkeypatch):
+    # a free vector lies on its own point alone, so the shared-vector index
+    # (the Z*v of every point) is the full incidence without the generators
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    ring = amphibian16 if spec == "amphibian16" else construct(spec)
+    if seed is not None:
+        ring = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed))
+    n = ring.order
+    line = compute_line(ring)
+    for sector in SECTORS:
+        data = sector_incidence(line, sector)
+        codes = {a * n + b: mask for (a, b), mask in data.masks.items()}
+        generators = {a * n + b for point in data.points for a, b in point.generators}
+        assert data.shared == {code: mask for code, mask in codes.items() if code not in generators}, sector
+        assert {code for code, mask in codes.items() if mask & (mask - 1)} <= data.shared.keys(), sector
+        assert all(codes[code].bit_count() == 1 for code in generators), sector
 
 
 @pytest.fixture(scope="module")

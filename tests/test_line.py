@@ -102,18 +102,30 @@ def test_vector_bounds_checked(ternions8):
 
 
 def test_scan_checks_each_point_once(monkeypatch):
-    calls = []
-    real = ringline.line._check_vector
+    # the walk tests each point's sector once, at its canonical generator,
+    # and builds the point with that verdict; its vectors need no range check
+    checked, tested = [], []
+    real_check, real_test = ringline.line._check_vector, ringline.line._unimodular
 
-    def counted(ring, vector):
-        calls.append(vector)
-        return real(ring, vector)
+    def counted_check(ring, vector):
+        checked.append(vector)
+        return real_check(ring, vector)
 
-    monkeypatch.setattr(ringline.line, "_check_vector", counted)
-    for spec in ("T(2)", "Z(4)*GF(2)", "GF(3)*T(2)"):
-        calls.clear()
+    def counted_test(ring, r1, r2):
+        tested.append((r1, r2))
+        return real_test(ring, r1, r2)
+
+    monkeypatch.setattr(ringline.line, "_check_vector", counted_check)
+    monkeypatch.setattr(ringline.line, "_unimodular", counted_test)
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    for spec in ("T(2)", "Z(4)*GF(2)", "GF(3)*T(2)", "GF(7)*T(2)"):
+        del checked[:], tested[:]
         points = compute_line(construct(spec)).points
-        assert sorted(calls) == sorted(p.generator for p in points), spec
+        assert checked == [], spec
+        assert sorted(tested) == sorted(p.generator for p in points), spec
+    # GF(7)*T(2) read in both sectors: one test per point, where testing
+    # again inside each build would make 336
+    assert len(tested) == 168
 
 
 def test_unimodular_implies_free_everywhere(catalog):
@@ -335,8 +347,8 @@ def test_scan_matches_brute_force_point_by_point(spec, seed, amphibian16, monkey
 
 @pytest.mark.parametrize("spec", ["T(2)", "Z(4)*Z(4)", "GF(3)*T(2)"])
 def test_sweep_builds_each_free_unit_class_once(monkeypatch, spec):
-    # one cyclic_submodule call per free unit class, at its least member,
-    # and none for a vector whose orbit is not free
+    # one point build per free unit class, at its least member, and none
+    # for a vector whose orbit is not free
     ring = construct(spec)
     mul = [list(row) for row in ring.mul_table]
     classes = {
@@ -345,13 +357,13 @@ def test_sweep_builds_each_free_unit_class_once(monkeypatch, spec):
         if len(oracles.brute_orbit(mul, v)) == ring.order
     }
     calls = []
-    real = ringline.line.cyclic_submodule
+    real = ringline.line._submodule
 
-    def counted(ring, vector):
-        calls.append(vector)
-        return real(ring, vector)
+    def counted(ring, r1, r2, free, unimodular):
+        calls.append((r1, r2))
+        return real(ring, r1, r2, free, unimodular)
 
-    monkeypatch.setattr(ringline.line, "cyclic_submodule", counted)
+    monkeypatch.setattr(ringline.line, "_submodule", counted)
     compute_line(ring).points
     assert len(calls) == len(classes)
     assert {min(c) for c in classes} == set(calls)
@@ -386,14 +398,14 @@ def test_sectors_read_in_either_order_match_the_eager_scan(spec, seed, amphibian
 @pytest.mark.parametrize("read", ["unimodular_points", "nonunimodular_points", "points"])
 def test_a_sector_read_builds_only_its_own_points_once(monkeypatch, read):
     built = []
-    real = ringline.line.cyclic_submodule
+    real = ringline.line._submodule
 
-    def counted(ring, vector):
-        point = real(ring, vector)
+    def counted(*args):
+        point = real(*args)
         built.append(point)
         return point
 
-    monkeypatch.setattr(ringline.line, "cyclic_submodule", counted)
+    monkeypatch.setattr(ringline.line, "_submodule", counted)
     line = compute_line(construct("GF(3)*T(2)"))
     assert built == []
     points = getattr(line, read)
@@ -405,7 +417,7 @@ def test_a_sector_read_builds_only_its_own_points_once(monkeypatch, read):
 
 def test_order_bound_is_checked_before_any_sector_is_read(monkeypatch):
     built = []
-    monkeypatch.setattr(ringline.line, "cyclic_submodule", lambda ring, vector: built.append(vector))
+    monkeypatch.setattr(ringline.line, "_submodule", lambda *args: built.append(args))
     monkeypatch.delenv("RINGLINE_MAX_ORDER", raising=False)
     ring = construct("Z(33)")
     with pytest.raises(TooLarge):
