@@ -254,16 +254,20 @@ def test_line_compute_timing_goes_to_stderr(capsys):
     assert "elapsed:" not in out
 
 
-def test_line_export(capsys, tmp_path, ternion_line):
-    out_path = tmp_path / "t2.dot"
-    code, out, _ = run(
-        capsys, "line", "export", f"file:{bundled_ring_path()}",
-        "--sector", "n", "--format", "dot", "--out", str(out_path),
-    )
+@pytest.mark.parametrize(
+    "spec, flag, sector, fmt",
+    [
+        pytest.param(f"file:{bundled_ring_path()}", "n", "nonunimodular", "dot", id="t2-n-dot"),
+        pytest.param("GF(3)*T(2)", "all", "whole", "json", id="gf3t2-all-json"),  # a_b ids
+    ],
+)
+def test_line_export(capsys, tmp_path, spec, flag, sector, fmt):
+    out_path = tmp_path / f"graph.{fmt}"
+    code, out, _ = run(capsys, "line", "export", spec, "--sector", flag, "--format", fmt, "--out", str(out_path))
     assert code == 0
     assert out == f"wrote {out_path}\n"
-    assert out_path.read_text() == export_graph(ternion_line, "nonunimodular", "dot")
-    assert not out_path.with_suffix(".dot.tmp").exists()
+    assert out_path.read_bytes() == export_graph(compute_line(construct(spec)), sector, fmt).encode()
+    assert os.listdir(tmp_path) == [out_path.name]  # the temp file was renamed, none is left
 
 
 @pytest.mark.parametrize(
