@@ -1,14 +1,13 @@
 """Cyclic submodules of R^2 and the generalized projective line.
 
-A point of the line is a free cyclic submodule R*v, kept as its orbit
-under left multiplication.  Vectors generate the same submodule exactly
-when they are unit multiples, so the scan builds each free unit class of
-R^2 once, at its least member (the canonical generator), and classifies
-it by whether 1 lies in r1*R + r2*R.  The scan works on vector codes
-r1*n + r2, which sort like the vectors: an orbit is one sum of two
-columns of the ring's code tables (``FiniteRing.scaled_columns`` and its
-relatives, built once per ring), sorted as ints and read back through
-``FiniteRing.vectors``, so every orbit shares one tuple per vector.
+A point of the line is a free cyclic submodule R*v, kept as its canonical
+generator.  Vectors generate the same submodule exactly when they are unit
+multiples, so the scan meets each free unit class of R^2 once, at its
+least member (the canonical generator), and classifies it by whether 1
+lies in r1*R + r2*R.  The scan works on vector codes r1*n + r2, which sort
+like the vectors: a class is one sum of two columns of the ring's code
+tables (``FiniteRing.scaled_unit_columns`` and its relatives, built once
+per ring).  A point's orbit is derived the same way when first read.
 """
 
 from __future__ import annotations
@@ -57,25 +56,43 @@ def _unimodular(ring: FiniteRing, r1: int, r2: int) -> bool:
     return not ring.one_minus_multiples[r1].isdisjoint(ring.mul_table[r2])
 
 
-class CyclicSubmodule(namedtuple("CyclicSubmodule", "generator orbit free unimodular generators")):
-    """One left cyclic submodule of R^2: canonical generator plus orbit."""
+class CyclicSubmodule(namedtuple("CyclicSubmodule", "generator free unimodular ring")):
+    """One left cyclic submodule R*v of R^2, kept as its canonical generator v.
+
+    Its orbit {a*v} and its generators {u*v}, u a unit, are derived on first
+    read: in codes, one sum of the scaled column of r1 and the column of r2,
+    sorted as ints (deduplicated first when v is not free) and read back
+    through ``FiniteRing.vectors``, so every orbit shares one tuple per vector.
+    """
+
+    @cached_property
+    def orbit(self) -> tuple[Vector, ...]:
+        return self._multiples(self.ring.scaled_columns, self.ring.columns)
+
+    @cached_property
+    def generators(self) -> tuple[Vector, ...]:
+        return self._multiples(self.ring.scaled_unit_columns, self.ring.unit_columns)
 
     @cached_property
     def orbit_set(self) -> frozenset[Vector]:
         return frozenset(self.orbit)
 
-    def __repr__(self) -> str:  # noqa: D105 - orbit elided
+    def _multiples(self, scaled_columns, columns) -> tuple[Vector, ...]:
+        r1, r2 = self.generator
+        codes = map(add, scaled_columns[r1], columns[r2])
+        if not self.free:  # a*v = b*v for some a != b
+            codes = set(codes)
+        codes, vectors = sorted(codes), self.ring.vectors
+        return itemgetter(*codes)(vectors) if len(codes) > 1 else (vectors[codes[0]],)
+
+    def __repr__(self) -> str:  # noqa: D105 - a free orbit has |R| vectors
         sector = "unimodular" if self.unimodular else "non-unimodular"
-        return f"<point R{self.generator} {sector} |orbit|={len(self.orbit)}>"
-
-
-def _vectors_at(ring: FiniteRing, codes: list[int]) -> tuple[Vector, ...]:
-    """The vectors with these codes, as the ring's shared ``vectors`` tuples."""
-    return itemgetter(*codes)(ring.vectors) if len(codes) > 1 else (ring.vectors[codes[0]],)
+        size = self.ring.order if self.free else len(self.orbit)
+        return f"<point R{self.generator} {sector} |orbit|={size}>"
 
 
 def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
-    """Orbit of a vector under left multiplication, with classification.
+    """R*v at its canonical generator, the least unit multiple u*v, with classification.
 
     v is free, a -> a*v injective, when no a != 0 has a*v = 0, that is when
     the left-annihilator masks of r1 and r2 share only bit 0.  Finite rings
@@ -89,30 +106,13 @@ def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
     """
     r1, r2 = _check_vector(ring, vector)
     free = ring.left_annihilators[r1] & ring.left_annihilators[r2] == 1
-    return _submodule(ring, r1, r2, free, free and _unimodular(ring, r1, r2))
+    least = min(map(add, ring.scaled_unit_columns[r1], ring.unit_columns[r2]))
+    return _submodule(ring, *divmod(least, ring.order), free, free and _unimodular(ring, r1, r2))
 
 
 def _submodule(ring: FiniteRing, r1: int, r2: int, free: bool, unimodular: bool) -> CyclicSubmodule:
-    """R*(r1, r2) with its classification as given; every point of a line is built here.
-
-    The orbit is {(a*r1, a*r2)}: in codes, one sum of the scaled column of
-    r1 and the column of r2, sorted as ints; a vector that is not free has
-    its codes deduplicated first.  The generators of R*v are its unit
-    multiples u*v, the same sum over the unit columns; the canonical one is
-    the least.
-    """
-    orbit = map(add, ring.scaled_columns[r1], ring.columns[r2])
-    units = map(add, ring.scaled_unit_columns[r1], ring.unit_columns[r2])
-    if not free:  # a*v = b*v for some a != b
-        orbit, units = set(orbit), set(units)
-    generators = _vectors_at(ring, sorted(units))
-    return CyclicSubmodule(
-        generator=generators[0],
-        orbit=_vectors_at(ring, sorted(orbit)),
-        free=free,
-        unimodular=unimodular,
-        generators=generators,
-    )
+    """R*(r1, r2), at its canonical generator, classified as given; every point of a line is built here."""
+    return CyclicSubmodule(generator=(r1, r2), free=free, unimodular=unimodular, ring=ring)
 
 
 class ProjectiveLine(namedtuple("ProjectiveLine", "ring")):
@@ -127,38 +127,35 @@ class ProjectiveLine(namedtuple("ProjectiveLine", "ring")):
         return self._sector(False)
 
     def _sector(self, unimodular: bool) -> tuple[CyclicSubmodule, ...]:
-        """Walk R^2 for the first sector read; the other sector keeps its canonical generators.
+        """Walk the codes of R^2 for the first sector read; the other sector keeps its canonical generators.
 
         v is free exactly when the left-annihilator masks of r1 and r2 share
-        only bit 0.  Unit multiples share that test, so in code order
-        (row-major over (r1, r2)) each unseen free vector is its class's
-        least member, the canonical generator, and its r1 is least in U*r1:
-        other rows are skipped whole.  Each class is tested for unimodularity
-        once, at that generator, and its point is built with the verdict.  A
-        class of the other sector only marks its unit multiples seen; that
-        sector is built from the kept generators, in order, when it is read,
-        with no second test.
+        only bit 0.  Unit multiples share that test, so in code order each
+        unseen free vector is its class's least member, the canonical
+        generator, and its r1 is least in U*r1: other rows are skipped whole.
+        Each class marks its unit multiples seen and is tested once, at that
+        generator.  The other sector is built from the kept generators, in
+        order, when it is read, with no second test.
         """
         ring = self.ring
         if "_deferred" in self.__dict__:
             return tuple(_submodule(ring, *v, True, unimodular) for v in self.__dict__.pop("_deferred"))
-        n, ann, vectors = ring.order, ring.left_annihilators, ring.vectors
-        seen: set[Vector] = set()
+        n, ann = ring.order, ring.left_annihilators
+        scaled_unit_columns, unit_columns = ring.scaled_unit_columns, ring.unit_columns
+        seen: set[int] = set()
         points, deferred = [], []
-        for r1, ann1, unit_multiples in zip(ring.elements(), ann, ring.unit_columns):
+        for r1, ann1, unit_multiples in zip(ring.elements(), ann, unit_columns):
             if min(unit_multiples) < r1:  # u*v < v for a unit u and every v in this row
                 continue
-            for ann2, v in zip(ann, vectors[r1 * n:r1 * n + n]):
-                if ann1 & ann2 != 1 or v in seen:
+            row = r1 * n
+            for r2, ann2 in enumerate(ann):
+                if ann1 & ann2 != 1 or row + r2 in seen:
                     continue
-                if _unimodular(ring, *v) == unimodular:
-                    point = _submodule(ring, *v, True, unimodular)
-                    seen.update(point.generators)
-                    points.append(point)
+                seen.update(map(add, scaled_unit_columns[r1], unit_columns[r2]))
+                if _unimodular(ring, r1, r2) == unimodular:
+                    points.append(_submodule(ring, r1, r2, True, unimodular))
                 else:
-                    deferred.append(v)
-                    units = map(add, ring.scaled_unit_columns[r1], ring.unit_columns[v[1]])
-                    seen.update(map(vectors.__getitem__, units))
+                    deferred.append((r1, r2))
         self.__dict__["_deferred"] = deferred
         return tuple(points)
 

@@ -463,6 +463,25 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
     assert line_to_json(line) == before
 
 
+@pytest.mark.parametrize("spec, seed", [("GF(3)*T(2)", None), ("T(4)", None), ("GF(4)*T(2)", 11)])
+def test_line_report_derives_no_unimodular_orbit(spec, seed, monkeypatch):
+    # a point is built as its canonical generator; the report reads the
+    # unimodular sector through the generators' zero-divisor multiples, and
+    # only the condensate reads orbits, the non-unimodular ones
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    ring = construct(spec)
+    if seed is not None:
+        ring = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed))
+    line = build_line_report(ring).line
+    assert line.nonunimodular_points
+    assert not any("orbit" in vars(p) or "generators" in vars(p) for p in line.unimodular_points)
+    assert [p for p in line.points if "orbit" in vars(p)] == list(line.nonunimodular_points)
+    # a free point prints its orbit size, |R|, without deriving its orbit
+    point = line.unimodular_points[-1]
+    assert repr(point) == f"<point R{point.generator} unimodular |orbit|={ring.order}>"
+    assert "orbit" not in vars(point)
+
+
 def test_line_report_counts_cliques_without_listing_them(monkeypatch):
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
 

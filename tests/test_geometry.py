@@ -346,14 +346,10 @@ def test_klein_product_line_has_no_partition(catalog_lines):
 
 
 def fake(generator, orbit, unimodular=True):
-    orbit = tuple(sorted(orbit))
-    return CyclicSubmodule(
-        generator=generator,
-        orbit=orbit,
-        free=True,
-        unimodular=unimodular,
-        generators=(generator,),
-    )
+    """A point whose orbit and generators are seeded by hand, as if already read."""
+    point = CyclicSubmodule(generator=generator, free=True, unimodular=unimodular, ring=None)
+    vars(point).update(orbit=tuple(sorted(orbit)), generators=(generator,))
+    return point
 
 
 def fake_line(unimodular_points, nonunimodular_points):

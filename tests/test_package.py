@@ -91,7 +91,7 @@ def test_importing_the_package_and_cli_loads_no_unneeded_stdlib_module():
 # Per record: a fresh build, one of its cached properties, and a field.
 RECORDS = {
     "ring": (lambda: construct("T(2)"), "columns", "order"),
-    "point": (lambda: cyclic_submodule(construct("T(2)"), (1, 0)), "orbit_set", "orbit"),
+    "point": (lambda: cyclic_submodule(construct("T(2)"), (1, 0)), "orbit", "generator"),
     "line": (lambda: compute_line(construct("T(2)")), "derived", "ring"),
     "structure": (lambda: condense(compute_line(construct("T(2)"))), "meets", "edges"),
 }
