@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache, cached_property
+from itertools import repeat
 from operator import itemgetter
 
 from .cliques import maximum_size
 from .constructors import construct
 from .errors import NoAnswer, TooLarge
-from .geometry import ZERO, RelationGraph, sector_incidence
-from .line import ProjectiveLine, Vector, compute_line, mask_indices
+from .geometry import ZERO, RelationGraph, SectorIncidence, sector_incidence
+from .line import ProjectiveLine, compute_line, mask_indices
 
 MAX_STRUCTURE_VERTICES = 200
 
@@ -67,23 +68,29 @@ def condense(line: ProjectiveLine) -> IncidenceStructure:
 
     Vertices are ordered by least member; each non-unimodular point
     becomes one edge listing the classes inside it.  The signatures are
-    the sector's ``incidence`` masks, read from ``sector_incidence``.  An
+    the sector's code-keyed ``masks``, read from ``sector_incidence``.  An
     empty sector gives the empty structure.
     """
-    sector = sector_incidence(line, "nonunimodular")
-    return _signature_quotient(f"condensate({line.ring.label})", sector.masks, len(sector.points))
+    return _signature_quotient(f"condensate({line.ring.label})", sector_incidence(line, "nonunimodular"))
 
 
-def _signature_quotient(label: str, masks: dict[Vector, int], edge_count: int) -> IncidenceStructure:
-    """Classes of vectors with one mask (bit i: on edge i); edge i lists the classes on it."""
-    grouped: dict[int, list[Vector]] = {}
-    for v, mask in masks.items():
-        grouped.setdefault(mask, []).append(v)
-    classes = sorted((tuple(sorted(members)), mask) for mask, members in grouped.items())
-    vertices = tuple(VectorClass(members, frozenset(mask_indices(mask))) for members, mask in classes)
+def _signature_quotient(label: str, sector: SectorIncidence) -> IncidenceStructure:
+    """Classes of vectors with one mask (bit i: on point i); edge i lists the classes on point i.
+
+    Classes are grouped and sorted as codes, which sort like the vectors,
+    and decoded once.
+    """
+    grouped: dict[int, list[int]] = {}
+    for code, mask in sector.masks.items():
+        grouped.setdefault(mask, []).append(code)
+    classes = sorted((sorted(codes), mask) for mask, codes in grouped.items())
+    n = sector.ring.order
+    vertices = tuple(
+        VectorClass(tuple(map(divmod, codes, repeat(n))), frozenset(mask_indices(mask))) for codes, mask in classes
+    )
     edges = tuple(
         tuple(i for i, (_, mask) in enumerate(classes) if mask >> index & 1)
-        for index in range(edge_count)
+        for index in range(len(sector.points))
     )
     return IncidenceStructure(label=label, vertices=vertices, edges=edges)
 
@@ -100,8 +107,7 @@ def reference_structure(spec: str) -> IncidenceStructure:
     ring = construct(spec)
     if ring.order > 16:
         raise TooLarge(f"reference lines are bounded to ring order 16, got {ring.order}")
-    sector = sector_incidence(compute_line(ring), "unimodular")
-    return _signature_quotient(f"P({ring.label})", sector.masks, len(sector.points))
+    return _signature_quotient(f"P({ring.label})", sector_incidence(compute_line(ring), "unimodular"))
 
 
 class StructureIsomorphism(namedtuple("StructureIsomorphism", "a b vertex_map edge_map")):

@@ -2,9 +2,9 @@
 
 Two distinct points are distant when their orbits meet only in the zero
 vector and neighbour otherwise; a point is neighbour to itself only with
-``allow_same=True``.  Each sector's indexes and neighbour rows are made
-once per line, on first read (``sector_incidence``), and every stage reads
-them.
+``allow_same=True``.  Each sector's code-keyed incidence index and
+neighbour rows are made once per line, on first read
+(``sector_incidence``), and every stage reads them.
 
 Maximum cliques are searched on the twin quotient (see ``cliques``).  On
 the unimodular sector the distant twin classes are the fibres of
@@ -33,7 +33,7 @@ from operator import add, countOf, or_
 from . import jsontext
 from .cliques import Clique, cliques_through, expand, maximum_cliques, maximum_size
 from .errors import BadInput, NoAnswer
-from .line import CyclicSubmodule, ProjectiveLine, Vector, incidence, mask_indices
+from .line import CyclicSubmodule, ProjectiveLine, Vector, mask_indices
 from .rings import FiniteRing
 
 SECTORS = ("unimodular", "nonunimodular", "whole")
@@ -52,15 +52,23 @@ def sector_points(line: ProjectiveLine, sector: str) -> tuple[CyclicSubmodule, .
 
 
 def relation(p: CyclicSubmodule, q: CyclicSubmodule, allow_same: bool = False) -> str:
-    """"distant" or "neighbour", by exact orbit-set intersection."""
-    if p.orbit_set == q.orbit_set:
+    """"distant" or "neighbour", for two points over one ring, decided on codes.
+
+    q is p when its generator is a unit multiple of p's.  Otherwise the two
+    share only zero-divisor multiples (see ``SectorIncidence``), so they are
+    distant when their nonzero Z*v are disjoint.
+    """
+    ring = p.ring
+    if q.ring != ring:
+        raise BadInput(f"R{p.generator} over {ring.label} and R{q.generator} over {q.ring.label}: not one ring")
+    if not (p.free and q.free):
+        raise BadInput(f"R{(q if p.free else p).generator} is not free, so it is no point of a line")
+    r1, r2 = q.generator
+    if r1 * ring.order + r2 in _multiples(p, ring.scaled_unit_columns, ring.unit_columns):
         if allow_same:
             return "neighbour"
         raise BadInput(f"relation of point R{p.generator} with itself (pass allow_same=True for the reflexive convention)")
-    overlap = len(p.orbit_set & q.orbit_set)
-    if not overlap:
-        raise BadInput(f"R{p.generator} and R{q.generator} do not both hold the zero vector")
-    return "distant" if overlap == 1 else "neighbour"
+    return "distant" if set(_shared_codes(ring, p)).isdisjoint(_shared_codes(ring, q)) else "neighbour"
 
 
 def _meeting(masks, members) -> int:
@@ -83,16 +91,16 @@ class RelationGraph(namedtuple("RelationGraph", "neighbours")):
         return tuple(full & ~(row | 1 << i) for i, row in enumerate(self.neighbours))
 
 
-def _multiples(ring: FiniteRing, point: CyclicSubmodule) -> map:
-    """The codes of the point's zero-divisor multiples z*v, z ascending, so 0*v = (0, 0) first."""
+def _multiples(point: CyclicSubmodule, scaled_columns, columns) -> map:
+    """The codes of x*v, v the point's generator, for each x the two column tables list, in their order."""
     r1, r2 = point.generator
-    return map(add, ring.scaled_zero_divisor_columns[r1], ring.zero_divisor_columns[r2])
+    return map(add, scaled_columns[r1], columns[r2])
 
 
 def _shared_codes(ring: FiniteRing, point: CyclicSubmodule) -> map:
     """The codes of the point's nonzero Z*v: every vector it may share with another point."""
-    codes = _multiples(ring, point)
-    next(codes)  # 0*v
+    codes = _multiples(point, ring.scaled_zero_divisor_columns, ring.zero_divisor_columns)
+    next(codes)  # 0*v, as z ascends from 0
     return codes
 
 
@@ -102,7 +110,7 @@ def shared_incidence(ring: FiniteRing, points) -> dict[int, int]:
     get = index.get
     for i, point in enumerate(points):
         bit = 1 << i
-        for code in _multiples(ring, point):
+        for code in _multiples(point, ring.scaled_zero_divisor_columns, ring.zero_divisor_columns):
             index[code] = get(code, 0) | bit
     return index
 
@@ -110,23 +118,28 @@ def shared_incidence(ring: FiniteRing, points) -> dict[int, int]:
 class SectorIncidence(namedtuple("SectorIncidence", "ring points")):
     """Everything one sector of a line gives every stage, each derived on first read.
 
-    ``shared`` indexes only the vectors that points can share, by code: the
-    zero-divisor multiples Z*v of each point R*v, Z the non-units.  A point
-    is free, and a free w in R*v has R*w = R*v, since both have |R| vectors;
-    so a free vector lies on its own point alone.  For a unit a, a*v is
-    free.  A non-unit a has some b != 0 with b*a = 0, since a finite ring is
+    The incidence is keyed by vector code r1*n + r2: ``masks`` maps each
+    vector on some point to the mask of the points holding it (bit i for
+    point i).  Points share only zero-divisor multiples.  A point is free,
+    and a free w in R*v has R*w = R*v, since both have |R| vectors; so a
+    free vector lies on its own point alone.  For a unit a, a*v is free.  A
+    non-unit a has some b != 0 with b*a = 0, since a finite ring is
     Dedekind-finite (``rings.validate_tables``), so b*(a*v) = 0 and a*v is
     not free.  So R*v is its generators U*v, each on this point alone, and
-    Z*v, which ``shared`` holds with the mask of every point through it.
-    The neighbour rows, the partition and the cross check read ``shared``.
-    ``masks``, the full ``incidence`` of the orbits, is for the stages that
-    need every vector: condensation, the reference structures, private
-    vectors and the export.  Each is built only when it is read.
+    Z*v, Z the non-units.  ``shared`` holds the Z*v of every point with the
+    mask of every point through it; the neighbour rows, the partition and
+    the cross check read it alone.  ``masks`` is ``shared`` plus each U*v
+    at its point's bit, for the stages that need every vector:
+    condensation, the reference structures, private vectors and the
+    export.  Each is built only when it is read.
     """
 
     @cached_property
-    def masks(self) -> dict[Vector, int]:
-        return incidence(p.orbit for p in self.points)
+    def masks(self) -> dict[int, int]:
+        ring, masks = self.ring, dict(self.shared)
+        for i, point in enumerate(self.points):
+            masks.update(dict.fromkeys(_multiples(point, ring.scaled_unit_columns, ring.unit_columns), 1 << i))
+        return masks
 
     @cached_property
     def shared(self) -> dict[int, int]:
@@ -282,18 +295,19 @@ def cross_sector_check(line: ProjectiveLine) -> tuple[bool, tuple[CyclicSubmodul
 
 
 def private_vectors(line: ProjectiveLine, sector: str) -> dict[Vector, tuple[Vector, ...]]:
-    """Per point, the vectors lying on no other point of the same sector.
+    """Per point, the vectors lying on no other point of the same sector, ascending.
 
     Keyed by canonical generator.  On the order-8 ternion line these are
     the two generators for a unimodular point and the two generators plus
     two more vectors for a non-unimodular one.
     """
     data = _nonempty(line, sector)
-    points, masks = data.points, data.masks
-    return {
-        point.generator: tuple(v for v in point.orbit if masks[v] == 1 << i)
-        for i, point in enumerate(points)
-    }
+    private = [[] for _ in data.points]
+    for code, mask in data.masks.items():
+        if not mask & (mask - 1):  # on one point
+            private[mask.bit_length() - 1].append(code)
+    n = line.ring.order
+    return {point.generator: tuple(map(divmod, sorted(codes), repeat(n))) for point, codes in zip(data.points, private)}
 
 
 # Per format, the parts of one vertex's edges (k, b): head + id_k + mid + id_b + tail, joined by
@@ -310,17 +324,19 @@ def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
 
     Vertices are the vectors lying on at least one point of the sector, in
     lexicographic order, weighted by how many points contain them; edges
-    join vectors sharing a point, in lexicographic pair order.  Vectors with
-    one signature (``incidence`` mask) are true twins: their closed
-    neighbourhood is the union of their points' orbits, and vector k's
-    edges (k, b) are the part of it above k.  An orbit, read as vertex
-    indices, is already ascending, so a one-point signature's neighbourhood
-    is its point's orbit; only a signature of several points merges and
-    sorts its orbits.  Each signature builds the list of its edges' right
-    ends once; each vector's edges are one slice of it, joined into one
-    piece of a list that holds the whole document and is joined once.  The
-    JSON text is laid out as ``json.dumps(indent=2, sort_keys=True)`` would
-    lay it out; only the label and sector go through ``jsontext.dumps``.
+    join vectors sharing a point, in lexicographic pair order.  The sector's
+    code-keyed ``masks`` give the vertices, sorted as ints, and their
+    signatures; only the printed vectors are decoded.  Vectors with one
+    signature are true twins: their closed neighbourhood is the union of
+    their points' orbits, and vector k's edges (k, b) are the part of it
+    above k.  Each point's orbit is read once, as ascending vertex indices,
+    so a one-point signature's neighbourhood is its point's orbit; only a
+    signature of several points merges and sorts its orbits.  Each
+    signature builds the list of its edges' right ends once; each vector's
+    edges are one slice of it, joined into one piece of a list that holds
+    the whole document and is joined once.  The JSON text is laid out as
+    ``json.dumps(indent=2, sort_keys=True)`` would lay it out; only the
+    label and sector go through ``jsontext.dumps``.
     Sent whole through ``jsontext.dumps``, the document is the same text, but
     on a 2-vCPU host that call alone took 0.9 s for the 12 JSON exports of
     GF(3)*T(2), T(3), GF(4)*T(2) and GF(5)*T(2), against 0.06-0.07 s for
@@ -328,12 +344,14 @@ def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
     """
     if fmt not in _EDGE_TEXT:
         raise BadInput(f"unknown export format {fmt!r}; expected 'dot' or 'json'")
-    data = sector_incidence(line, sector)
-    points, masks = data.points, data.masks
-    vertices = {v: k for k, v in enumerate(sorted(masks))}  # vector -> its index
-    orbits = [list(map(vertices.__getitem__, p.orbit)) for p in points]  # ascending, as the orbits are
-    sep = "" if line.ring.order <= 10 else "_"  # two-digit ids for small rings
-    ids = [f"{a}{sep}{b}" for a, b in vertices]
+    data, ring = sector_incidence(line, sector), line.ring
+    masks = data.masks
+    codes = sorted(masks)  # codes sort like the vectors
+    vertices = dict(zip(codes, range(len(codes))))  # code -> its index
+    orbits = [sorted(map(vertices.__getitem__, _multiples(p, ring.scaled_columns, ring.columns))) for p in data.points]
+    vectors = list(map(divmod, codes, repeat(ring.order)))
+    sep = "" if ring.order <= 10 else "_"  # two-digit ids for small rings
+    ids = [f"{a}{sep}{b}" for a, b in vectors]
     head, mid, tail, joint = _EDGE_TEXT[fmt]
     rights = [i + tail for i in ids]
     closed = {}  # signature -> its ascending neighbourhood and their right ends
@@ -345,12 +363,12 @@ def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
         closed[m] = hood, list(map(rights.__getitem__, hood))
     if fmt == "dot":
         name = f"{line.ring.label} {sector}".replace('"', '\\"')
-        nodes = [f'  "{i}" [weight={masks[v].bit_count()}];\n' for i, v in zip(ids, vertices)]
+        nodes = [f'  "{i}" [weight={masks[c].bit_count()}];\n' for i, c in zip(ids, codes)]
         parts = [f'graph "{name}" {{\n', *nodes]
     else:
         parts = ['{\n  "edges": ', "[\n"]
-    for k, v in enumerate(vertices):
-        hood, texts = closed[masks[v]]  # hood holds k
+    for k, c in enumerate(codes):
+        hood, texts = closed[masks[c]]  # hood holds k
         if hood[-1] > k:
             left = head + ids[k] + mid
             parts += left, (joint + left).join(texts[bisect_right(hood, k):]), joint
@@ -358,9 +376,9 @@ def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
         parts[-1] = "[]" if parts[-1] == "[\n" else "\n  ]"
         parts += (f',\n  "ring": {jsontext.dumps(line.ring.label)},\n  "schema": "ringline.graph/1",'
                   f'\n  "sector": {jsontext.dumps(sector)},\n  "vertices": ', "[\n")
-        for i, (a, b) in zip(ids, vertices):
+        for i, (a, b), c in zip(ids, vectors, codes):
             parts += (f'    {{\n      "id": "{i}",\n      "vector": [\n        {a},\n        {b}\n      ],'
-                      f'\n      "weight": {masks[a, b].bit_count()}\n    }}', ",\n")
+                      f'\n      "weight": {masks[c].bit_count()}\n    }}', ",\n")
         parts[-1] = "[]" if parts[-1] == "[\n" else "\n  ]"
     parts.append("}\n" if fmt == "dot" else "\n}\n")
     return "".join(parts)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from operator import add, itemgetter
+from itertools import repeat
+from operator import add
 
 from . import jsontext
 from .errors import TooLarge
@@ -61,8 +62,8 @@ class CyclicSubmodule(namedtuple("CyclicSubmodule", "generator free unimodular r
 
     Its orbit {a*v} and its generators {u*v}, u a unit, are derived on first
     read: in codes, one sum of the scaled column of r1 and the column of r2,
-    sorted as ints (deduplicated first when v is not free) and read back
-    through ``FiniteRing.vectors``, so every orbit shares one tuple per vector.
+    sorted as ints (deduplicated first when v is not free) and decoded with
+    ``divmod(code, n)``.
     """
 
     @cached_property
@@ -73,17 +74,12 @@ class CyclicSubmodule(namedtuple("CyclicSubmodule", "generator free unimodular r
     def generators(self) -> tuple[Vector, ...]:
         return self._multiples(self.ring.scaled_unit_columns, self.ring.unit_columns)
 
-    @cached_property
-    def orbit_set(self) -> frozenset[Vector]:
-        return frozenset(self.orbit)
-
     def _multiples(self, scaled_columns, columns) -> tuple[Vector, ...]:
         r1, r2 = self.generator
         codes = map(add, scaled_columns[r1], columns[r2])
         if not self.free:  # a*v = b*v for some a != b
             codes = set(codes)
-        codes, vectors = sorted(codes), self.ring.vectors
-        return itemgetter(*codes)(vectors) if len(codes) > 1 else (vectors[codes[0]],)
+        return tuple(map(divmod, sorted(codes), repeat(self.ring.order)))
 
     def __repr__(self) -> str:  # noqa: D105 - a free orbit has |R| vectors
         sector = "unimodular" if self.unimodular else "non-unimodular"
@@ -182,29 +178,6 @@ class ProjectiveLine(namedtuple("ProjectiveLine", "ring")):
             f"ProjectiveLine({self.ring.label!r}, {len(self.unimodular_points)} unimodular,"
             f" {len(self.nonunimodular_points)} non-unimodular)"
         )
-
-
-def incidence(orbits) -> dict[Vector, int]:
-    """Each vector lying on some orbit, mapped to the mask of those orbits.
-
-    Bit i is set when the vector lies on the i-th orbit, so a vector lies
-    on k points when its mask has k bits.
-
-    On the points of a line only zero-divisor multiples can have two bits.
-    A point R*v is free, and a free w in R*v has R*w = R*v, since both have
-    |R| vectors: a free vector lies on its own point alone.  For a unit a,
-    a*v is free.  A non-unit a has some b != 0 with b*a = 0, since a finite
-    ring is Dedekind-finite (``rings.validate_tables``), so b*(a*v) = 0 and
-    a*v is not free.  So the vectors that points share are among the Z*v,
-    Z the non-units, and ``geometry.SectorIncidence.shared`` indexes those
-    alone for the stages that read only shared vectors.
-    """
-    masks: dict[Vector, int] = {}
-    for index, orbit in enumerate(orbits):
-        bit = 1 << index
-        for v in orbit:
-            masks[v] = masks.get(v, 0) | bit
-    return masks
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 from operator import itemgetter
 
 from .errors import BadInput, TooLarge
@@ -62,7 +62,7 @@ class FiniteRing(namedtuple("FiniteRing", "order add_table mul_table units zero_
     def scaled_columns(self) -> Table:
         """``columns`` times n, so x*(r1, r2) has code ``scaled_columns[r1][x] + columns[r2][x]``.
 
-        The code of a vector (r1, r2) of R^2 is r1*n + r2; ``vectors`` maps it back.
+        The code of a vector (r1, r2) of R^2 is r1*n + r2; ``divmod(code, n)`` maps it back.
         """
         return _scaled_columns(self.mul_table, self.order)
 
@@ -85,11 +85,6 @@ class FiniteRing(namedtuple("FiniteRing", "order add_table mul_table units zero_
     def scaled_zero_divisor_columns(self) -> Table:
         """``zero_divisor_columns`` times n, the first digit of the codes of the zero-divisor multiples."""
         return _scaled_columns([self.mul_table[z] for z in sorted(self.zero_divisors)], self.order)
-
-    @cached_property
-    def vectors(self) -> tuple[tuple[int, int], ...]:
-        """Every vector of R^2 at its code: ``vectors[r1*n + r2] = (r1, r2)``."""
-        return tuple(product(self.elements(), repeat=2))
 
     @cached_property
     def left_annihilators(self) -> tuple[int, ...]:

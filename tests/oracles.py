@@ -129,6 +129,15 @@ def brute_generators(mul, vector):
     return sorted(w for w in orbit if brute_orbit(mul, w) == orbit)
 
 
+def incidence(orbits):
+    """Each vector lying on some orbit, mapped to the mask of those orbits (bit i: on the i-th)."""
+    masks = {}
+    for index, orbit in enumerate(orbits):
+        for v in orbit:
+            masks[v] = masks.get(v, 0) | 1 << index
+    return masks
+
+
 def brute_line_sectors(add, mul):
     """(unimodular orbit sets, non-unimodular orbit sets) from raw tables.
 

@@ -142,7 +142,7 @@ def test_criterion_3b_exactly_three_maximum_neighbour_cliques(ternion_line, caps
     )
 
     def common_nonzero(clique):
-        shared = frozenset.intersection(*(p.orbit_set for p in clique))
+        shared = frozenset.intersection(*(frozenset(p.orbit) for p in clique))
         return shared - {(0, 0)}
 
     colour = {frozenset(cls) for cls in golden.COLOUR_CLASSES}

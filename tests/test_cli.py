@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import functools
 import importlib
 import io
 import json
@@ -427,12 +428,14 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
         condense.reference_structure(reference)
     scans, indexes, graphs = [], [], []
     geometry = ringline.geometry
-    scan, index, build = geometry.incidence, geometry.shared_incidence, geometry.RelationGraph.of
+    scan, index, build = geometry.SectorIncidence.masks.func, geometry.shared_incidence, geometry.RelationGraph.of
 
-    def counted_scan(orbits):
-        orbits = list(orbits)
-        scans.append(len(orbits))
-        return scan(orbits)
+    def counted_scan(data):
+        scans.append(len(data.points))
+        return scan(data)
+
+    masks = functools.cached_property(counted_scan)
+    masks.__set_name__(geometry.SectorIncidence, "masks")
 
     def counted_index(ring, points):
         indexes.append(len(points))
@@ -443,7 +446,7 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
         graphs.append(len(edges))
         return build(edges, masks)
 
-    monkeypatch.setattr(geometry, "incidence", counted_scan)
+    monkeypatch.setattr(geometry.SectorIncidence, "masks", masks)
     monkeypatch.setattr(geometry, "shared_incidence", counted_index)
     monkeypatch.setattr(geometry.RelationGraph, "of", classmethod(counted_build))
     ring = construct(spec)
@@ -453,7 +456,7 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
     line = report.line
     # one shared-vector index per sector feeds the searches, the partition
     # and the cross check, and the one row builder runs once per sector;
-    # only the condensation walks whole orbits, the non-unimodular ones
+    # only the condensation reads the full code index, the non-unimodular one
     assert indexes == [len(line.unimodular_points), len(line.nonunimodular_points)]
     assert graphs == indexes
     assert scans == [len(line.nonunimodular_points)]
@@ -465,21 +468,33 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec, seed", [("GF(3)*T(2)", None), ("T(4)", None), ("GF(4)*T(2)", 11)])
 def test_line_report_derives_no_unimodular_orbit(spec, seed, monkeypatch):
-    # a point is built as its canonical generator; the report reads the
-    # unimodular sector through the generators' zero-divisor multiples, and
-    # only the condensate reads orbits, the non-unimodular ones
+    # a point is built as its canonical generator; the report and the
+    # condense command read every sector, the catalog references' too,
+    # through codes summed from the ring's column tables, so neither derives
+    # an orbit or a generator tuple of any point
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
     ring = construct(spec)
     if seed is not None:
         ring = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed))
+    condense = importlib.import_module("ringline.condense")
+    condense.reference_structure.cache_clear()
+    derived = []
+    real = ringline.line.CyclicSubmodule._multiples
+
+    def counted(point, *columns):
+        derived.append(point)
+        return real(point, *columns)
+
+    monkeypatch.setattr(ringline.line.CyclicSubmodule, "_multiples", counted)
     line = build_line_report(ring).line
-    assert line.nonunimodular_points
-    assert not any("orbit" in vars(p) or "generators" in vars(p) for p in line.unimodular_points)
-    assert [p for p in line.points if "orbit" in vars(p)] == list(line.nonunimodular_points)
+    identification = condense.identify_condensate(compute_line(ring), condense.DEFAULT_CATALOG)
+    condense.condensate_distant_analysis(identification.condensate)
+    assert line.nonunimodular_points and not identification.condensate.is_empty
+    assert derived == []
     # a free point prints its orbit size, |R|, without deriving its orbit
     point = line.unimodular_points[-1]
     assert repr(point) == f"<point R{point.generator} unimodular |orbit|={ring.order}>"
-    assert "orbit" not in vars(point)
+    assert derived == []
 
 
 def test_line_report_counts_cliques_without_listing_them(monkeypatch):
@@ -635,9 +650,9 @@ def test_condense_quotients_each_structure_once(capsys, monkeypatch):
     calls = []
     quotient = condense._signature_quotient
 
-    def counted(label, masks, edge_count):
+    def counted(label, sector):
         calls.append(label)
-        return quotient(label, masks, edge_count)
+        return quotient(label, sector)
 
     monkeypatch.setattr(condense, "_signature_quotient", counted)
     code, out, _ = run(capsys, "condense", "T(2)")

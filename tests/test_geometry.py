@@ -19,6 +19,7 @@ from ringline import (
     compute_line,
     construct,
     cross_sector_check,
+    cyclic_submodule,
     export_graph,
     max_distant_cliques,
     max_neighbour_cliques,
@@ -45,10 +46,21 @@ def test_relation_examples(ternion_line):
     with pytest.raises(BadInput, match=r"^relation of point R\(1, 0\) with itself \(pass allow_same=True"):
         relation(p10, p10)
     assert relation(p10, p10, allow_same=True) == "neighbour"
-    # a hand-built orbit without (0, 0) is no cyclic submodule; a raise, so python -O checks it too
-    p, q = fake((1, 1), {(1, 1), (5, 5)}), fake((2, 2), {(0, 0), (2, 2)})
-    with pytest.raises(BadInput, match=r"^R\(1, 1\) and R\(2, 2\) do not both hold the zero vector$"):
-        relation(p, q)
+
+
+def test_relation_refuses_points_over_two_rings_and_non_free_submodules(catalog_lines):
+    # codes of one ring name other vectors over another, and only a free
+    # submodule's unit multiples lie on it alone; raises, so python -O checks them too
+    t10, z10 = catalog_lines["T(2)"].point_for((1, 0)), catalog_lines["Z(4)"].point_for((1, 0))
+    with pytest.raises(BadInput, match=r"^R\(1, 0\) over T\(2\) and R\(1, 0\) over Z\(4\): not one ring$"):
+        relation(t10, z10)
+    with pytest.raises(BadInput, match=r"^R\(1, 0\) over Z\(4\) and R\(1, 0\) over T\(2\): not one ring$"):
+        relation(z10, t10, allow_same=True)
+    torsion = cyclic_submodule(z10.ring, (2, 0))  # {(0, 0), (2, 0)}, inside R(1, 0)
+    assert not torsion.free
+    for p, q in ((torsion, z10), (z10, torsion)):
+        with pytest.raises(BadInput, match=r"^R\(2, 0\) is not free, so it is no point of a line$"):
+            relation(p, q)
 
 
 def test_relation_is_symmetric_and_total(catalog_lines):
@@ -60,7 +72,7 @@ def test_relation_is_symmetric_and_total(catalog_lines):
 
 
 def test_relation_matches_golden_orbit_intersections(ternion_line):
-    by_orbit = {p.orbit_set: p for p in ternion_line.points}
+    by_orbit = {frozenset(p.orbit): p for p in ternion_line.points}
     entries = [(frozenset(orbit), sector) for sector, _, orbit in golden.points()]
     for (oa, _), (ob, _) in combinations(entries, 2):
         expected = "distant" if len(oa & ob) == 1 else "neighbour"
@@ -125,7 +137,7 @@ def test_z4_neighbour_cliques_by_brute_force(catalog_lines):
     for size in range(1, 7):
         for subset in combinations(range(6), size):
             if all(
-                len(points[i].orbit_set & points[j].orbit_set) > 1
+                len(set(points[i].orbit) & set(points[j].orbit)) > 1
                 for i, j in combinations(subset, 2)
             ):
                 neighbour_sets.append(set(subset))
@@ -418,16 +430,20 @@ def test_cross_sector(ternion_line, catalog_lines, gf3_t2_line):
 )
 def test_points_share_only_zero_divisor_multiples(spec, seed, amphibian16, monkeypatch):
     # a free vector lies on its own point alone, so the shared-vector index
-    # (the Z*v of every point) is the full incidence without the generators
+    # (the Z*v of every point) is the full incidence without the generators,
+    # and the code index is the full incidence
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
     ring = amphibian16 if spec == "amphibian16" else construct(spec)
     if seed is not None:
         ring = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed))
     n = ring.order
+    mul = [list(row) for row in ring.mul_table]
     line = compute_line(ring)
     for sector in SECTORS:
         data = sector_incidence(line, sector)
-        codes = {a * n + b: mask for (a, b), mask in data.masks.items()}
+        full = oracles.incidence(oracles.brute_orbit(mul, p.generator) for p in data.points)
+        codes = {a * n + b: mask for (a, b), mask in full.items()}
+        assert data.masks == codes, sector
         generators = {a * n + b for point in data.points for a, b in point.generators}
         assert data.shared == {code: mask for code, mask in codes.items() if code not in generators}, sector
         assert {code for code, mask in codes.items() if mask & (mask - 1)} <= data.shared.keys(), sector
@@ -471,7 +487,7 @@ def test_report_stages_equal_their_brute_force_forms(report_rings):
         through = Counter(v for p in line.unimodular_points for v in p.orbit if v != (0, 0))
         best = max(through.values())
         shared = {
-            frozenset(p for p in line.unimodular_points if v in p.orbit_set)
+            frozenset(p for p in line.unimodular_points if v in p.orbit)
             for v, k in through.items() if k == best
         }
         assert shared == {frozenset(cls) for cls in part.classes}, name
@@ -602,10 +618,10 @@ def test_export_gives_vectors_of_one_signature_one_closed_neighbourhood(export_l
             doc = json.loads(export_graph(line, sector, "json"))
             graph = nx.Graph(doc["edges"])
             graph.add_nodes_from(v["id"] for v in doc["vertices"])
+            signatures = oracles.incidence(p.orbit for p in points)
             twins = {}
             for v in doc["vertices"]:
-                signature = frozenset(i for i, p in enumerate(points) if tuple(v["vector"]) in p.orbit_set)
-                twins.setdefault(signature, []).append(v["id"])
+                twins.setdefault(signatures[tuple(v["vector"])], []).append(v["id"])
             for members in twins.values():
                 hoods = {frozenset(graph[i]) | {i} for i in members}
                 assert len(hoods) == 1, (line.ring.label, sector, members)
@@ -624,10 +640,8 @@ def test_export_reads_each_signature_once(monkeypatch, export_lines):
     monkeypatch.setattr(ringline.geometry, "mask_indices", counted)
     for line in export_lines:
         for sector in SECTORS:
-            points = sector_points(line, sector)
-            vectors = {v for p in points for v in p.orbit}
-            signatures = {frozenset(i for i, p in enumerate(points) if v in p.orbit_set) for v in vectors}
-            merged = sum(len(s) > 1 for s in signatures)  # a one-point signature reads its orbit as it is
+            signatures = set(oracles.incidence(p.orbit for p in sector_points(line, sector)).values())
+            merged = sum(m & (m - 1) != 0 for m in signatures)  # a one-point signature reads its orbit as it is
             for fmt in ("dot", "json"):
                 calls.clear()
                 export_graph(line, sector, fmt)

@@ -17,11 +17,11 @@ from ringline import (
     is_unimodular,
     line_to_dict,
     line_to_json,
-    sector_points,
     unimodularity_witness,
     validate_tables,
 )
-from ringline.line import incidence, mask_indices
+from ringline.geometry import sector_incidence
+from ringline.line import mask_indices
 from conftest import COMMUTATIVE_SPECS, DATA
 
 
@@ -160,22 +160,19 @@ def test_every_orbit_matches_brute_force(catalog, amphibian16):
             assert cyclic_submodule(ring, v).orbit == expected, (ring.label, v)
 
 
-def test_incidence_matches_brute_force(catalog_lines, amphibian16):
-    # each vector of R^2 lying on some point of the sector, mapped to the
-    # bitmask of the points (by position) whose brute-force orbit holds it
-    lines = dict(catalog_lines, amphibian16=compute_line(amphibian16))
-    for spec, line in lines.items():
-        n = line.ring.order
-        mul = [list(row) for row in line.ring.mul_table]
+def test_incidence_matches_brute_force(catalog, amphibian16):
+    # each sector's code index: the code of each vector of R^2 lying on some
+    # point, mapped to the bitmask of the points (by position) whose
+    # brute-force orbit holds it, on the named tables and relabelled ones
+    named = (*catalog.values(), amphibian16)
+    relabelled = (validate_tables(*oracles.relabelled(r.add_table, r.mul_table, 4), label=r.label) for r in named)
+    for ring in (*named, *relabelled):
+        n, line = ring.order, compute_line(ring)
+        mul = [list(row) for row in ring.mul_table]
         for sector in SECTORS:
-            points = sector_points(line, sector)
-            orbits = [oracles.brute_orbit(mul, p.generator) for p in points]
-            expected = {}
-            for v in product(range(n), repeat=2):
-                mask = sum(1 << i for i, orbit in enumerate(orbits) if v in orbit)
-                if mask:
-                    expected[v] = mask
-            assert incidence(p.orbit for p in points) == expected, (spec, sector)
+            data = sector_incidence(line, sector)
+            expected = oracles.incidence(oracles.brute_orbit(mul, p.generator) for p in data.points)
+            assert {divmod(code, n): mask for code, mask in data.masks.items()} == expected, (ring.label, sector)
 
 
 def test_mask_indices():
@@ -196,7 +193,7 @@ def test_ternion_line_counts(ternion_line):
 
 
 def test_golden_orbits_match(ternion_line):
-    computed = {p.orbit_set: p for p in ternion_line.points}
+    computed = {frozenset(p.orbit): p for p in ternion_line.points}
     for sector, pair, orbit in golden.points():
         point = computed.pop(frozenset(orbit))
         assert point.generators == tuple(sorted(pair))
@@ -215,7 +212,7 @@ def test_line_dict_matches_committed_fixture(ternion_line):
 
 def test_orbits_are_deduplicated(catalog_lines):
     for line in catalog_lines.values():
-        orbits = [p.orbit_set for p in line.points]
+        orbits = [frozenset(p.orbit) for p in line.points]
         assert len(orbits) == len(set(orbits))
 
 
@@ -240,7 +237,7 @@ def test_z4_line_against_untyped_brute_force(catalog, catalog_lines):
         [list(r) for r in ring.add_table], [list(r) for r in ring.mul_table]
     )
     line = catalog_lines["Z(4)"]
-    assert {p.orbit_set for p in line.unimodular_points} == uni
+    assert {frozenset(p.orbit) for p in line.unimodular_points} == uni
     assert len(uni) == 6 and not non
 
 
@@ -256,8 +253,8 @@ def test_product_sectors_match_brute_force(catalog, catalog_lines):
         [list(r) for r in ring.add_table], [list(r) for r in ring.mul_table]
     )
     line = catalog_lines["GF(2)*T(2)"]
-    assert {p.orbit_set for p in line.unimodular_points} == uni
-    assert {p.orbit_set for p in line.nonunimodular_points} == non
+    assert {frozenset(p.orbit) for p in line.unimodular_points} == uni
+    assert {frozenset(p.orbit) for p in line.nonunimodular_points} == non
 
 
 def test_commutative_rings_have_no_nonunimodular_points():
@@ -278,7 +275,7 @@ def test_point_lookup(ternion_line):
     # KeyError exactly for the vectors whose orbit is not free
     for line in (ternion_line, compute_line(construct("Z(4)*Z(4)"))):
         mul = [list(row) for row in line.ring.mul_table]
-        by_orbit = {p.orbit_set: p for p in line.points}
+        by_orbit = {frozenset(p.orbit): p for p in line.points}
         for v in product(line.ring.elements(), repeat=2):
             orbit = oracles.brute_orbit(mul, v)
             if len(orbit) == line.ring.order:
@@ -296,8 +293,8 @@ def test_sweep_matches_brute_force_on_relabelled_tables(spec):
     mul = [list(row) for row in ring.mul_table]
     uni, non = oracles.brute_line_sectors(add, mul)
     line = compute_line(ring)
-    assert {p.orbit_set for p in line.unimodular_points} == uni
-    assert {p.orbit_set for p in line.nonunimodular_points} == non
+    assert {frozenset(p.orbit) for p in line.unimodular_points} == uni
+    assert {frozenset(p.orbit) for p in line.nonunimodular_points} == non
     for points in (line.unimodular_points, line.nonunimodular_points):
         assert [p.generator for p in points] == sorted(p.generator for p in points)
     for point in line.points:
@@ -427,7 +424,7 @@ def test_order_bound_is_checked_before_any_sector_is_read(monkeypatch):
     ring = construct("Z(33)")
     with pytest.raises(TooLarge):
         compute_line(ring)
-    assert built == [] and "vectors" not in vars(ring)
+    assert built == [] and vars(ring).keys().isdisjoint({"left_annihilators", "unit_columns", "scaled_unit_columns"})
 
 
 def test_order_bound_and_overrides(monkeypatch):
