@@ -155,15 +155,12 @@ def build_line_report(ring: FiniteRing) -> LineReport:
         partition, failure = unimodular_partition(line), None
     except NoAnswer as exc:
         partition, failure = None, str(exc)
-    try:
+    if line.nonunimodular_points:
         max_distant["nonunimodular"] = sector_clique_size(line, "nonunimodular", "distant")
         max_neighbour["nonunimodular"] = sector_clique_size(line, "nonunimodular", "neighbour")
-    except NoAnswer:  # the sector is empty
-        max_distant["nonunimodular"] = max_neighbour["nonunimodular"] = None
-    try:
         cross, _ = cross_sector_check(line)
-    except NoAnswer:  # the non-unimodular sector is empty
-        cross = None
+    else:
+        max_distant["nonunimodular"] = max_neighbour["nonunimodular"] = cross = None
     if cross is False:  # would contradict the proof above; report n/a, not a wrong size
         max_distant["whole"] = max_neighbour["whole"] = None
     else:  # None: the non-unimodular sector is empty

@@ -26,14 +26,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from math import prod
-from operator import add, countOf, or_
+from operator import countOf, or_
 
 from . import jsontext
 from .cliques import Clique, cliques_through, expand, maximum_cliques, maximum_size
 from .errors import BadInput, NoAnswer
-from .line import CyclicSubmodule, ProjectiveLine, Vector, mask_indices
+from .line import CyclicSubmodule, ProjectiveLine, Vector, mask_indices, multiple_codes
 from .rings import FiniteRing
 
 SECTORS = ("unimodular", "nonunimodular", "whole")
@@ -54,7 +54,7 @@ def sector_points(line: ProjectiveLine, sector: str) -> tuple[CyclicSubmodule, .
 def relation(p: CyclicSubmodule, q: CyclicSubmodule, allow_same: bool = False) -> str:
     """"distant" or "neighbour", for two points over one ring, decided on codes.
 
-    q is p when its generator is a unit multiple of p's.  Otherwise the two
+    q is p when the two have one canonical generator.  Otherwise the two
     share only zero-divisor multiples (see ``SectorIncidence``), so they are
     distant when their nonzero Z*v are disjoint.
     """
@@ -63,8 +63,7 @@ def relation(p: CyclicSubmodule, q: CyclicSubmodule, allow_same: bool = False) -
         raise BadInput(f"R{p.generator} over {ring.label} and R{q.generator} over {q.ring.label}: not one ring")
     if not (p.free and q.free):
         raise BadInput(f"R{(q if p.free else p).generator} is not free, so it is no point of a line")
-    r1, r2 = q.generator
-    if r1 * ring.order + r2 in _multiples(p, ring.scaled_unit_columns, ring.unit_columns):
+    if q.generator == p.generator:
         if allow_same:
             return "neighbour"
         raise BadInput(f"relation of point R{p.generator} with itself (pass allow_same=True for the reflexive convention)")
@@ -91,15 +90,9 @@ class RelationGraph(namedtuple("RelationGraph", "neighbours")):
         return tuple(full & ~(row | 1 << i) for i, row in enumerate(self.neighbours))
 
 
-def _multiples(point: CyclicSubmodule, scaled_columns, columns) -> map:
-    """The codes of x*v, v the point's generator, for each x the two column tables list, in their order."""
-    r1, r2 = point.generator
-    return map(add, scaled_columns[r1], columns[r2])
-
-
 def _shared_codes(ring: FiniteRing, point: CyclicSubmodule) -> map:
     """The codes of the point's nonzero Z*v: every vector it may share with another point."""
-    codes = _multiples(point, ring.scaled_zero_divisor_columns, ring.zero_divisor_columns)
+    codes = multiple_codes(point.generator, ring.scaled_zero_divisor_columns, ring.zero_divisor_columns)
     next(codes)  # 0*v, as z ascends from 0
     return codes
 
@@ -110,7 +103,7 @@ def shared_incidence(ring: FiniteRing, points) -> dict[int, int]:
     get = index.get
     for i, point in enumerate(points):
         bit = 1 << i
-        for code in _multiples(point, ring.scaled_zero_divisor_columns, ring.zero_divisor_columns):
+        for code in multiple_codes(point.generator, ring.scaled_zero_divisor_columns, ring.zero_divisor_columns):
             index[code] = get(code, 0) | bit
     return index
 
@@ -118,7 +111,7 @@ def shared_incidence(ring: FiniteRing, points) -> dict[int, int]:
 class SectorIncidence(namedtuple("SectorIncidence", "ring points")):
     """Everything one sector of a line gives every stage, each derived on first read.
 
-    The incidence is keyed by vector code r1*n + r2: ``masks`` maps each
+    The incidence is keyed by vector code (``line.multiple_codes``): ``masks`` maps each
     vector on some point to the mask of the points holding it (bit i for
     point i).  Points share only zero-divisor multiples.  A point is free,
     and a free w in R*v has R*w = R*v, since both have |R| vectors; so a
@@ -138,7 +131,7 @@ class SectorIncidence(namedtuple("SectorIncidence", "ring points")):
     def masks(self) -> dict[int, int]:
         ring, masks = self.ring, dict(self.shared)
         for i, point in enumerate(self.points):
-            masks.update(dict.fromkeys(_multiples(point, ring.scaled_unit_columns, ring.unit_columns), 1 << i))
+            masks.update(dict.fromkeys(multiple_codes(point.generator, ring.scaled_unit_columns, ring.unit_columns), 1 << i))
         return masks
 
     @cached_property
@@ -348,7 +341,11 @@ def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
     masks = data.masks
     codes = sorted(masks)  # codes sort like the vectors
     vertices = dict(zip(codes, range(len(codes))))  # code -> its index
-    orbits = [sorted(map(vertices.__getitem__, _multiples(p, ring.scaled_columns, ring.columns))) for p in data.points]
+    orbits = []  # each point's Z*v then U*v, as ascending vertex indices
+    for p in data.points:
+        orbit = chain(multiple_codes(p.generator, ring.scaled_zero_divisor_columns, ring.zero_divisor_columns),
+                      multiple_codes(p.generator, ring.scaled_unit_columns, ring.unit_columns))
+        orbits.append(sorted(map(vertices.__getitem__, orbit)))
     vectors = list(map(divmod, codes, repeat(ring.order)))
     sep = "" if ring.order <= 10 else "_"  # two-digit ids for small rings
     ids = [f"{a}{sep}{b}" for a, b in vectors]

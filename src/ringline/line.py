@@ -2,19 +2,19 @@
 
 A point of the line is a free cyclic submodule R*v, kept as its canonical
 generator.  Vectors generate the same submodule exactly when they are unit
-multiples, so the scan meets each free unit class of R^2 once, at its
-least member (the canonical generator), and classifies it by whether 1
-lies in r1*R + r2*R.  The scan works on vector codes r1*n + r2, which sort
-like the vectors: a class is one sum of two columns of the ring's code
-tables (``FiniteRing.scaled_unit_columns`` and its relatives, built once
-per ring).  A point's orbit is derived the same way when first read.
+multiples, so one walk over the vector codes of R^2 (``multiple_codes``)
+meets each free unit class once, at its least member (the canonical
+generator), and sorts it into its sector by whether 1 lies in r1*R + r2*R.
+Each sector builds its points from its generators when first read, and a
+point's orbit, Z*v then U*v, is summed from the ring's unit and
+zero-divisor column tables when first read.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add
 
 from . import jsontext
@@ -57,26 +57,40 @@ def _unimodular(ring: FiniteRing, r1: int, r2: int) -> bool:
     return not ring.one_minus_multiples[r1].isdisjoint(ring.mul_table[r2])
 
 
+def multiple_codes(vector: Vector, scaled_columns, columns) -> map:
+    """The codes of x*v, for each x the two column tables list, in their order.
+
+    The code of a vector (r1, r2) is r1*n + r2; codes sort like the vectors
+    and ``divmod(code, n)`` decodes one.  ``columns[r][k]`` is x_k*r and
+    ``scaled_columns[r][k]`` is n*(x_k*r), so x_k*v has code
+    ``scaled_columns[r1][k] + columns[r2][k]``.
+    """
+    r1, r2 = vector
+    return map(add, scaled_columns[r1], columns[r2])
+
+
 class CyclicSubmodule(namedtuple("CyclicSubmodule", "generator free unimodular ring")):
     """One left cyclic submodule R*v of R^2, kept as its canonical generator v.
 
-    Its orbit {a*v} and its generators {u*v}, u a unit, are derived on first
-    read: in codes, one sum of the scaled column of r1 and the column of r2,
-    sorted as ints (deduplicated first when v is not free) and decoded with
-    ``divmod(code, n)``.
+    Its orbit {a*v}, that is Z*v then U*v (Z the zero divisors, U the units),
+    and its generators U*v are derived on first read: ``multiple_codes``
+    over the ring's subset tables, sorted as ints (deduplicated first when
+    v is not free) and decoded with ``divmod(code, n)``.
     """
 
     @cached_property
     def orbit(self) -> tuple[Vector, ...]:
-        return self._multiples(self.ring.scaled_columns, self.ring.columns)
+        ring = self.ring
+        return self._decoded(chain(
+            multiple_codes(self.generator, ring.scaled_zero_divisor_columns, ring.zero_divisor_columns),
+            multiple_codes(self.generator, ring.scaled_unit_columns, ring.unit_columns),
+        ))
 
     @cached_property
     def generators(self) -> tuple[Vector, ...]:
-        return self._multiples(self.ring.scaled_unit_columns, self.ring.unit_columns)
+        return self._decoded(multiple_codes(self.generator, self.ring.scaled_unit_columns, self.ring.unit_columns))
 
-    def _multiples(self, scaled_columns, columns) -> tuple[Vector, ...]:
-        r1, r2 = self.generator
-        codes = map(add, scaled_columns[r1], columns[r2])
+    def _decoded(self, codes) -> tuple[Vector, ...]:
         if not self.free:  # a*v = b*v for some a != b
             codes = set(codes)
         return tuple(map(divmod, sorted(codes), repeat(self.ring.order)))
@@ -102,7 +116,7 @@ def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
     """
     r1, r2 = _check_vector(ring, vector)
     free = ring.left_annihilators[r1] & ring.left_annihilators[r2] == 1
-    least = min(map(add, ring.scaled_unit_columns[r1], ring.unit_columns[r2]))
+    least = min(multiple_codes((r1, r2), ring.scaled_unit_columns, ring.unit_columns))
     return _submodule(ring, *divmod(least, ring.order), free, free and _unimodular(ring, r1, r2))
 
 
@@ -116,30 +130,28 @@ class ProjectiveLine(namedtuple("ProjectiveLine", "ring")):
 
     @cached_property
     def unimodular_points(self) -> tuple[CyclicSubmodule, ...]:
-        return self._sector(True)
+        return tuple(_submodule(self.ring, r1, r2, True, True) for r1, r2 in self._generators[True])
 
     @cached_property
     def nonunimodular_points(self) -> tuple[CyclicSubmodule, ...]:
-        return self._sector(False)
+        return tuple(_submodule(self.ring, r1, r2, True, False) for r1, r2 in self._generators[False])
 
-    def _sector(self, unimodular: bool) -> tuple[CyclicSubmodule, ...]:
-        """Walk the codes of R^2 for the first sector read; the other sector keeps its canonical generators.
+    @cached_property
+    def _generators(self) -> dict[bool, list[Vector]]:
+        """Both sectors' canonical generators, in code order, keyed by unimodularity, from one walk of R^2.
 
         v is free exactly when the left-annihilator masks of r1 and r2 share
         only bit 0.  Unit multiples share that test, so in code order each
         unseen free vector is its class's least member, the canonical
         generator, and its r1 is least in U*r1: other rows are skipped whole.
         Each class marks its unit multiples seen and is tested once, at that
-        generator.  The other sector is built from the kept generators, in
-        order, when it is read, with no second test.
+        generator.
         """
         ring = self.ring
-        if "_deferred" in self.__dict__:
-            return tuple(_submodule(ring, *v, True, unimodular) for v in self.__dict__.pop("_deferred"))
         n, ann = ring.order, ring.left_annihilators
         scaled_unit_columns, unit_columns = ring.scaled_unit_columns, ring.unit_columns
         seen: set[int] = set()
-        points, deferred = [], []
+        sectors: dict[bool, list[Vector]] = {True: [], False: []}
         for r1, ann1, unit_multiples in zip(ring.elements(), ann, unit_columns):
             if min(unit_multiples) < r1:  # u*v < v for a unit u and every v in this row
                 continue
@@ -147,13 +159,9 @@ class ProjectiveLine(namedtuple("ProjectiveLine", "ring")):
             for r2, ann2 in enumerate(ann):
                 if ann1 & ann2 != 1 or row + r2 in seen:
                     continue
-                seen.update(map(add, scaled_unit_columns[r1], unit_columns[r2]))
-                if _unimodular(ring, r1, r2) == unimodular:
-                    points.append(_submodule(ring, r1, r2, True, unimodular))
-                else:
-                    deferred.append((r1, r2))
-        self.__dict__["_deferred"] = deferred
-        return tuple(points)
+                seen.update(multiple_codes((r1, r2), scaled_unit_columns, unit_columns))
+                sectors[_unimodular(ring, r1, r2)].append((r1, r2))
+        return sectors
 
     @cached_property
     def points(self) -> tuple[CyclicSubmodule, ...]:

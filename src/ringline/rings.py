@@ -5,7 +5,10 @@ and index 1 the multiplicative identity.  Validation is an exact proof on
 an additive generating set, O(n^2 k) for k <= log2 n generators; the
 full triple loop over the tables runs only to name the first failure.
 Ideal enumeration and the isomorphism search stay exhaustive, which is
-cheap at the orders this package targets.
+cheap at the orders this package targets.  The multiplication table's
+columns restricted to the units and to the zero divisors, each with a
+copy scaled by n, are derived on first read; ``line.multiple_codes`` sums
+them into the codes of a vector's multiples.
 """
 
 from __future__ import annotations
@@ -57,14 +60,6 @@ class FiniteRing(namedtuple("FiniteRing", "order add_table mul_table units zero_
     def columns(self) -> Table:
         """The multiplication table's columns: ``columns[r][x] = x*r``."""
         return tuple(zip(*self.mul_table))
-
-    @cached_property
-    def scaled_columns(self) -> Table:
-        """``columns`` times n, so x*(r1, r2) has code ``scaled_columns[r1][x] + columns[r2][x]``.
-
-        The code of a vector (r1, r2) of R^2 is r1*n + r2; ``divmod(code, n)`` maps it back.
-        """
-        return _scaled_columns(self.mul_table, self.order)
 
     @cached_property
     def unit_columns(self) -> Table:

@@ -160,8 +160,8 @@ def brute_line_sectors(add, mul):
     return uni, non
 
 
-def export_document(label, order, sector, orbits, fmt):
-    """The co-residence export of ``orbits`` by a global pair sort and ``json.dumps``.
+def export_documents(label, order, sector, orbits):
+    """The co-residence export of ``orbits``, by format, from one global pair sort and ``json.dumps``.
 
     Every pair of vectors inside one orbit is an edge; a vector's weight is
     the number of orbits through it.
@@ -172,26 +172,22 @@ def export_document(label, order, sector, orbits, fmt):
         for v in orbit:
             weights[v] = weights.get(v, 0) + 1
         edges.update(combinations(sorted(orbit), 2))
-
-    def ident(v):
-        return f"{v[0]}{v[1]}" if order <= 10 else f"{v[0]}_{v[1]}"
-
+    edges = sorted(edges)
     vertices = sorted(weights)
-    if fmt == "dot":
-        name = f"{label} {sector}".replace('"', '\\"')
-        out = [f'graph "{name}" {{']
-        out += [f'  "{ident(v)}" [weight={weights[v]}];' for v in vertices]
-        out += [f'  "{ident(a)}" -- "{ident(b)}";' for a, b in sorted(edges)]
-        out.append("}")
-        return "\n".join(out) + "\n"
+    ident = {v: f"{v[0]}{v[1]}" if order <= 10 else f"{v[0]}_{v[1]}" for v in vertices}
+    name = f"{label} {sector}".replace('"', '\\"')
+    dot = [f'graph "{name}" {{']
+    dot += [f'  "{ident[v]}" [weight={weights[v]}];' for v in vertices]
+    dot += [f'  "{ident[a]}" -- "{ident[b]}";' for a, b in edges]
+    dot.append("}")
     doc = {
         "schema": "ringline.graph/1",
         "ring": label,
         "sector": sector,
-        "vertices": [{"id": ident(v), "vector": list(v), "weight": weights[v]} for v in vertices],
-        "edges": [[ident(a), ident(b)] for a, b in sorted(edges)],
+        "vertices": [{"id": ident[v], "vector": list(v), "weight": weights[v]} for v in vertices],
+        "edges": [[ident[a], ident[b]] for a, b in edges],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return {"dot": "\n".join(dot) + "\n", "json": json.dumps(doc, indent=2, sort_keys=True) + "\n"}
 
 
 def nx_maximum_cliques(adjacency):

@@ -479,13 +479,13 @@ def test_line_report_derives_no_unimodular_orbit(spec, seed, monkeypatch):
     condense = importlib.import_module("ringline.condense")
     condense.reference_structure.cache_clear()
     derived = []
-    real = ringline.line.CyclicSubmodule._multiples
+    real = ringline.line.CyclicSubmodule._decoded
 
-    def counted(point, *columns):
+    def counted(point, codes):
         derived.append(point)
-        return real(point, *columns)
+        return real(point, codes)
 
-    monkeypatch.setattr(ringline.line.CyclicSubmodule, "_multiples", counted)
+    monkeypatch.setattr(ringline.line.CyclicSubmodule, "_decoded", counted)
     line = build_line_report(ring).line
     identification = condense.identify_condensate(compute_line(ring), condense.DEFAULT_CATALOG)
     condense.condensate_distant_analysis(identification.condensate)

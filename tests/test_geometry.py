@@ -63,6 +63,23 @@ def test_relation_refuses_points_over_two_rings_and_non_free_submodules(catalog_
             relation(p, q)
 
 
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("spec", ["T(2)", "Z(4)*T(2)", "GF(3)*T(2)", "Z(4)*Z(4)", "D(3)*GF(2)"])
+def test_relation_knows_a_point_from_any_of_its_generators(spec, seed, monkeypatch):
+    # q is p exactly when the two have one canonical generator, whichever
+    # generator of p builds q
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    ring = construct(spec)
+    if seed is not None:
+        ring = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed))
+    for p in compute_line(ring).points:
+        for g in p.generators:
+            q = cyclic_submodule(ring, g)
+            with pytest.raises(BadInput, match=r"^relation of point R\(.+ with itself \(pass allow_same=True"):
+                relation(p, q)
+            assert relation(p, q, allow_same=True) == "neighbour"
+
+
 def test_relation_is_symmetric_and_total(catalog_lines):
     for line in catalog_lines.values():
         for p, q in combinations(line.points, 2):
@@ -578,58 +595,65 @@ def export_lines():
         return [compute_line(ring) for ring in rings]
 
 
-def test_export_equals_the_sorting_oracle(export_lines):
+@pytest.fixture(scope="module")
+def exports(export_lines):
+    """Per line of ``export_lines`` and sector: its points' orbits, its JSON export parsed, and that document's graph."""
+    import networkx as nx
+
+    cases = []
     for line in export_lines:
         for sector in SECTORS:
+            doc = json.loads(export_graph(line, sector, "json"))
+            graph = nx.Graph(doc["edges"])
+            graph.add_nodes_from(v["id"] for v in doc["vertices"])
             orbits = [p.orbit for p in sector_points(line, sector)]
-            for fmt in ("dot", "json"):
-                want = oracles.export_document(line.ring.label, line.ring.order, sector, orbits, fmt)
-                assert export_graph(line, sector, fmt) == want, (line.ring.label, sector, fmt)
+            cases.append(SimpleNamespace(line=line, sector=sector, orbits=orbits, doc=doc, graph=graph))
+    return cases
+
+
+def test_export_equals_the_sorting_oracle(exports, export_lines):
+    for case in exports:
+        ring = case.line.ring
+        want = oracles.export_documents(ring.label, ring.order, case.sector, case.orbits)
+        for fmt in ("dot", "json"):
+            assert export_graph(case.line, case.sector, fmt) == want[fmt], (ring.label, case.sector, fmt)
     relabelled = export_lines[-1]
     assert export_graph(relabelled, "whole", "dot").startswith('graph "T(3) \\"relabelled\\" whole" {\n')
     assert json.loads(export_graph(relabelled, "whole", "json"))["ring"] == 'T(3) "relabelled"'
 
 
-def test_export_is_the_union_of_orbit_cliques(export_lines):
+def test_export_is_the_union_of_orbit_cliques(exports):
     import networkx as nx
 
-    for line in export_lines:
-        for sector in SECTORS:
-            points = sector_points(line, sector)
-            doc = json.loads(export_graph(line, sector, "json"))
-            ids = {tuple(v["vector"]): v["id"] for v in doc["vertices"]}
-            assert len(set(ids.values())) == len(ids)
-            got = nx.Graph(doc["edges"])
-            got.add_nodes_from(ids.values())
-            want = nx.compose_all([nx.complete_graph([ids[v] for v in p.orbit]) for p in points] or [nx.Graph()])
-            assert set(got) == set(want)
-            assert {frozenset(e) for e in got.edges} == {frozenset(e) for e in want.edges}
-            weights = Counter(v for p in points for v in p.orbit)
-            assert {tuple(v["vector"]): v["weight"] for v in doc["vertices"]} == weights
+    for case in exports:
+        ids = {tuple(v["vector"]): v["id"] for v in case.doc["vertices"]}
+        assert len(set(ids.values())) == len(ids)
+        got = case.graph
+        want = nx.Graph()
+        for orbit in case.orbits:  # each orbit's clique
+            want.add_nodes_from(ids[v] for v in orbit)
+            want.add_edges_from(combinations([ids[v] for v in orbit], 2))
+        assert set(got) == set(want)
+        assert {frozenset(e) for e in got.edges} == {frozenset(e) for e in want.edges}
+        weights = Counter(v for orbit in case.orbits for v in orbit)
+        assert {tuple(v["vector"]): v["weight"] for v in case.doc["vertices"]} == weights
 
 
-def test_export_gives_vectors_of_one_signature_one_closed_neighbourhood(export_lines):
-    import networkx as nx
-
+def test_export_gives_vectors_of_one_signature_one_closed_neighbourhood(exports):
     shared = 0
-    for line in export_lines:
-        for sector in SECTORS:
-            points = sector_points(line, sector)
-            doc = json.loads(export_graph(line, sector, "json"))
-            graph = nx.Graph(doc["edges"])
-            graph.add_nodes_from(v["id"] for v in doc["vertices"])
-            signatures = oracles.incidence(p.orbit for p in points)
-            twins = {}
-            for v in doc["vertices"]:
-                twins.setdefault(signatures[tuple(v["vector"])], []).append(v["id"])
-            for members in twins.values():
-                hoods = {frozenset(graph[i]) | {i} for i in members}
-                assert len(hoods) == 1, (line.ring.label, sector, members)
-                shared += len(members) > 1
+    for case in exports:
+        signatures = oracles.incidence(case.orbits)
+        twins = {}
+        for v in case.doc["vertices"]:
+            twins.setdefault(signatures[tuple(v["vector"])], []).append(v["id"])
+        for members in twins.values():
+            hoods = {frozenset(case.graph[i]) | {i} for i in members}
+            assert len(hoods) == 1, (case.line.ring.label, case.sector, members)
+            shared += len(members) > 1
     assert shared > 0
 
 
-def test_export_reads_each_signature_once(monkeypatch, export_lines):
+def test_export_reads_each_signature_once(monkeypatch, exports):
     calls = []
     real = ringline.geometry.mask_indices
 
@@ -638,15 +662,14 @@ def test_export_reads_each_signature_once(monkeypatch, export_lines):
         return real(mask)
 
     monkeypatch.setattr(ringline.geometry, "mask_indices", counted)
-    for line in export_lines:
-        for sector in SECTORS:
-            signatures = set(oracles.incidence(p.orbit for p in sector_points(line, sector)).values())
-            merged = sum(m & (m - 1) != 0 for m in signatures)  # a one-point signature reads its orbit as it is
-            for fmt in ("dot", "json"):
-                calls.clear()
-                export_graph(line, sector, fmt)
-                assert len(calls) == len(set(calls)) <= merged, (line.ring.label, sector, fmt)
-                assert all(m & (m - 1) for m in calls), (line.ring.label, sector, fmt)
+    for case in exports:
+        signatures = set(oracles.incidence(case.orbits).values())
+        merged = sum(m & (m - 1) != 0 for m in signatures)  # a one-point signature reads its orbit as it is
+        for fmt in ("dot", "json"):
+            calls.clear()
+            export_graph(case.line, case.sector, fmt)
+            assert len(calls) == len(set(calls)) <= merged, (case.line.ring.label, case.sector, fmt)
+            assert all(m & (m - 1) for m in calls), (case.line.ring.label, case.sector, fmt)
 
 
 def test_export_unknown_format(ternion_line):

@@ -408,6 +408,9 @@ def test_a_sector_read_builds_only_its_own_points_once(monkeypatch, read):
         return point
 
     monkeypatch.setattr(ringline.line, "_submodule", counted)
+    tested = []
+    real_test = ringline.line._unimodular
+    monkeypatch.setattr(ringline.line, "_unimodular", lambda *args: tested.append(args[1:]) or real_test(*args))
     line = compute_line(construct("GF(3)*T(2)"))
     assert built == []
     points = getattr(line, read)
@@ -415,6 +418,8 @@ def test_a_sector_read_builds_only_its_own_points_once(monkeypatch, read):
     # the other sector, read later, is built once from the kept generators
     points = line.points
     assert sorted(built) == list(points)
+    # one walk, for both sectors, tests each class once, at its canonical generator
+    assert tested == [p.generator for p in points]
 
 
 def test_order_bound_is_checked_before_any_sector_is_read(monkeypatch):
