@@ -148,13 +148,16 @@ def build_line_report(ring: FiniteRing) -> LineReport:
     larger sector value and its max neighbour size their sum.
     """
     line = compute_line(ring)
-    # R(1, 0) is unimodular, so only the non-unimodular sector can be empty
-    max_distant = {"unimodular": sector_clique_size(line, "unimodular", "distant")}
-    max_neighbour = {"unimodular": sector_clique_size(line, "unimodular", "neighbour")}
     try:
         partition, failure = unimodular_partition(line), None
     except NoAnswer as exc:
         partition, failure = None, str(exc)
+    # R(1, 0) is unimodular, so only the non-unimodular sector can be empty.
+    # A partition stands only when it has as many classes as a maximum
+    # distant clique has points, a size its search through point 0 found.
+    distant = len(partition.classes) if partition else sector_clique_size(line, "unimodular", "distant")
+    max_distant = {"unimodular": distant}
+    max_neighbour = {"unimodular": sector_clique_size(line, "unimodular", "neighbour")}
     if line.nonunimodular_points:
         max_distant["nonunimodular"] = sector_clique_size(line, "nonunimodular", "distant")
         max_neighbour["nonunimodular"] = sector_clique_size(line, "nonunimodular", "neighbour")

@@ -92,20 +92,9 @@ class RelationGraph(namedtuple("RelationGraph", "neighbours")):
 
 def _shared_codes(ring: FiniteRing, point: CyclicSubmodule) -> map:
     """The codes of the point's nonzero Z*v: every vector it may share with another point."""
-    codes = multiple_codes(point.generator, ring.scaled_zero_divisor_columns, ring.zero_divisor_columns)
+    codes = multiple_codes(point.generator, ring.zero_divisor_multiples)
     next(codes)  # 0*v, as z ascends from 0
     return codes
-
-
-def shared_incidence(ring: FiniteRing, points) -> dict[int, int]:
-    """The code of each zero-divisor multiple z*v of each point, mapped to the mask of the points holding it."""
-    index: dict[int, int] = {}
-    get = index.get
-    for i, point in enumerate(points):
-        bit = 1 << i
-        for code in multiple_codes(point.generator, ring.scaled_zero_divisor_columns, ring.zero_divisor_columns):
-            index[code] = get(code, 0) | bit
-    return index
 
 
 class SectorIncidence(namedtuple("SectorIncidence", "ring points")):
@@ -131,12 +120,18 @@ class SectorIncidence(namedtuple("SectorIncidence", "ring points")):
     def masks(self) -> dict[int, int]:
         ring, masks = self.ring, dict(self.shared)
         for i, point in enumerate(self.points):
-            masks.update(dict.fromkeys(multiple_codes(point.generator, ring.scaled_unit_columns, ring.unit_columns), 1 << i))
+            masks.update(dict.fromkeys(multiple_codes(point.generator, ring.unit_multiples), 1 << i))
         return masks
 
     @cached_property
     def shared(self) -> dict[int, int]:
-        return shared_incidence(self.ring, self.points)
+        ring, index = self.ring, {}
+        get = index.get
+        for i, point in enumerate(self.points):
+            bit = 1 << i
+            for code in multiple_codes(point.generator, ring.zero_divisor_multiples):
+                index[code] = get(code, 0) | bit
+        return index
 
     @cached_property
     def graph(self) -> RelationGraph:
@@ -343,8 +338,8 @@ def export_graph(line: ProjectiveLine, sector: str, fmt: str) -> str:
     vertices = dict(zip(codes, range(len(codes))))  # code -> its index
     orbits = []  # each point's Z*v then U*v, as ascending vertex indices
     for p in data.points:
-        orbit = chain(multiple_codes(p.generator, ring.scaled_zero_divisor_columns, ring.zero_divisor_columns),
-                      multiple_codes(p.generator, ring.scaled_unit_columns, ring.unit_columns))
+        orbit = chain(multiple_codes(p.generator, ring.zero_divisor_multiples),
+                      multiple_codes(p.generator, ring.unit_multiples))
         orbits.append(sorted(map(vertices.__getitem__, orbit)))
     vectors = list(map(divmod, codes, repeat(ring.order)))
     sep = "" if ring.order <= 10 else "_"  # two-digit ids for small rings

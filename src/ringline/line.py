@@ -6,8 +6,9 @@ multiples, so one walk over the vector codes of R^2 (``multiple_codes``)
 meets each free unit class once, at its least member (the canonical
 generator), and sorts it into its sector by whether 1 lies in r1*R + r2*R.
 Each sector builds its points from its generators when first read, and a
-point's orbit, Z*v then U*v, is summed from the ring's unit and
-zero-divisor column tables when first read.
+point's orbit, Z*v then U*v, is summed from the ring's zero-divisor and
+unit multiples (``FiniteRing.zero_divisor_multiples``, ``unit_multiples``)
+when first read.
 """
 
 from __future__ import annotations
@@ -57,16 +58,19 @@ def _unimodular(ring: FiniteRing, r1: int, r2: int) -> bool:
     return not ring.one_minus_multiples[r1].isdisjoint(ring.mul_table[r2])
 
 
-def multiple_codes(vector: Vector, scaled_columns, columns) -> map:
-    """The codes of x*v, for each x the two column tables list, in their order.
+def multiple_codes(vector: Vector, multiples) -> map:
+    """The codes of x*v, for each x of one element subset, ascending.
 
     The code of a vector (r1, r2) is r1*n + r2; codes sort like the vectors
-    and ``divmod(code, n)`` decodes one.  ``columns[r][k]`` is x_k*r and
-    ``scaled_columns[r][k]`` is n*(x_k*r), so x_k*v has code
-    ``scaled_columns[r1][k] + columns[r2][k]``.
+    and ``divmod(code, n)`` decodes one.  ``multiples`` is the subset's pair
+    ``(scaled, columns)``, ``ring.unit_multiples`` or
+    ``ring.zero_divisor_multiples``: ``columns[r][k]`` is x_k*r and
+    ``scaled[r][k]`` is n*(x_k*r), so x_k*v has code
+    ``scaled[r1][k] + columns[r2][k]``.
     """
     r1, r2 = vector
-    return map(add, scaled_columns[r1], columns[r2])
+    scaled, columns = multiples
+    return map(add, scaled[r1], columns[r2])
 
 
 class CyclicSubmodule(namedtuple("CyclicSubmodule", "generator free unimodular ring")):
@@ -74,7 +78,7 @@ class CyclicSubmodule(namedtuple("CyclicSubmodule", "generator free unimodular r
 
     Its orbit {a*v}, that is Z*v then U*v (Z the zero divisors, U the units),
     and its generators U*v are derived on first read: ``multiple_codes``
-    over the ring's subset tables, sorted as ints (deduplicated first when
+    over the ring's two subsets, sorted as ints (deduplicated first when
     v is not free) and decoded with ``divmod(code, n)``.
     """
 
@@ -82,13 +86,13 @@ class CyclicSubmodule(namedtuple("CyclicSubmodule", "generator free unimodular r
     def orbit(self) -> tuple[Vector, ...]:
         ring = self.ring
         return self._decoded(chain(
-            multiple_codes(self.generator, ring.scaled_zero_divisor_columns, ring.zero_divisor_columns),
-            multiple_codes(self.generator, ring.scaled_unit_columns, ring.unit_columns),
+            multiple_codes(self.generator, ring.zero_divisor_multiples),
+            multiple_codes(self.generator, ring.unit_multiples),
         ))
 
     @cached_property
     def generators(self) -> tuple[Vector, ...]:
-        return self._decoded(multiple_codes(self.generator, self.ring.scaled_unit_columns, self.ring.unit_columns))
+        return self._decoded(multiple_codes(self.generator, self.ring.unit_multiples))
 
     def _decoded(self, codes) -> tuple[Vector, ...]:
         if not self.free:  # a*v = b*v for some a != b
@@ -116,7 +120,7 @@ def cyclic_submodule(ring: FiniteRing, vector: Vector) -> CyclicSubmodule:
     """
     r1, r2 = _check_vector(ring, vector)
     free = ring.left_annihilators[r1] & ring.left_annihilators[r2] == 1
-    least = min(multiple_codes((r1, r2), ring.scaled_unit_columns, ring.unit_columns))
+    least = min(multiple_codes((r1, r2), ring.unit_multiples))
     return _submodule(ring, *divmod(least, ring.order), free, free and _unimodular(ring, r1, r2))
 
 
@@ -149,17 +153,16 @@ class ProjectiveLine(namedtuple("ProjectiveLine", "ring")):
         """
         ring = self.ring
         n, ann = ring.order, ring.left_annihilators
-        scaled_unit_columns, unit_columns = ring.scaled_unit_columns, ring.unit_columns
         seen: set[int] = set()
         sectors: dict[bool, list[Vector]] = {True: [], False: []}
-        for r1, ann1, unit_multiples in zip(ring.elements(), ann, unit_columns):
-            if min(unit_multiples) < r1:  # u*v < v for a unit u and every v in this row
-                continue
+        for r1, ann1 in enumerate(ann):
             row = r1 * n
+            if min(multiple_codes((r1, 0), ring.unit_multiples)) < row:  # u*v < v for a unit u and every v in this row
+                continue
             for r2, ann2 in enumerate(ann):
                 if ann1 & ann2 != 1 or row + r2 in seen:
                     continue
-                seen.update(multiple_codes((r1, r2), scaled_unit_columns, unit_columns))
+                seen.update(multiple_codes((r1, r2), ring.unit_multiples))
                 sectors[_unimodular(ring, r1, r2)].append((r1, r2))
         return sectors
 

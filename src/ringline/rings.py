@@ -5,10 +5,10 @@ and index 1 the multiplicative identity.  Validation is an exact proof on
 an additive generating set, O(n^2 k) for k <= log2 n generators; the
 full triple loop over the tables runs only to name the first failure.
 Ideal enumeration and the isomorphism search stay exhaustive, which is
-cheap at the orders this package targets.  The multiplication table's
-columns restricted to the units and to the zero divisors, each with a
-copy scaled by n, are derived on first read; ``line.multiple_codes`` sums
-them into the codes of a vector's multiples.
+cheap at the orders this package targets.  The multiples of the units
+and of the zero divisors are each kept as one pair of tables, derived on
+first read (``unit_multiples``, ``zero_divisor_multiples``);
+``line.multiple_codes`` sums a pair into the codes of a vector's multiples.
 """
 
 from __future__ import annotations
@@ -62,24 +62,20 @@ class FiniteRing(namedtuple("FiniteRing", "order add_table mul_table units zero_
         return tuple(zip(*self.mul_table))
 
     @cached_property
-    def unit_columns(self) -> Table:
-        """``columns`` restricted to the units: ``unit_columns[r][k] = u_k*r``, units ascending."""
-        return tuple(zip(*(self.mul_table[u] for u in sorted(self.units))))
+    def unit_multiples(self) -> tuple[Table, Table]:
+        """The units' ``(scaled, columns)`` pair (see ``_multiples``)."""
+        return self._multiples(self.units)
 
     @cached_property
-    def scaled_unit_columns(self) -> Table:
-        """``unit_columns`` times n, the first digit of the codes of the unit multiples."""
-        return _scaled_columns([self.mul_table[u] for u in sorted(self.units)], self.order)
+    def zero_divisor_multiples(self) -> tuple[Table, Table]:
+        """The zero divisors' ``(scaled, columns)`` pair (see ``_multiples``), 0 first."""
+        return self._multiples(self.zero_divisors)
 
-    @cached_property
-    def zero_divisor_columns(self) -> Table:
-        """``columns`` restricted to the zero divisors: ``zero_divisor_columns[r][k] = z_k*r``, z ascending from 0."""
-        return tuple(zip(*(self.mul_table[z] for z in sorted(self.zero_divisors))))
-
-    @cached_property
-    def scaled_zero_divisor_columns(self) -> Table:
-        """``zero_divisor_columns`` times n, the first digit of the codes of the zero-divisor multiples."""
-        return _scaled_columns([self.mul_table[z] for z in sorted(self.zero_divisors)], self.order)
+    def _multiples(self, subset) -> tuple[Table, Table]:
+        """``(scaled, columns)``: ``columns[r][k] = x_k*r`` over the subset ascending, ``scaled`` those times n."""
+        rows = [self.mul_table[x] for x in sorted(subset)]
+        scaled = tuple(range(0, self.order ** 2, self.order))
+        return tuple(zip(*(itemgetter(*row)(scaled) for row in rows))), tuple(zip(*rows))
 
     @cached_property
     def left_annihilators(self) -> tuple[int, ...]:
@@ -101,12 +97,6 @@ class FiniteRing(namedtuple("FiniteRing", "order add_table mul_table units zero_
 
     def __repr__(self) -> str:  # noqa: D105 - compact form, tables elided
         return f"FiniteRing({self.label!r}, order={self.order})"
-
-
-def _scaled_columns(rows, n: int) -> Table:
-    """The columns of ``rows`` with every entry y read as n*y, one shared int per value."""
-    scaled = tuple(range(0, n * n, n))
-    return tuple(zip(*(itemgetter(*row)(scaled) for row in rows)))
 
 
 def _violation(kind: str, witness: tuple, message: str | None = None) -> BadInput:

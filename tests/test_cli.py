@@ -379,24 +379,35 @@ def test_line_report_searches_each_sector_and_relation_once(monkeypatch):
 
     monkeypatch.setattr(cliques, "_search", counted)
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
-    # 2 sectors x 2 relations, each searched once for its size only (the
-    # unimodular ones through point 0, as the sector is vertex-transitive),
-    # plus the partition's search through unimodular point 0; the whole line
-    # follows from the two sectors.  No report asks one question twice.
+    # The partition's search through unimodular point 0 gives the unimodular
+    # distant size, as a standing partition has as many classes; the other
+    # sector x relation pairs are each searched once for their size only (the
+    # unimodular one through point 0, as the sector is vertex-transitive);
+    # the whole line follows from the two sectors.  No report asks one
+    # question twice.
     for spec in ("T(2)", "GF(3)*T(2)", "T(3)", "GF(7)*T(2)", "T(4)"):  # the benchmark's report ladder
         del calls[:], asked[:]
         report = build_line_report(construct(spec))
-        assert [call[1:3] for call in calls] == [(0, False), (0, False), (0, True), (None, False), (None, False)], spec
+        assert [call[1:3] for call in calls] == [(0, True), (0, False), (None, False), (None, False)], spec
         assert len(set(asked)) == len(asked), spec
         assert report.partition_class_sizes is not None, spec
+    # where the partition is refuted, before its search, the unimodular
+    # distant size is searched for alone, and it is the oracle's
+    z4z4 = construct("Z(4)*Z(4)")
+    for ring in (z4z4, validate_tables(*oracles.relabelled(z4z4.add_table, z4z4.mul_table, 2))):
+        del calls[:], asked[:]
+        report = build_line_report(ring)
+        assert report.partition_failure is not None and not report.line.nonunimodular_points
+        assert [call[1:3] for call in calls] == [(0, False), (0, False)]
+        size, _ = oracles.nx_maximum_cliques(oracles.relation_adjacency(report.line.unimodular_points, "distant"))
+        assert f"\nmax distant clique: unimodular {size}, " in ringline.cli.render_line_report(report)
     report = build_line_report(construct("T(2)"))
     # The 18 unimodular points form 9 distant twin classes of 2, and point 0
     # lies on 2 quotient cliques of 3 classes: 2 * 2 * 2 = 8 cliques through
     # it, so 18 * 8 / 3 = 48.
-    assert calls[-5:] == [
-        (18, 0, False, 3, 1),
-        (18, 0, False, 6, 1),
+    assert calls[-4:] == [
         (18, 0, True, 3, 2),
+        (18, 0, False, 6, 1),
         (3, None, False, 1, 1),
         (3, None, False, 3, 1),
     ]
@@ -428,26 +439,28 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
         condense.reference_structure(reference)
     scans, indexes, graphs = [], [], []
     geometry = ringline.geometry
-    scan, index, build = geometry.SectorIncidence.masks.func, geometry.shared_incidence, geometry.RelationGraph.of
 
-    def counted_scan(data):
-        scans.append(len(data.points))
-        return scan(data)
+    def count_builds(name, counts):
+        """Rebind the cached property ``name`` to one that counts the points of each build."""
+        built = getattr(geometry.SectorIncidence, name).func
 
-    masks = functools.cached_property(counted_scan)
-    masks.__set_name__(geometry.SectorIncidence, "masks")
+        def counted(data):
+            counts.append(len(data.points))
+            return built(data)
 
-    def counted_index(ring, points):
-        indexes.append(len(points))
-        return index(ring, points)
+        counting = functools.cached_property(counted)
+        counting.__set_name__(geometry.SectorIncidence, name)
+        monkeypatch.setattr(geometry.SectorIncidence, name, counting)
+
+    build = geometry.RelationGraph.of
 
     def counted_build(cls, edges, masks):
         edges = list(edges)
         graphs.append(len(edges))
         return build(edges, masks)
 
-    monkeypatch.setattr(geometry.SectorIncidence, "masks", masks)
-    monkeypatch.setattr(geometry, "shared_incidence", counted_index)
+    count_builds("masks", scans)
+    count_builds("shared", indexes)
     monkeypatch.setattr(geometry.RelationGraph, "of", classmethod(counted_build))
     ring = construct(spec)
     fresh = ringline.cli.compute_line(ring)

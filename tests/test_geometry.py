@@ -384,7 +384,7 @@ def fake(generator, orbit, unimodular=True):
 def fake_line(unimodular_points, nonunimodular_points):
     """A line whose two sectors are seeded by hand, as if already read.
 
-    Its stand-in ring has only the zero-divisor tables the shared-vector
+    Its stand-in ring has only the zero-divisor multiples the shared-vector
     index reads, made so that each point's Z*v is its orbit without its
     generator, the zero first.  Code r1*8 + r2 stands for (r1, r2); each
     point has its own second component, which alone picks its row.
@@ -396,8 +396,7 @@ def fake_line(unimodular_points, nonunimodular_points):
     width = max(map(len, multiples.values()))
     ring = SimpleNamespace(
         label="fake",
-        zero_divisor_columns=multiples,
-        scaled_zero_divisor_columns=defaultdict(lambda: (0,) * width),
+        zero_divisor_multiples=(defaultdict(lambda: (0,) * width), multiples),
     )
     line = ProjectiveLine(ring=ring)
     vars(line).update(unimodular_points=unimodular_points, nonunimodular_points=nonunimodular_points)

@@ -429,7 +429,7 @@ def test_order_bound_is_checked_before_any_sector_is_read(monkeypatch):
     ring = construct("Z(33)")
     with pytest.raises(TooLarge):
         compute_line(ring)
-    assert built == [] and vars(ring).keys().isdisjoint({"left_annihilators", "unit_columns", "scaled_unit_columns"})
+    assert built == [] and vars(ring).keys().isdisjoint({"left_annihilators", "unit_multiples"})
 
 
 def test_order_bound_and_overrides(monkeypatch):

@@ -56,6 +56,21 @@ def test_units_and_zero_divisors_partition_everywhere(catalog, amphibian16):
         assert all(any(ring.mul(x, z) == 0 for z in nonzero) for x in ring.zero_divisors), ring.label
 
 
+def test_subset_multiples_are_the_multiplication_table_by_column(catalog):
+    # columns[r][k] = x_k*r, x ascending over the subset (0 first among the
+    # zero divisors), and scaled[r][k] = n*(x_k*r)
+    relabelled = [oracles.relabelled(r.add_table, r.mul_table, seed) for r in catalog.values() for seed in (3, 11)]
+    for ring in [*catalog.values(), *(validate_tables(*tables) for tables in relabelled)]:
+        n = ring.order
+        for (scaled, columns), subset in (
+            (ring.unit_multiples, ring.units),
+            (ring.zero_divisor_multiples, ring.zero_divisors),
+        ):
+            expected = tuple(tuple(ring.mul(x, r) for x in sorted(subset)) for r in range(n))
+            assert columns == expected, ring.label
+            assert scaled == tuple(tuple(n * y for y in column) for column in expected), ring.label
+
+
 def test_tables_of_other_entries_are_read_through_int():
     # int tuples are kept as they are; lists, bools and floats are copied
     # through int(), so every table entry is an int
