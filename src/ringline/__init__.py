@@ -34,7 +34,6 @@ from .geometry import (
     export_graph,
     max_distant_cliques,
     max_neighbour_cliques,
-    private_vectors,
     relation,
     sector_points,
     unimodular_partition,
@@ -48,6 +47,7 @@ from .condense import (
     condensate_distant_analysis,
     condense,
     identify_condensate,
+    private_vectors,
     reference_structure,
     structures_isomorphic,
 )

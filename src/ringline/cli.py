@@ -153,11 +153,13 @@ def build_line_report(ring: FiniteRing) -> LineReport:
     except NoAnswer as exc:
         partition, failure = None, str(exc)
     # R(1, 0) is unimodular, so only the non-unimodular sector can be empty.
-    # A partition stands only when it has as many classes as a maximum
-    # distant clique has points, a size its search through point 0 found.
-    distant = len(partition.classes) if partition else sector_clique_size(line, "unimodular", "distant")
-    max_distant = {"unimodular": distant}
-    max_neighbour = {"unimodular": sector_clique_size(line, "unimodular", "neighbour")}
+    # A standing partition of k classes of b points gives the maximum
+    # distant size k and neighbour size b (see unimodular_partition).
+    if partition:
+        distant, neighbour = len(partition.classes), partition.class_sizes[0]
+    else:
+        distant, neighbour = (sector_clique_size(line, "unimodular", kind) for kind in ("distant", "neighbour"))
+    max_distant, max_neighbour = {"unimodular": distant}, {"unimodular": neighbour}
     if line.nonunimodular_points:
         max_distant["nonunimodular"] = sector_clique_size(line, "nonunimodular", "distant")
         max_neighbour["nonunimodular"] = sector_clique_size(line, "nonunimodular", "neighbour")

@@ -23,8 +23,9 @@ from operator import itemgetter
 from .cliques import maximum_size
 from .constructors import construct
 from .errors import NoAnswer, TooLarge
-from .geometry import ZERO, RelationGraph, SectorIncidence, sector_incidence
-from .line import ProjectiveLine, compute_line, mask_indices
+from .geometry import ZERO, RelationGraph, SectorIncidence, _nonempty, sector_incidence
+from .line import ProjectiveLine, Vector, compute_line, mask_indices
+from .rings import ISOMORPHISM_MAX_ORDER
 
 MAX_STRUCTURE_VERTICES = 200
 
@@ -95,6 +96,18 @@ def _signature_quotient(label: str, sector: SectorIncidence) -> IncidenceStructu
     return IncidenceStructure(label=label, vertices=vertices, edges=edges)
 
 
+def private_vectors(line: ProjectiveLine, sector: str) -> dict[Vector, tuple[Vector, ...]]:
+    """Per point, keyed by canonical generator, the vectors on no other point of the sector, ascending.
+
+    Point i's are the sector's signature class {i}, which holds its
+    generators.  On the order-8 ternion line these are a point's two
+    generators, and two more vectors on a non-unimodular point.
+    """
+    data = _nonempty(line, sector)
+    classes = {vc.signature: vc.members for vc in _signature_quotient(line.ring.label, data).vertices}
+    return {point.generator: classes[frozenset((i,))] for i, point in enumerate(data.points)}
+
+
 @cache
 def reference_structure(spec: str) -> IncidenceStructure:
     """Unimodular sector of the line over a catalog ring, condensed.
@@ -105,8 +118,8 @@ def reference_structure(spec: str) -> IncidenceStructure:
     that raises, such as TooLarge, is not cached.
     """
     ring = construct(spec)
-    if ring.order > 16:
-        raise TooLarge(f"reference lines are bounded to ring order 16, got {ring.order}")
+    if ring.order > ISOMORPHISM_MAX_ORDER:
+        raise TooLarge(f"reference lines are bounded to ring order {ISOMORPHISM_MAX_ORDER}, got {ring.order}")
     return _signature_quotient(f"P({ring.label})", sector_incidence(compute_line(ring), "unimodular"))
 
 

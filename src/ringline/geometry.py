@@ -28,13 +28,12 @@ from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import chain, repeat
 from math import prod
-from operator import countOf, or_
+from operator import or_
 
 from . import jsontext
 from .cliques import Clique, cliques_through, expand, maximum_cliques, maximum_size
 from .errors import BadInput, NoAnswer
 from .line import CyclicSubmodule, ProjectiveLine, Vector, mask_indices, multiple_codes
-from .rings import FiniteRing
 
 SECTORS = ("unimodular", "nonunimodular", "whole")
 
@@ -56,7 +55,7 @@ def relation(p: CyclicSubmodule, q: CyclicSubmodule, allow_same: bool = False) -
 
     q is p when the two have one canonical generator.  Otherwise the two
     share only zero-divisor multiples (see ``SectorIncidence``), so they are
-    distant when their nonzero Z*v are disjoint.
+    distant when their Z*v meet only in code 0, the zero vector.
     """
     ring = p.ring
     if q.ring != ring:
@@ -67,7 +66,8 @@ def relation(p: CyclicSubmodule, q: CyclicSubmodule, allow_same: bool = False) -
         if allow_same:
             return "neighbour"
         raise BadInput(f"relation of point R{p.generator} with itself (pass allow_same=True for the reflexive convention)")
-    return "distant" if set(_shared_codes(ring, p)).isdisjoint(_shared_codes(ring, q)) else "neighbour"
+    zp, zq = (set(multiple_codes(x.generator, ring.zero_divisor_multiples)) for x in (p, q))
+    return "distant" if zp & zq == {0} else "neighbour"
 
 
 def _meeting(masks, members) -> int:
@@ -81,20 +81,13 @@ class RelationGraph(namedtuple("RelationGraph", "neighbours")):
     @classmethod
     def of(cls, edges, masks) -> "RelationGraph":
         """Row i ORs the ``masks`` of edge i's members (the codes of a point's
-        nonzero Z*v, or a condensed point's classes), without bit i; the
-        zero, on every edge, is left out of the edge or has no mask."""
+        Z*v, or a condensed point's classes), without bit i; the zero, on
+        every edge, has no mask."""
         return cls(tuple(_meeting(masks, edge) & ~(1 << i) for i, edge in enumerate(edges)))
 
     def distant(self) -> tuple[int, ...]:
         full = (1 << len(self.neighbours)) - 1
         return tuple(full & ~(row | 1 << i) for i, row in enumerate(self.neighbours))
-
-
-def _shared_codes(ring: FiniteRing, point: CyclicSubmodule) -> map:
-    """The codes of the point's nonzero Z*v: every vector it may share with another point."""
-    codes = multiple_codes(point.generator, ring.zero_divisor_multiples)
-    next(codes)  # 0*v, as z ascends from 0
-    return codes
 
 
 class SectorIncidence(namedtuple("SectorIncidence", "ring points")):
@@ -108,12 +101,12 @@ class SectorIncidence(namedtuple("SectorIncidence", "ring points")):
     non-unit a has some b != 0 with b*a = 0, since a finite ring is
     Dedekind-finite (``rings.validate_tables``), so b*(a*v) = 0 and a*v is
     not free.  So R*v is its generators U*v, each on this point alone, and
-    Z*v, Z the non-units.  ``shared`` holds the Z*v of every point with the
-    mask of every point through it; the neighbour rows, the partition and
-    the cross check read it alone.  ``masks`` is ``shared`` plus each U*v
-    at its point's bit, for the stages that need every vector:
-    condensation, the reference structures, private vectors and the
-    export.  Each is built only when it is read.
+    Z*v, Z the non-units.  ``shared`` holds the nonzero Z*v of every point
+    with the mask of every point through it; the neighbour rows, the
+    partition and the cross check read it alone.  ``masks`` is ``shared``
+    plus each U*v at its point's bit and the zero at every point's, for
+    the stages that need every vector: condensation, the reference
+    structures, private vectors and the export.  Each is built on first read.
     """
 
     @cached_property
@@ -121,6 +114,8 @@ class SectorIncidence(namedtuple("SectorIncidence", "ring points")):
         ring, masks = self.ring, dict(self.shared)
         for i, point in enumerate(self.points):
             masks.update(dict.fromkeys(multiple_codes(point.generator, ring.unit_multiples), 1 << i))
+        if self.points:
+            masks[0] = (1 << len(self.points)) - 1
         return masks
 
     @cached_property
@@ -131,11 +126,13 @@ class SectorIncidence(namedtuple("SectorIncidence", "ring points")):
             bit = 1 << i
             for code in multiple_codes(point.generator, ring.zero_divisor_multiples):
                 index[code] = get(code, 0) | bit
+        index.pop(0, None)  # 0*v, on every point
         return index
 
     @cached_property
     def graph(self) -> RelationGraph:
-        return RelationGraph.of([_shared_codes(self.ring, p) for p in self.points], self.shared)
+        edges = [multiple_codes(p.generator, self.ring.zero_divisor_multiples) for p in self.points]
+        return RelationGraph.of(edges, self.shared)
 
     def rows(self, kind: str) -> tuple[int, ...]:
         """The bitmask rows of the ``kind`` ("distant" or "neighbour") relation."""
@@ -222,13 +219,16 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
     point lies on as many maximum distant cliques, c(0), as point 0 does,
     and counting (point, clique) pairs gives #cliques * size = #points *
     c(0).  Point 0 lies on one, so the least maximum clique holds it.
+
+    So the distant graph is vertex-transitive: its clique number k times its
+    coclique number, the maximum neighbour size, is at most #points (the
+    clique-coclique bound; Albertson & Collins, Discrete Math. 54, 1985).
+    The k classes hold b points each, k*b = #points, so that size is b.
     """
     data = sector_incidence(line, "unimodular")
-    points, index = data.points, data.shared
-    masks = set(index.values())
-    if countOf(index.values(), index[0]) == 1:  # no nonzero vector has the zero's mask
-        masks.discard(index[0])
-    masks.update(1 << i for i in range(len(points)))  # a point's generators lie on it alone
+    points = data.points
+    # a point's generators lie on it alone
+    masks = set(data.shared.values()).union(1 << i for i in range(len(points)))
     sizes = {m: m.bit_count() for m in masks}
     best = max(sizes.values(), default=0)
     classes = sorted((m for m, size in sizes.items() if size == best), key=mask_indices)
@@ -267,8 +267,8 @@ def cross_sector_check(line: ProjectiveLine) -> tuple[bool, tuple[CyclicSubmodul
     """Whether every non-unimodular point is neighbour to every unimodular one.
 
     Returns (True, None) or (False, counterexample pair), reading each point's
-    unimodular neighbours off the unimodular ``shared`` masks of its nonzero
-    Z*v; its other vectors are free, so they lie on it alone.
+    unimodular neighbours off the unimodular ``shared`` masks of its Z*v (its
+    zero finds none); its other vectors are free, so they lie on it alone.
     """
     unimodular, nonunimodular = line.unimodular_points, line.nonunimodular_points
     if not nonunimodular or not unimodular:
@@ -276,26 +276,10 @@ def cross_sector_check(line: ProjectiveLine) -> tuple[bool, tuple[CyclicSubmodul
     data = sector_incidence(line, "unimodular")
     sector = (1 << len(unimodular)) - 1
     for nu in nonunimodular:
-        distant = sector & ~_meeting(data.shared, _shared_codes(line.ring, nu))
+        distant = sector & ~_meeting(data.shared, multiple_codes(nu.generator, line.ring.zero_divisor_multiples))
         if distant:
             return False, (nu, unimodular[mask_indices(distant)[0]])
     return True, None
-
-
-def private_vectors(line: ProjectiveLine, sector: str) -> dict[Vector, tuple[Vector, ...]]:
-    """Per point, the vectors lying on no other point of the same sector, ascending.
-
-    Keyed by canonical generator.  On the order-8 ternion line these are
-    the two generators for a unimodular point and the two generators plus
-    two more vectors for a non-unimodular one.
-    """
-    data = _nonempty(line, sector)
-    private = [[] for _ in data.points]
-    for code, mask in data.masks.items():
-        if not mask & (mask - 1):  # on one point
-            private[mask.bit_length() - 1].append(code)
-    n = line.ring.order
-    return {point.generator: tuple(map(divmod, sorted(codes), repeat(n))) for point, codes in zip(data.points, private)}
 
 
 # Per format, the parts of one vertex's edges (k, b): head + id_k + mid + id_b + tail, joined by

@@ -10,7 +10,9 @@ RINGLINE_MAX_ORDER=64.  Its stdout and stderr go to ``NNN-name.out`` and
 ``.err``, its arguments and exit code to ``.code``, and the files it writes
 under ``NNN-name.files/``.  Ring files are written into OUTDIR and named by
 a relative path, so their ``file:`` labels do not depend on where OUTDIR
-is.  Two checkouts give the same outputs when ``diff -r`` of their two
+is; one of them, ``amphibian16-broken.ring``, has one ``mul`` entry changed,
+so ``ring validate`` refuses it.  All six commands run, with exit codes 0,
+1 and 2.  Two checkouts give the same outputs when ``diff -r`` of their two
 directories is empty.
 """
 
@@ -46,6 +48,12 @@ CATALOG = (
 
 EXPORTED = ("T(2)", "GF(3)*T(2)", "GF(5)*T(2)")
 
+# ring info: ideal censuses up to order 64, "isomorphic to" on a file ring
+# (n/a above order 16), and ideals n/a above RINGLINE_MAX_ORDER
+INFO = ("T(2)", "Z(12)", "T(4)", "file:amphibian16.ring", f"file:{RELABELLED[0][0]}", "T(2)*T(2)*GF(2)")
+
+BROKEN = "amphibian16-broken.ring"
+
 
 def commands() -> list[tuple[str, ...]]:
     """Each command's arguments; FILES stands for the command's own output directory."""
@@ -65,7 +73,22 @@ def commands() -> list[tuple[str, ...]]:
                 found.append(("line", "export", spec, "--sector", sector, "--format", fmt,
                               "--out", f"FILES/graph.{fmt}"))
     found += [("table2",), ("table2", "--json", "--ring-b", "amphibian16.ring")]
+    for spec in INFO:
+        found += [("ring", "info", spec), ("ring", "info", spec, "--json")]
+    for name in ("amphibian16.ring", BROKEN):
+        found += [("ring", "validate", name), ("ring", "validate", name, "--json")]
+    found += [("line", "compute", "T(2)*T(2)*GF(2)"), ("ring", "info", "Q(3)")]  # exit 2: too large, bad spec
     return found
+
+
+def broken(text: str) -> str:
+    """A ring file's text with ``mul`` entry [2][3] raised by one, mod the order."""
+    lines = text.splitlines(keepends=True)
+    row = lines.index("mul\n") + 3
+    entries = lines[row].split()
+    entries[3] = str((int(entries[3]) + 1) % len(entries))
+    lines[row] = " ".join(entries) + "\n"
+    return "".join(lines)
 
 
 def main(argv: list[str]) -> int:
@@ -75,6 +98,7 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(DATA / "amphibian16.ring", out / "amphibian16.ring")
+    (out / BROKEN).write_text(broken((DATA / "amphibian16.ring").read_text(encoding="utf-8")), encoding="utf-8")
     for name, spec, seed in RELABELLED:
         ring = construct(spec)
         write_ring_file(out / name, validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed)))

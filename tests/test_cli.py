@@ -379,20 +379,21 @@ def test_line_report_searches_each_sector_and_relation_once(monkeypatch):
 
     monkeypatch.setattr(cliques, "_search", counted)
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
-    # The partition's search through unimodular point 0 gives the unimodular
-    # distant size, as a standing partition has as many classes; the other
-    # sector x relation pairs are each searched once for their size only (the
-    # unimodular one through point 0, as the sector is vertex-transitive);
-    # the whole line follows from the two sectors.  No report asks one
-    # question twice.
+    # The partition's search through unimodular point 0 is the one unimodular
+    # search: a standing partition of k classes of b points gives the
+    # unimodular distant size k and neighbour size b; the non-unimodular
+    # sector's two relations are each searched once for their size only; the
+    # whole line follows from the two sectors.  No report asks one question
+    # twice.
     for spec in ("T(2)", "GF(3)*T(2)", "T(3)", "GF(7)*T(2)", "T(4)"):  # the benchmark's report ladder
         del calls[:], asked[:]
         report = build_line_report(construct(spec))
-        assert [call[1:3] for call in calls] == [(0, True), (0, False), (None, False), (None, False)], spec
+        assert [call[1:3] for call in calls] == [(0, True), (None, False), (None, False)], spec
         assert len(set(asked)) == len(asked), spec
         assert report.partition_class_sizes is not None, spec
     # where the partition is refuted, before its search, the unimodular
-    # distant size is searched for alone, and it is the oracle's
+    # distant and neighbour sizes are searched for alone, through point 0,
+    # and the distant one is the oracle's
     z4z4 = construct("Z(4)*Z(4)")
     for ring in (z4z4, validate_tables(*oracles.relabelled(z4z4.add_table, z4z4.mul_table, 2))):
         del calls[:], asked[:]
@@ -405,9 +406,8 @@ def test_line_report_searches_each_sector_and_relation_once(monkeypatch):
     # The 18 unimodular points form 9 distant twin classes of 2, and point 0
     # lies on 2 quotient cliques of 3 classes: 2 * 2 * 2 = 8 cliques through
     # it, so 18 * 8 / 3 = 48.
-    assert calls[-4:] == [
+    assert calls[-3:] == [
         (18, 0, True, 3, 2),
-        (18, 0, False, 6, 1),
         (3, None, False, 1, 1),
         (3, None, False, 3, 1),
     ]

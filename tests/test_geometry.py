@@ -286,6 +286,46 @@ def test_unimodular_sizes_through_point_0_are_the_whole_sector_sizes(spec, seed,
         assert sizes[kind] == maximum_size(sector_incidence(line, "unimodular").rows(kind)), kind
 
 
+# The 26 specs the partition was first checked on; named and relabelled with
+# seeds 1 and 2, the partition stands in 60 cases and is refuted in 18.
+CERTIFIED = (
+    "GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "Z(4)", "Z(6)", "Z(8)", "Z(9)", "Z(12)", "D(2)", "D(3)",
+    "T(2)", "T(3)", "T(4)", "GF(2)*GF(2)", "GF(2)*GF(3)", "GF(2)*T(2)", "GF(3)*T(2)", "GF(4)*T(2)",
+    "GF(5)*T(2)", "GF(7)*T(2)", "Z(4)*T(2)", "D(2)*T(2)", "T(2)*T(2)", "Z(4)*Z(4)",
+)
+
+
+def test_standing_partition_certifies_both_unimodular_sizes(monkeypatch):
+    # A standing partition of k classes of b points is a maximum distant
+    # clique's k and, by the clique-coclique bound on the vertex-transitive
+    # distant graph, the maximum neighbour size b: pinned against the
+    # kernel.  Where the partition is refuted, the report's sizes are the
+    # kernel's.  About 0.4 s on a 2-vCPU host, construction included.
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    outcomes = Counter()
+    for spec in CERTIFIED:
+        named = construct(spec)
+        for seed in (None, 1, 2):
+            ring = named if seed is None else validate_tables(*oracles.relabelled(named.add_table, named.mul_table, seed))
+            line = compute_line(ring)
+            kernel = {kind: sector_clique_size(line, "unimodular", kind) for kind in ("distant", "neighbour")}
+            try:
+                part = unimodular_partition(line)
+            except NoAnswer:
+                report = build_line_report(ring)
+                assert report.partition_failure is not None, (spec, seed)
+                assert report.max_distant["unimodular"] == kernel["distant"], (spec, seed)
+                assert report.max_neighbour["unimodular"] == kernel["neighbour"], (spec, seed)
+                outcomes["refuted"] += 1
+                continue
+            k, b = len(part.classes), part.class_sizes[0]
+            assert set(part.class_sizes) == {b}, (spec, seed)
+            assert k * b == len(line.unimodular_points), (spec, seed)
+            assert (k, b) == (kernel["distant"], kernel["neighbour"]), (spec, seed)
+            outcomes["standing"] += 1
+    assert outcomes == {"standing": 60, "refuted": 18}
+
+
 def test_matrix_ring_line_is_twin_free_with_the_classical_cliques():
     # Over M2(GF(2)) the points are the 35 lines of PG(3,2), distant when
     # skew: the maximum distant cliques are the 56 spreads, the maximum
@@ -446,8 +486,8 @@ def test_cross_sector(ternion_line, catalog_lines, gf3_t2_line):
 )
 def test_points_share_only_zero_divisor_multiples(spec, seed, amphibian16, monkeypatch):
     # a free vector lies on its own point alone, so the shared-vector index
-    # (the Z*v of every point) is the full incidence without the generators,
-    # and the code index is the full incidence
+    # (the nonzero Z*v of every point) is the full incidence without the
+    # generators and the zero vector, and the code index is the full incidence
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
     ring = amphibian16 if spec == "amphibian16" else construct(spec)
     if seed is not None:
@@ -461,8 +501,8 @@ def test_points_share_only_zero_divisor_multiples(spec, seed, amphibian16, monke
         codes = {a * n + b: mask for (a, b), mask in full.items()}
         assert data.masks == codes, sector
         generators = {a * n + b for point in data.points for a, b in point.generators}
-        assert data.shared == {code: mask for code, mask in codes.items() if code not in generators}, sector
-        assert {code for code, mask in codes.items() if mask & (mask - 1)} <= data.shared.keys(), sector
+        assert data.shared == {code: mask for code, mask in codes.items() if code not in generators and code}, sector
+        assert {code for code, mask in codes.items() if mask & (mask - 1) and code} <= data.shared.keys(), sector
         assert all(codes[code].bit_count() == 1 for code in generators), sector
 
 
@@ -497,6 +537,11 @@ def test_report_stages_equal_their_brute_force_forms(report_rings):
         assert report.partition_anchor_sets == len(max_distant_cliques(line, "unimodular")), name
         assert report.partition_class_sizes == part.class_sizes, name
         assert report.partition_failure is None, name
+        # the report reads both unimodular sizes off the standing partition
+        distant = len(max_distant_cliques(line, "unimodular")[0])
+        neighbour = len(max_neighbour_cliques(line, "unimodular")[0])
+        assert report.max_distant["unimodular"] == distant == len(part.classes), name
+        assert report.max_neighbour["unimodular"] == neighbour == part.class_sizes[0], name
         # the report's anchors: class minima of the least quotient clique
         assert part.anchors == max_distant_cliques(line, "unimodular")[0], name
         assert all(a in cls for a, cls in zip(part.anchors, part.classes)), name
@@ -521,6 +566,29 @@ def test_private_vectors(ternion_line):
         mine = non[point.generator]
         assert len(mine) == 4
         assert set(point.generators) < set(mine)
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_private_vectors_are_the_vectors_on_one_point(seed, catalog, amphibian16):
+    # point i's private vectors are the brute-force orbit vectors whose
+    # point mask is bit i alone, ascending
+    for name, ring in {**catalog, "amphibian16": amphibian16}.items():
+        if seed is not None:
+            ring = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed))
+        mul = [list(row) for row in ring.mul_table]
+        line = compute_line(ring)
+        for sector in SECTORS:
+            points = sector_points(line, sector)
+            if not points:
+                with pytest.raises(NoAnswer, match=r"sector of .* is empty$"):
+                    private_vectors(line, sector)
+                continue
+            full = oracles.incidence(oracles.brute_orbit(mul, p.generator) for p in points)
+            expected = {
+                p.generator: tuple(sorted(v for v, mask in full.items() if mask == 1 << i))
+                for i, p in enumerate(points)
+            }
+            assert private_vectors(line, sector) == expected, (name, seed, sector)
 
 
 def test_private_vectors_of_an_empty_sector(catalog_lines):
