@@ -21,6 +21,8 @@ from collections import Counter, namedtuple
 from collections.abc import Callable
 from contextlib import suppress
 from functools import cache
+from itertools import combinations_with_replacement
+from math import prod
 
 from . import jsontext
 from .condense import condensate_distant_analysis, identify_condensate
@@ -40,7 +42,7 @@ from .rings import FiniteRing, ISOMORPHISM_MAX_ORDER, are_isomorphic, ideal_size
 Outcome = tuple[int, dict | None, Callable[[], str]]  # exit code, --json document, text view
 
 
-def _named_candidates(order: int) -> list[str]:
+def _one_term_specs(order: int) -> list[str]:
     specs = [f"Z({order})"]
     if order in SUPPORTED_FIELD_ORDERS:
         specs.append(f"GF({order})")
@@ -50,6 +52,15 @@ def _named_candidates(order: int) -> list[str]:
         if q * q * q == order:
             specs.append(f"T({q})")
     return specs
+
+
+def _named_candidates(order: int) -> list[str]:
+    """The one-term specs of this order, then its products of two or more one-term specs, once per multiset:
+    factors ascend by (order, spec), a prime order p written GF(p), and products by factor tuples."""
+    terms = sorted({(m, f"GF({m})" if all(m % d for d in range(2, m)) else spec)
+                    for m in range(2, order) if order % m == 0 for spec in _one_term_specs(m)})
+    found = (c for k in range(2, order.bit_length()) for c in combinations_with_replacement(terms, k))
+    return _one_term_specs(order) + ["*".join(s for _, s in c) for c in sorted(found) if prod(m for m, _ in c) == order]
 
 
 def _identify_ring(ring: FiniteRing) -> list[str] | None:

@@ -329,62 +329,38 @@ def ideal_size_census(ring: FiniteRing) -> dict[int, int]:
 def are_isomorphic(ring_a: FiniteRing, ring_b: FiniteRing) -> tuple[int, ...] | None:
     """Search for a bijection preserving both tables.
 
-    Returns the mapping (index in ring_a -> index in ring_b) or None.
-    Backtracking assigns elements in index order, tries images in index
-    order and keeps only partial homomorphisms, so the returned witness
-    is the lexicographically least one.
+    Returns the mapping (index in ring_a -> index in ring_b) or None, at
+    once for unequal orders; TooLarge is raised only for equal orders above
+    ``ISOMORPHISM_MAX_ORDER``.  Each fact x + y = s and x*y = p of ring_a is
+    filed under the largest of its three elements and checked when that
+    element gets its image, so every partial map the search keeps preserves
+    every fact among its elements, and the first full map is an isomorphism.
+    Elements are assigned and images tried in index order, so the witness
+    is the lexicographically least isomorphism.
     """
-    bound = ISOMORPHISM_MAX_ORDER
-    if ring_a.order > bound or ring_b.order > bound:
-        raise TooLarge(f"isomorphism search is bounded to order {bound}")
     n = ring_a.order
     if n != ring_b.order:
         return None
-
-    add_a, mul_a = ring_a.add_table, ring_a.mul_table
-    add_b, mul_b = ring_b.add_table, ring_b.mul_table
+    if n > ISOMORPHISM_MAX_ORDER:
+        raise TooLarge(f"isomorphism search is bounded to order {ISOMORPHISM_MAX_ORDER}")
+    facts: list[list[tuple]] = [[] for _ in range(n)]
+    for table_a, table_b in ((ring_a.add_table, ring_b.add_table), (ring_a.mul_table, ring_b.mul_table)):
+        for x, row in enumerate(table_a):
+            for y, r in enumerate(row):
+                facts[max(x, y, r)].append((x, y, r, table_b))
     image = [-1] * n
     taken = [False] * n
 
-    def consistent(k: int) -> bool:
-        # Pruning only: pairs involving the newest element, where the result
-        # is already mapped (or its target image is already taken).  Pairs
-        # whose result gets mapped later are settled by the leaf check.
-        for i in range(k + 1):
-            for x, y in ((i, k), (k, i)):
-                for ta, tb in ((add_a, add_b), (mul_a, mul_b)):
-                    r = ta[x][y]
-                    rb = tb[image[x]][image[y]]
-                    if r <= k:
-                        if rb != image[r]:
-                            return False
-                    elif taken[rb]:
-                        return False
-        return True
-
-    def complete() -> bool:
-        for a in range(n):
-            for b in range(n):
-                if image[add_a[a][b]] != add_b[image[a]][image[b]]:
-                    return False
-                if image[mul_a[a][b]] != mul_b[image[a]][image[b]]:
-                    return False
-        return True
-
     def extend(k: int) -> bool:
         if k == n:
-            return complete()
+            return True
         for y in range(n):
-            if taken[y]:
-                continue
             image[k] = y
-            taken[y] = True
-            if consistent(k) and extend(k + 1):
-                return True
-            taken[y] = False
-            image[k] = -1
+            if not taken[y] and all(tb[image[x]][image[z]] == image[r] for x, z, r, tb in facts[k]):
+                taken[y] = True
+                if extend(k + 1):
+                    return True
+                taken[y] = False
         return False
 
-    if not extend(0):
-        return None
-    return tuple(image)
+    return tuple(image) if extend(0) else None

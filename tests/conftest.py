@@ -36,6 +36,14 @@ COMMUTATIVE_SPECS = (
     "GF(2)*GF(2)*GF(4)", "GF(2)*GF(2)*Z(4)",
 )
 
+# The named order-16 candidates of `ring info`: the one-term specs, then the
+# products of one-term specs, in the order `cli._named_candidates` lists them.
+ORDER_16_SPECS = (
+    "Z(16)", "D(4)", "GF(2)*GF(2)*GF(2)*GF(2)", "GF(2)*GF(2)*D(2)", "GF(2)*GF(2)*GF(4)",
+    "GF(2)*GF(2)*Z(4)", "GF(2)*T(2)", "GF(2)*Z(8)", "D(2)*D(2)", "D(2)*GF(4)", "D(2)*Z(4)",
+    "GF(4)*GF(4)", "GF(4)*Z(4)", "Z(4)*Z(4)",
+)
+
 
 @pytest.fixture(scope="session")
 def ternions8():

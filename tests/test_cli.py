@@ -20,7 +20,7 @@ import ringline.cli
 import ringline.geometry
 import ringline.line
 import ringline.rings
-from conftest import DATA
+from conftest import DATA, ORDER_16_SPECS
 from ringline import (
     bundled_ring_path,
     compute_line,
@@ -32,7 +32,7 @@ from ringline import (
     validate_tables,
     write_ring_file,
 )
-from ringline.cli import _atomic_write, build_line_report, main
+from ringline.cli import _atomic_write, _identify_ring, _named_candidates, build_line_report, main
 from ringline.line import line_to_json
 
 
@@ -78,6 +78,43 @@ def test_ring_info_identifies_ingested_file(capsys, tmp_path):
         write_ring_file(path, validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed)))
         code, out, _ = run(capsys, "ring", "info", f"file:{path}")
         assert code == 0 and out.endswith(f"isomorphic to: {spec}\n"), spec
+    # relabelled tables of product specs, which name every isomorphic candidate
+    for i, (spec, seed, shown) in enumerate((
+        ("GF(2)*GF(2)", 1, "GF(2)*GF(2)"),
+        ("GF(2)*GF(3)", 2, "Z(6), GF(2)*GF(3)"),
+        ("GF(2)*T(2)", 5, "GF(2)*T(2)"),
+        ("Z(4)*Z(4)", 2, "Z(4)*Z(4)"),
+    )):
+        ring = construct(spec)
+        path = tmp_path / f"product{i}.ring"
+        write_ring_file(path, validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed)))
+        code, out, _ = run(capsys, "ring", "info", f"file:{path}")
+        assert code == 0 and out.endswith(f"isomorphic to: {shown}\n"), spec
+    code, out, _ = run(capsys, "ring", "info", f"file:{path}", "--json")
+    assert code == 0 and json.loads(out)["isomorphic_to"] == ["Z(4)*Z(4)"]
+
+
+def test_ring_info_names_every_order_16_candidate(amphibian16):
+    # 210 searches over the relabelled candidates and amphibian16 (about
+    # 0.3 s on a shared 2-vCPU host, construction included): each candidate
+    # is isomorphic to itself alone, and amphibian16 to none of them
+    for spec in ORDER_16_SPECS:
+        ring = construct(spec)
+        relabelled = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, 7))
+        assert _identify_ring(relabelled) == [spec]
+    assert _identify_ring(amphibian16) == []
+
+
+def test_named_candidates_are_one_term_specs_then_products():
+    assert _named_candidates(4) == ["Z(4)", "GF(4)", "D(2)", "GF(2)*GF(2)"]
+    assert _named_candidates(6) == ["Z(6)", "GF(2)*GF(3)"]
+    assert _named_candidates(8) == [
+        "Z(8)", "T(2)", "GF(2)*GF(2)*GF(2)", "GF(2)*D(2)", "GF(2)*GF(4)", "GF(2)*Z(4)",
+    ]
+    assert _named_candidates(12) == [
+        "Z(12)", "GF(2)*GF(2)*GF(3)", "GF(2)*Z(6)", "GF(3)*D(2)", "GF(3)*GF(4)", "GF(3)*Z(4)",
+    ]
+    assert _named_candidates(16) == list(ORDER_16_SPECS)
 
 
 def test_ring_info_above_the_isomorphism_bound_runs_no_search(capsys, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ from itertools import permutations, product
 import pytest
 
 import oracles
+from conftest import ORDER_16_SPECS
 from ringline import (
     BadInput,
     TooLarge,
@@ -396,6 +397,25 @@ def test_isomorphism_order_bound():
     big = construct("Z(17)")
     with pytest.raises(TooLarge, match=r"^isomorphism search is bounded to order 16$"):
         are_isomorphic(big, big)
+    # unequal orders need no search, so the bound does not apply to them
+    small = construct("GF(2)")
+    assert are_isomorphic(big, small) is None and are_isomorphic(small, big) is None
+
+
+def test_order_16_candidates_are_found_relabelled_and_pairwise_distinct(amphibian16):
+    # 225 searches over the 14 named order-16 candidates and amphibian16
+    # (about 0.15 s on a shared 2-vCPU host): each against its relabelled copy,
+    # then every ordered pair of distinct rings
+    rings = {spec: construct(spec) for spec in ORDER_16_SPECS}
+    rings["amphibian16"] = amphibian16
+    for left, ring in rings.items():
+        copy = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, 7))
+        witness = are_isomorphic(ring, copy)
+        assert witness is not None and witness[:2] == (0, 1), left
+        _check_witness(ring, copy, witness)
+        for right, other in rings.items():
+            if right != left:
+                assert are_isomorphic(ring, other) is None, (left, right)
 
 
 def test_amphibian16_is_not_the_product_ring(amphibian16, catalog):
