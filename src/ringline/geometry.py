@@ -159,15 +159,15 @@ def sector_cliques(line: ProjectiveLine, sector: str, kind: str) -> list[Clique]
     return maximum_cliques(_nonempty(line, sector).rows(kind))[1]
 
 
-def sector_clique_size(line: ProjectiveLine, sector: str, kind: str) -> int:
-    """The size of the sector's maximum ``kind`` cliques, searched without listing them.
+def sector_clique_size(line: ProjectiveLine, kind: str) -> int:
+    """The size of the unimodular sector's maximum ``kind`` cliques, searched without listing them.
 
-    On the unimodular sector only the cliques through point 0 are searched.
-    GL2(R) acts transitively on the unimodular points and keeps the distant
-    relation, hence the neighbour relation (see ``unimodular_partition``),
-    so it maps a maximum clique of either kind onto one through any point.
+    Only the cliques through point 0 are searched.  GL2(R) acts
+    transitively on the unimodular points and keeps the distant relation,
+    hence the neighbour relation (see ``unimodular_partition``), so it maps
+    a maximum clique of either kind onto one through any point.
     """
-    return maximum_size(_nonempty(line, sector).rows(kind), 0 if sector == "unimodular" else None)
+    return maximum_size(sector_incidence(line, "unimodular").rows(kind), 0)
 
 
 def _listed(line, sector, kind) -> tuple[tuple[CyclicSubmodule, ...], ...]:
@@ -214,8 +214,10 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
 
     Right multiplication by M in GL2(R) is a bijection of R^2 taking R(a, b)
     to R((a, b)M), so it keeps freeness, unimodularity and intersection
-    sizes, hence the distant relation; by stable range 1 it takes any
-    unimodular point to R(1, 0) (see ``cli.build_line_report``).  So every
+    sizes, hence the distant relation.  It takes any unimodular point to
+    R(1, 0): finite rings have stable range 1 (Bass, Publ. IHES 22, 1964),
+    so a unimodular (c, d), cR + dR = R, has c + d*t = u a unit for some t,
+    and (c, d)[[1, 0], [t, 1]][[u^-1, -u^-1*d], [0, 1]] = (1, 0).  So every
     point lies on as many maximum distant cliques, c(0), as point 0 does,
     and counting (point, clique) pairs gives #cliques * size = #points *
     c(0).  Point 0 lies on one, so the least maximum clique holds it.
@@ -265,6 +267,17 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
 
 def cross_sector_check(line: ProjectiveLine) -> tuple[bool, tuple[CyclicSubmodule, CyclicSubmodule] | None]:
     """Whether every non-unimodular point is neighbour to every unimodular one.
+
+    On a finite ring it always is, since a point with any distant partner is
+    unimodular.  Let Rv and Rw be distant.  Both are free and meet only in
+    0, so Rv + Rw has |R|^2 vectors: Rv + Rw = R^2, and x*v + y*w = (1, 0),
+    x'*v + y'*w = (0, 1) for some x, y, x', y'.  That is N*M = I, where M
+    has rows v and w and N rows (x, y) and (x', y').  M2(R) is finite, hence
+    Dedekind-finite, so M*N = I, whose row 1 says a*x + b*x' = 1 for v =
+    (a, b): v is unimodular, and w likewise.  So the non-unimodular sector
+    is one neighbour clique, neighbour to every point of the line, and
+    ``cli.build_line_report`` reads its sizes, 1 and its point count, and
+    this verdict off the proof; this check is the proof's test oracle.
 
     Returns (True, None) or (False, counterexample pair), reading each point's
     unimodular neighbours off the unimodular ``shared`` masks of its Z*v (its

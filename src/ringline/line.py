@@ -176,14 +176,6 @@ class ProjectiveLine(namedtuple("ProjectiveLine", "ring")):
         """``geometry.sector_incidence``'s cache; not a field, so ``==`` and ``line_to_json`` ignore it."""
         return {}
 
-    def point_for(self, vector: Vector) -> CyclicSubmodule:
-        """The stored point equal to the submodule generated by ``vector``."""
-        generator = cyclic_submodule(self.ring, vector).generator
-        for point in self.points:
-            if point.generator == generator:
-                return point
-        raise KeyError(f"vector {vector} does not generate a free submodule of this line")
-
     def __repr__(self) -> str:  # noqa: D105
         return (
             f"ProjectiveLine({self.ring.label!r}, {len(self.unimodular_points)} unimodular,"

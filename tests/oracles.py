@@ -138,6 +138,20 @@ def incidence(orbits):
     return masks
 
 
+def point_for(line, vector):
+    """The point of ``line`` equal to the submodule ``vector`` generates.
+
+    A lookup, not an oracle: it reads the package's canonical generator.
+    """
+    from ringline import cyclic_submodule
+
+    generator = cyclic_submodule(line.ring, vector).generator
+    for point in line.points:
+        if point.generator == generator:
+            return point
+    raise KeyError(f"vector {vector} does not generate a free submodule of this line")
+
+
 def brute_line_sectors(add, mul):
     """(unimodular orbit sets, non-unimodular orbit sets) from raw tables.
 

@@ -36,6 +36,8 @@ DATA = Path(__file__).parent / "data"
 RELABELLED = (("gf3t2-seed5.ring", "GF(3)*T(2)", 5), ("z4z4-seed2.ring", "Z(4)*Z(4)", 2))
 # file: rings that only ``ring info`` reads, named there by their product specs
 PRODUCTS = (("g2g3-seed2.ring", "GF(2)*GF(3)", 2), ("g2t2-seed5.ring", "GF(2)*T(2)", 5))
+# a file: ring whose partition is refuted, with 117 non-unimodular points, reported last
+REFUTED = ("t2t2-seed2.ring", "T(2)*T(2)", 2)
 
 REPORTED = (
     "T(2)", "GF(3)*T(2)", "T(3)", "GF(7)*T(2)", "T(4)", "T(2)*T(2)", "Z(4)*Z(4)", "Z(12)",
@@ -82,6 +84,7 @@ def commands() -> list[tuple[str, ...]]:
     found += [("line", "compute", "T(2)*T(2)*GF(2)"), ("ring", "info", "Q(3)")]  # exit 2: too large, bad spec
     for name in (RELABELLED[1][0], *(name for name, _, _ in PRODUCTS)):
         found += [("ring", "info", f"file:{name}"), ("ring", "info", f"file:{name}", "--json")]
+    found += [("line", "compute", f"file:{REFUTED[0]}"), ("line", "compute", f"file:{REFUTED[0]}", "--json")]
     return found
 
 
@@ -103,7 +106,7 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(DATA / "amphibian16.ring", out / "amphibian16.ring")
     (out / BROKEN).write_text(broken((DATA / "amphibian16.ring").read_text(encoding="utf-8")), encoding="utf-8")
-    for name, spec, seed in RELABELLED + PRODUCTS:
+    for name, spec, seed in (*RELABELLED, *PRODUCTS, REFUTED):
         ring = construct(spec)
         write_ring_file(out / name, validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed)))
     env = {**os.environ, "PYTHONPATH": str(Path(ringline.__file__).parent.parent), "RINGLINE_MAX_ORDER": "64"}

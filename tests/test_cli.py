@@ -416,16 +416,17 @@ def test_line_report_searches_each_sector_and_relation_once(monkeypatch):
 
     monkeypatch.setattr(cliques, "_search", counted)
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
-    # The partition's search through unimodular point 0 is the one unimodular
+    # The partition's search through unimodular point 0 is the report's one
     # search: a standing partition of k classes of b points gives the
-    # unimodular distant size k and neighbour size b; the non-unimodular
-    # sector's two relations are each searched once for their size only; the
-    # whole line follows from the two sectors.  No report asks one question
-    # twice.
+    # unimodular distant size k and neighbour size b; a point with a distant
+    # partner is unimodular (see cross_sector_check), so the non-unimodular
+    # sector is one neighbour clique, neighbour to every point, and is not
+    # searched; the whole line follows from the two sectors.  No report asks
+    # one question twice.
     for spec in ("T(2)", "GF(3)*T(2)", "T(3)", "GF(7)*T(2)", "T(4)"):  # the benchmark's report ladder
         del calls[:], asked[:]
         report = build_line_report(construct(spec))
-        assert [call[1:3] for call in calls] == [(0, True), (None, False), (None, False)], spec
+        assert [call[1:3] for call in calls] == [(0, True)], spec
         assert len(set(asked)) == len(asked), spec
         assert report.partition_class_sizes is not None, spec
     # where the partition is refuted, before its search, the unimodular
@@ -439,15 +440,16 @@ def test_line_report_searches_each_sector_and_relation_once(monkeypatch):
         assert [call[1:3] for call in calls] == [(0, False), (0, False)]
         size, _ = oracles.nx_maximum_cliques(oracles.relation_adjacency(report.line.unimodular_points, "distant"))
         assert f"\nmax distant clique: unimodular {size}, " in ringline.cli.render_line_report(report)
+    # a refuted ring with non-unimodular points runs those two searches alone
+    del calls[:]
+    report = build_line_report(construct("T(2)*T(2)"))
+    assert report.partition_failure is not None and len(report.line.nonunimodular_points) == 117
+    assert [call[1:3] for call in calls] == [(0, False), (0, False)]
     report = build_line_report(construct("T(2)"))
     # The 18 unimodular points form 9 distant twin classes of 2, and point 0
     # lies on 2 quotient cliques of 3 classes: 2 * 2 * 2 = 8 cliques through
     # it, so 18 * 8 / 3 = 48.
-    assert calls[-3:] == [
-        (18, 0, True, 3, 2),
-        (3, None, False, 1, 1),
-        (3, None, False, 3, 1),
-    ]
+    assert calls[-1:] == [(18, 0, True, 3, 2)]
     assert report.partition_class_sizes == (6, 6, 6)
     assert report.partition_anchor_sets == 48
     # nothing is kept between questions: the partition, asked again, is one
@@ -504,11 +506,11 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
     before = line_to_json(fresh)
     report = build_line_report(ring)
     line = report.line
-    # one shared-vector index per sector feeds the searches, the partition
-    # and the cross check, and the one row builder runs once per sector;
-    # only the condensation reads the full code index, the non-unimodular one
+    # one shared-vector index per sector; the unimodular one feeds the
+    # partition's rows, built once, and the non-unimodular one only the
+    # condensation's full code index, so no non-unimodular rows are built
     assert indexes == [len(line.unimodular_points), len(line.nonunimodular_points)]
-    assert graphs == indexes
+    assert graphs == [len(line.unimodular_points)]
     assert scans == [len(line.nonunimodular_points)]
     # the per-sector cache is not part of the line's value
     assert set(line.derived) == {"unimodular", "nonunimodular"}

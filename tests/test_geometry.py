@@ -35,11 +35,11 @@ from ringline.geometry import sector_clique_size, sector_cliques, sector_inciden
 
 
 def test_relation_examples(ternion_line):
-    p10 = ternion_line.point_for((1, 0))
-    p11 = ternion_line.point_for((1, 1))
-    p16 = ternion_line.point_for((1, 6))
-    n46 = ternion_line.point_for((4, 6))
-    n47 = ternion_line.point_for((4, 7))
+    p10 = oracles.point_for(ternion_line, (1, 0))
+    p11 = oracles.point_for(ternion_line, (1, 1))
+    p16 = oracles.point_for(ternion_line, (1, 6))
+    n46 = oracles.point_for(ternion_line, (4, 6))
+    n47 = oracles.point_for(ternion_line, (4, 7))
     assert relation(p10, p11) == "distant"
     assert relation(p10, p16) == "neighbour"
     assert relation(n46, n47) == "neighbour"
@@ -51,7 +51,8 @@ def test_relation_examples(ternion_line):
 def test_relation_refuses_points_over_two_rings_and_non_free_submodules(catalog_lines):
     # codes of one ring name other vectors over another, and only a free
     # submodule's unit multiples lie on it alone; raises, so python -O checks them too
-    t10, z10 = catalog_lines["T(2)"].point_for((1, 0)), catalog_lines["Z(4)"].point_for((1, 0))
+    t10 = oracles.point_for(catalog_lines["T(2)"], (1, 0))
+    z10 = oracles.point_for(catalog_lines["Z(4)"], (1, 0))
     with pytest.raises(BadInput, match=r"^R\(1, 0\) over T\(2\) and R\(1, 0\) over Z\(4\): not one ring$"):
         relation(t10, z10)
     with pytest.raises(BadInput, match=r"^R\(1, 0\) over Z\(4\) and R\(1, 0\) over T\(2\): not one ring$"):
@@ -253,7 +254,7 @@ def test_cliques_through_point_0_give_every_count_and_the_least_clique(spec, see
     for kind in ("distant", "neighbour"):
         listed = expand(sector_cliques(line, "unimodular", kind))
         size, through = cliques_through(sector_incidence(line, "unimodular").rows(kind), 0)
-        assert size == len(listed[0]) == sector_clique_size(line, "unimodular", kind)
+        assert size == len(listed[0]) == sector_clique_size(line, kind)
         assert tuple(part[0] for part in through[0]) == listed[0]
         count = sum(prod(map(len, clique[1:])) for clique in through)
         assert count == sum(1 for clique in listed if clique[0] == 0)
@@ -280,7 +281,7 @@ def test_unimodular_sizes_through_point_0_are_the_whole_sector_sizes(spec, seed,
         ring = validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed))
     line = compute_line(ring)
     calls = kernel_calls(monkeypatch)
-    sizes = {kind: sector_clique_size(line, "unimodular", kind) for kind in ("distant", "neighbour")}
+    sizes = {kind: sector_clique_size(line, kind) for kind in ("distant", "neighbour")}
     assert calls == [(0, False), (0, False)]  # one size-only search per relation, through point 0
     for kind in sizes:
         assert sizes[kind] == maximum_size(sector_incidence(line, "unimodular").rows(kind)), kind
@@ -308,7 +309,7 @@ def test_standing_partition_certifies_both_unimodular_sizes(monkeypatch):
         for seed in (None, 1, 2):
             ring = named if seed is None else validate_tables(*oracles.relabelled(named.add_table, named.mul_table, seed))
             line = compute_line(ring)
-            kernel = {kind: sector_clique_size(line, "unimodular", kind) for kind in ("distant", "neighbour")}
+            kernel = {kind: sector_clique_size(line, kind) for kind in ("distant", "neighbour")}
             try:
                 part = unimodular_partition(line)
             except NoAnswer:
@@ -478,6 +479,50 @@ def test_cross_sector(ternion_line, catalog_lines, gf3_t2_line):
     )
     line = fake_line(uni, non)
     assert cross_sector_check(line) == (False, (non[1], uni[0]))
+
+
+# Rings with non-unimodular points, then four without: named and relabelled
+# with seed 2, 26 cases have a non-unimodular sector and 8 have none.
+PROOF_SWEEP = (
+    "T(2)", "GF(3)*T(2)", "T(3)", "GF(7)*T(2)", "T(4)", "T(2)*T(2)", "T(5)", "D(2)*T(2)", "Z(4)*T(2)",
+    "GF(2)*T(2)", "GF(4)*T(2)", "GF(5)*T(2)", "amphibian16", "Z(8)", "Z(4)*Z(4)", "D(3)*GF(2)", "M2(GF(2))",
+)
+
+
+def test_a_point_with_a_distant_partner_is_unimodular(amphibian16, monkeypatch):
+    # The proof in cross_sector_check's docstring: the non-unimodular sector
+    # is one neighbour clique, neighbour to every point, so the report's
+    # non-unimodular sizes 1 and |N|, its cross verdict and its whole-line
+    # sizes, omega_d(U) and omega_n(U) + |N|, are the listed cliques' and the
+    # cross check's.  About 0.25 s on a 2-vCPU host.
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "128")  # T(5) has order 125
+    outcomes = Counter()
+    for spec in PROOF_SWEEP:
+        if spec == "amphibian16":
+            named = amphibian16
+        elif spec == "M2(GF(2))":
+            named = validate_tables(*oracles.matrix_gf2_tables(), label=spec)
+        else:
+            named = construct(spec)
+        for seed in (None, 2):
+            ring = named if seed is None else validate_tables(*oracles.relabelled(named.add_table, named.mul_table, seed))
+            report = build_line_report(ring)
+            line, n = report.line, len(report.line.nonunimodular_points)
+            distant, neighbour = (sector_clique_size(line, kind) for kind in ("distant", "neighbour"))
+            assert report.max_distant == {
+                "unimodular": distant, "nonunimodular": 1 if n else None, "whole": distant}, (spec, seed)
+            assert report.max_neighbour == {
+                "unimodular": neighbour, "nonunimodular": n or None, "whole": neighbour + n}, (spec, seed)
+            if not n:
+                assert report.cross_sector_all_neighbour is None, (spec, seed)
+                outcomes["empty"] += 1
+                continue
+            assert {len(c) for c in max_distant_cliques(line, "nonunimodular")} == {1}, (spec, seed)
+            assert [len(c) for c in max_neighbour_cliques(line, "nonunimodular")] == [n], (spec, seed)
+            assert cross_sector_check(line) == (True, None), (spec, seed)
+            assert report.cross_sector_all_neighbour is True, (spec, seed)
+            outcomes["nonempty"] += 1
+    assert outcomes == {"nonempty": 26, "empty": 8}
 
 
 @pytest.mark.parametrize("seed", [None, 5])
