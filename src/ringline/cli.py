@@ -146,24 +146,15 @@ class LineReport(namedtuple("LineReport", (
 
 
 def build_line_report(ring: FiniteRing) -> LineReport:
-    """Report both sectors; the whole line follows from them.
-
-    The unimodular sizes come from a standing partition (see
-    ``unimodular_partition``), the non-unimodular ones and the cross-sector
-    verdict from the proof that a point with a distant partner is
-    unimodular (see ``cross_sector_check``).
-    """
+    """Both sectors, read off the proofs in ``unimodular_partition`` and ``cross_sector_check``, give the whole line."""
     line = compute_line(ring)
     try:
         partition, failure = unimodular_partition(line), None
     except NoAnswer as exc:
         partition, failure = None, str(exc)
-    # A standing partition of k classes of b points gives the maximum
-    # distant size k and neighbour size b (see unimodular_partition).
-    if partition:
-        distant, neighbour = len(partition.classes), partition.class_sizes[0]
-    else:
-        distant, neighbour = (sector_clique_size(line, kind) for kind in ("distant", "neighbour"))
+    # A standing partition's class count is the maximum distant size; times the neighbour size it is |U|.
+    distant = len(partition.classes) if partition else sector_clique_size(line, "distant")
+    neighbour = len(line.unimodular_points) // distant
     # R(1, 0) is unimodular, so only the non-unimodular sector can be empty;
     # it is one neighbour clique, neighbour to every point.
     n = len(line.nonunimodular_points)
@@ -271,7 +262,7 @@ def cmd_line_compute(args) -> Outcome:
         try:
             os.makedirs(args.fixtures, exist_ok=True)
         except OSError as exc:
-            raise BadInput(f"cannot write {args.fixtures}: {exc}") from exc
+            raise BadInput(f"cannot write {args.fixtures}: {exc.strerror or exc}") from exc
         path = os.path.join(args.fixtures, f"{_label_slug(ring.label)}.line.json")
         _atomic_write(path, line_to_json(report.line))
         print(f"fixture written to {path}", file=sys.stderr)
@@ -297,7 +288,7 @@ def _atomic_write(path: str, content: str) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise BadInput(f"cannot write {path}: {exc}") from exc
+        raise BadInput(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_line_export(args) -> Outcome:

@@ -6,19 +6,10 @@ vector and neighbour otherwise; a point is neighbour to itself only with
 neighbour rows are made once per line, on first read
 (``sector_incidence``), and every stage reads them.
 
-Maximum cliques are searched on the twin quotient (see ``cliques``).  On
-the unimodular sector the distant twin classes are the fibres of
-P(R) -> P(R/J), J the Jacobson radical (Blunck & Havlicek, Math. Pannon.
-14, 2003).  Sketch: two unimodular points R(a, b), R(c, d) of a finite
-ring meet only in 0 iff R(a, b) + R(c, d) = R^2 (both have |R| vectors),
-iff the matrix with rows (a, b), (c, d) is invertible, iff it is
-invertible modulo J (M2(J) is the radical of M2(R)).  So points with the
-same image have the same distant partners; points with different images
-do not, since on P(R/J) = prod P(GF(q)) two points are distant iff they
-differ in every coordinate, and a point differing from the one in every
-coordinate but agreeing with the other in one tells them apart.  T(4)'s
-100 unimodular points form 25 classes of |J| = 4, and its 122 880
-maximum distant cliques come from 120 quotient cliques of 5 classes.
+Maximum cliques are searched on the twin quotient (see ``cliques``).  On the
+unimodular sector the distant twin classes are the fibres of P(R) -> P(R/J)
+(see ``unimodular_partition``): T(4)'s 122 880 maximum distant cliques come
+from 120 quotient cliques of 5 of its 25 fibres of 4 points.
 """
 
 from __future__ import annotations
@@ -224,8 +215,25 @@ def unimodular_partition(line: ProjectiveLine) -> SectorPartition:
 
     So the distant graph is vertex-transitive: its clique number k times its
     coclique number, the maximum neighbour size, is at most #points (the
-    clique-coclique bound; Albertson & Collins, Discrete Math. 54, 1985).
-    The k classes hold b points each, k*b = #points, so that size is b.
+    clique-coclique bound; Albertson & Collins, Discrete Math. 54, 1985), and
+    on a finite ring equal to it.  Two unimodular points are distant iff the
+    matrix of their generators is invertible (see ``cross_sector_check``), iff
+    it is modulo the Jacobson radical J (Lam, GTM 131): points are distant iff
+    their images in P(R/J) are, and equal images never are.  GL2(R) maps onto
+    GL2(R/J), so the fibres of U -> P(R/J) (Blunck & Havlicek, Math. Pannon.
+    14, 2003) have one size f: k is P(R/J)'s, and a neighbour clique there
+    lifts to one f times as large.  R/J is a product of rings M_n(GF(q))
+    (Wedderburn-Artin, Wedderburn's little theorem), where a matrix is
+    invertible iff each component is.  Over M_n(GF(q)), R(A, B) is the row
+    space of (A B), an n-space of GF(q)^2n, and distant means complementary:
+    counting vectors, at most q^n + 1 points are pairwise distant, the
+    GF(q^n)-lines of GF(q^n)^2 are q^n + 1 such, and the [2n-1, n-1]_q =
+    #points/(q^n + 1) n-spaces through a nonzero vector are pairwise neighbour.
+    With s the least q^n + 1, k = s on P(R/J) (zip the factors' distant cliques
+    for >=, project for <=), and the points whose coordinate in that factor
+    lies in one star are a neighbour clique of |P(R/J)|/s, lifting to
+    #points/k.  Distinct images are no twins: where they differ, a complement
+    of the one through a vector of the other is distant to one only.
     """
     data = sector_incidence(line, "unimodular")
     points = data.points

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import oracles
 import ringline
-from ringline import construct, validate_tables, write_ring_file
+from ringline import construct, product, validate_tables, write_ring_file
 
 DATA = Path(__file__).parent / "data"
 
@@ -36,8 +36,10 @@ DATA = Path(__file__).parent / "data"
 RELABELLED = (("gf3t2-seed5.ring", "GF(3)*T(2)", 5), ("z4z4-seed2.ring", "Z(4)*Z(4)", 2))
 # file: rings that only ``ring info`` reads, named there by their product specs
 PRODUCTS = (("g2g3-seed2.ring", "GF(2)*GF(3)", 2), ("g2t2-seed5.ring", "GF(2)*T(2)", 5))
-# a file: ring whose partition is refuted, with 117 non-unimodular points, reported last
+# a file: ring whose partition is refuted, with 117 non-unimodular points, reported last but one
 REFUTED = ("t2t2-seed2.ring", "T(2)*T(2)", 2)
+# M2(GF(2))*GF(4), whose R/J has a matrix factor: a refuted partition, 175 unimodular points, reported last
+MATRIX = "m2gf4.ring"
 
 REPORTED = (
     "T(2)", "GF(3)*T(2)", "T(3)", "GF(7)*T(2)", "T(4)", "T(2)*T(2)", "Z(4)*Z(4)", "Z(12)",
@@ -84,7 +86,8 @@ def commands() -> list[tuple[str, ...]]:
     found += [("line", "compute", "T(2)*T(2)*GF(2)"), ("ring", "info", "Q(3)")]  # exit 2: too large, bad spec
     for name in (RELABELLED[1][0], *(name for name, _, _ in PRODUCTS)):
         found += [("ring", "info", f"file:{name}"), ("ring", "info", f"file:{name}", "--json")]
-    found += [("line", "compute", f"file:{REFUTED[0]}"), ("line", "compute", f"file:{REFUTED[0]}", "--json")]
+    for name in (REFUTED[0], MATRIX):
+        found += [("line", "compute", f"file:{name}"), ("line", "compute", f"file:{name}", "--json")]
     return found
 
 
@@ -109,6 +112,7 @@ def main(argv: list[str]) -> int:
     for name, spec, seed in (*RELABELLED, *PRODUCTS, REFUTED):
         ring = construct(spec)
         write_ring_file(out / name, validate_tables(*oracles.relabelled(ring.add_table, ring.mul_table, seed)))
+    write_ring_file(out / MATRIX, product(validate_tables(*oracles.matrix_gf2_tables()), construct("GF(4)")))
     env = {**os.environ, "PYTHONPATH": str(Path(ringline.__file__).parent.parent), "RINGLINE_MAX_ORDER": "64"}
     for i, args in enumerate(commands()):
         stem = f"{i:03d}-" + re.sub(r"[^A-Za-z0-9]+", "-", " ".join(args[:3])).strip("-")

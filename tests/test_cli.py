@@ -364,7 +364,8 @@ def test_unwritable_output_exits_2_without_temp_files(capsys, tmp_path):
     ):
         code, out, err = run(capsys, *command, str(target))
         assert (code, out) == (2, ""), target  # the report is not printed when its fixture fails
-        assert err.startswith("error: cannot write "), err
+        assert err.startswith("error: cannot write ") and ".tmp" not in err, err
+        assert run(capsys, *command, str(target)) == (code, out, err), target  # no random temp name
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["T_2.line.json", "plain", "taken"]
 
 
@@ -415,36 +416,49 @@ def test_line_report_searches_each_sector_and_relation_once(monkeypatch):
         return size, found
 
     monkeypatch.setattr(cliques, "_search", counted)
+    sized, size_of = [], ringline.cli.sector_clique_size  # the kinds the report asks sector_clique_size for
+    monkeypatch.setattr(ringline.cli, "sector_clique_size", lambda line, k: sized.append(k) or size_of(line, k))
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
     # The partition's search through unimodular point 0 is the report's one
-    # search: a standing partition of k classes of b points gives the
-    # unimodular distant size k and neighbour size b; a point with a distant
-    # partner is unimodular (see cross_sector_check), so the non-unimodular
-    # sector is one neighbour clique, neighbour to every point, and is not
-    # searched; the whole line follows from the two sectors.  No report asks
-    # one question twice.
+    # search: a standing partition's class count is the unimodular distant
+    # size, which times the neighbour size is |U| (see unimodular_partition);
+    # a point with a distant partner is unimodular (see cross_sector_check),
+    # so the non-unimodular sector is one neighbour clique, neighbour to every
+    # point, and is not searched; the whole line follows from the two sectors.
+    # No report asks one question twice.
     for spec in ("T(2)", "GF(3)*T(2)", "T(3)", "GF(7)*T(2)", "T(4)"):  # the benchmark's report ladder
         del calls[:], asked[:]
         report = build_line_report(construct(spec))
-        assert [call[1:3] for call in calls] == [(0, True)], spec
+        assert [call[1:3] for call in calls] == [(0, True)] and sized == [], spec
         assert len(set(asked)) == len(asked), spec
         assert report.partition_class_sizes is not None, spec
     # where the partition is refuted, before its search, the unimodular
-    # distant and neighbour sizes are searched for alone, through point 0,
-    # and the distant one is the oracle's
+    # distant size is searched for alone, through point 0, and is the oracle's
     z4z4 = construct("Z(4)*Z(4)")
     for ring in (z4z4, validate_tables(*oracles.relabelled(z4z4.add_table, z4z4.mul_table, 2))):
-        del calls[:], asked[:]
+        del calls[:], asked[:], sized[:]
         report = build_line_report(ring)
         assert report.partition_failure is not None and not report.line.nonunimodular_points
-        assert [call[1:3] for call in calls] == [(0, False), (0, False)]
+        assert ([call[1:3] for call in calls], sized) == ([(0, False)], ["distant"])
         size, _ = oracles.nx_maximum_cliques(oracles.relation_adjacency(report.line.unimodular_points, "distant"))
         assert f"\nmax distant clique: unimodular {size}, " in ringline.cli.render_line_report(report)
-    # a refuted ring with non-unimodular points runs those two searches alone
-    del calls[:]
-    report = build_line_report(construct("T(2)*T(2)"))
-    assert report.partition_failure is not None and len(report.line.nonunimodular_points) == 117
-    assert [call[1:3] for call in calls] == [(0, False), (0, False)]
+    # so does a refuted ring with non-unimodular points, and one whose R/J is a matrix ring
+    m2 = validate_tables(*oracles.matrix_gf2_tables(), label="M2(GF(2))")
+    for ring, n in ((construct("T(2)*T(2)"), 117), (m2, 0)):
+        del calls[:], sized[:]
+        report = build_line_report(ring)
+        assert report.partition_failure is not None and len(report.line.nonunimodular_points) == n
+        assert ([call[1:3] for call in calls], sized) == ([(0, False)], ["distant"]), ring.label
+    # and a relabelled order-128 ring, whose neighbour search takes seconds
+    # there; the named table's kernel sizes are the report's
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "128")
+    named = construct("T(2)*GF(2)*T(2)")
+    del calls[:], sized[:]
+    report = build_line_report(validate_tables(*oracles.relabelled(named.add_table, named.mul_table, 2)))
+    assert ([call[1:3] for call in calls], sized) == ([(0, False)], ["distant"])
+    line = compute_line(named)
+    sizes = tuple(size_of(line, kind) for kind in ("distant", "neighbour"))
+    assert (report.max_distant["unimodular"], report.max_neighbour["unimodular"]) == sizes == (3, 324)
     report = build_line_report(construct("T(2)"))
     # The 18 unimodular points form 9 distant twin classes of 2, and point 0
     # lies on 2 quotient cliques of 3 classes: 2 * 2 * 2 = 8 cliques through

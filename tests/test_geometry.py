@@ -24,6 +24,7 @@ from ringline import (
     max_distant_cliques,
     max_neighbour_cliques,
     private_vectors,
+    product,
     relation,
     sector_points,
     unimodular_partition,
@@ -287,44 +288,46 @@ def test_unimodular_sizes_through_point_0_are_the_whole_sector_sizes(spec, seed,
         assert sizes[kind] == maximum_size(sector_incidence(line, "unimodular").rows(kind)), kind
 
 
-# The 26 specs the partition was first checked on; named and relabelled with
-# seeds 1 and 2, the partition stands in 60 cases and is refuted in 18.
+# The 26 specs the partition was first checked on, then M2(GF(2)) and its
+# products with MATRIX_FACTORS, whose R/J has a matrix factor; named and
+# relabelled with seeds 1 and 2, the partition stands in 69 cases and is
+# refuted in 24.
 CERTIFIED = (
     "GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "Z(4)", "Z(6)", "Z(8)", "Z(9)", "Z(12)", "D(2)", "D(3)",
     "T(2)", "T(3)", "T(4)", "GF(2)*GF(2)", "GF(2)*GF(3)", "GF(2)*T(2)", "GF(3)*T(2)", "GF(4)*T(2)",
     "GF(5)*T(2)", "GF(7)*T(2)", "Z(4)*T(2)", "D(2)*T(2)", "T(2)*T(2)", "Z(4)*Z(4)",
 )
+MATRIX_FACTORS = ("GF(2)", "GF(3)", "GF(4)", "Z(4)")
 
 
 def test_standing_partition_certifies_both_unimodular_sizes(monkeypatch):
-    # A standing partition of k classes of b points is a maximum distant
-    # clique's k and, by the clique-coclique bound on the vertex-transitive
-    # distant graph, the maximum neighbour size b: pinned against the
-    # kernel.  Where the partition is refuted, the report's sizes are the
-    # kernel's.  About 0.4 s on a 2-vCPU host, construction included.
+    # The theorem in unimodular_partition's docstring: on every finite ring
+    # the maximum unimodular distant size times the neighbour size is |U|,
+    # pinned against the kernel, refuted partitions and matrix factors of
+    # R/J included; the report's two sizes are the kernel's.  A standing
+    # partition of k classes of b points gives k and b.  About 0.6 s on a
+    # 2-vCPU host, construction included.
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    m2 = validate_tables(*oracles.matrix_gf2_tables(), label="M2(GF(2))")
     outcomes = Counter()
-    for spec in CERTIFIED:
-        named = construct(spec)
+    for named in (*map(construct, CERTIFIED), m2, *(product(m2, construct(spec)) for spec in MATRIX_FACTORS)):
         for seed in (None, 1, 2):
             ring = named if seed is None else validate_tables(*oracles.relabelled(named.add_table, named.mul_table, seed))
-            line = compute_line(ring)
+            case = (named.label, seed)
+            report = build_line_report(ring)
+            line = report.line
             kernel = {kind: sector_clique_size(line, kind) for kind in ("distant", "neighbour")}
-            try:
-                part = unimodular_partition(line)
-            except NoAnswer:
-                report = build_line_report(ring)
-                assert report.partition_failure is not None, (spec, seed)
-                assert report.max_distant["unimodular"] == kernel["distant"], (spec, seed)
-                assert report.max_neighbour["unimodular"] == kernel["neighbour"], (spec, seed)
+            assert kernel["distant"] * kernel["neighbour"] == len(line.unimodular_points), case
+            assert report.max_distant["unimodular"] == kernel["distant"], case
+            assert report.max_neighbour["unimodular"] == kernel["neighbour"], case
+            sizes = report.partition_class_sizes
+            if sizes is None:
+                assert report.partition_failure is not None, case
                 outcomes["refuted"] += 1
                 continue
-            k, b = len(part.classes), part.class_sizes[0]
-            assert set(part.class_sizes) == {b}, (spec, seed)
-            assert k * b == len(line.unimodular_points), (spec, seed)
-            assert (k, b) == (kernel["distant"], kernel["neighbour"]), (spec, seed)
+            assert (len(sizes), set(sizes)) == (kernel["distant"], {kernel["neighbour"]}), case
             outcomes["standing"] += 1
-    assert outcomes == {"standing": 60, "refuted": 18}
+    assert outcomes == {"standing": 69, "refuted": 24}
 
 
 def test_matrix_ring_line_is_twin_free_with_the_classical_cliques():
