@@ -305,7 +305,7 @@ def test_standing_partition_certifies_both_unimodular_sizes(monkeypatch):
     # the maximum unimodular distant size times the neighbour size is |U|,
     # pinned against the kernel, refuted partitions and matrix factors of
     # R/J included; the report's two sizes are the kernel's.  A standing
-    # partition of k classes of b points gives k and b.  About 0.6 s on a
+    # partition of k classes of b points gives k and b.  About 0.5 s on a
     # 2-vCPU host, construction included.
     monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
     m2 = validate_tables(*oracles.matrix_gf2_tables(), label="M2(GF(2))")
