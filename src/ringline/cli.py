@@ -202,7 +202,7 @@ def render_line_report(report: LineReport) -> str:
             f" {report.partition_anchor_sets} maximum distant cliques"
         )
     else:
-        out.append(f"partition: n/a ({report.partition_failure})" if report.partition_failure else "partition: n/a")
+        out.append(f"partition: n/a ({report.partition_failure})")
     if report.cross_sector_all_neighbour is None:
         out.append("cross-sector: n/a (a sector is empty)")
     else:

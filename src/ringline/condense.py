@@ -212,8 +212,9 @@ class CondensateIdentification(namedtuple("CondensateIdentification", "status ma
 def identify_condensate(
     line: ProjectiveLine, catalog: tuple[str, ...] | None = None
 ) -> CondensateIdentification:
-    """Condense a line and report every catalog reference it matches."""
-    specs = DEFAULT_CATALOG if catalog is None else tuple(catalog)
+    """Condense a line and report every catalog reference it matches; a
+    spec listed twice in ``catalog`` is matched and reported once, in its first place."""
+    specs = DEFAULT_CATALOG if catalog is None else tuple(dict.fromkeys(catalog))
     structure = condense(line)
     if structure.is_empty:
         return CondensateIdentification(status="empty", matches=(), condensate=structure)

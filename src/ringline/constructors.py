@@ -72,41 +72,30 @@ def _identity_swap(n: int, k: int) -> list[int]:
     return swap
 
 
-def integers_mod(n: int) -> FiniteRing:
-    if n < 2:
-        raise BadInput(f"Z({n}) is not a ring with 1 != 0; n must be at least 2")
-    return validate_tables(*_residue_tables(n), label=f"Z({n})")
-
-
-def galois_field(q: int) -> FiniteRing:
-    add, mul = _field_tables(q, f"GF({q})")
-    return validate_tables(add, mul, label=f"GF({q})")
-
-
-def dual_numbers(q: int) -> FiniteRing:
+def _dual_tables(fadd: Table, fmul: Table) -> tuple[Table, Table]:
     """GF(q)[x]/(x^2): pairs a + b*x with (a,b)(c,d) = (ac, ad + bc).
 
     The pair (a, b) of field labels is listed at a*q + b; the identity
     (1, 0) then swaps labels with the pair listed second.
     """
-    fadd, fmul = _field_tables(q, f"D({q})")
+    q = len(fadd)
     swap = _identity_swap(q * q, q)  # (1, 0) is listed at q
     pairs = [divmod(listed, q) for listed in swap]  # label -> (a, b)
     add = tuple(tuple([swap[fadd[a][c] * q + fadd[b][d]] for c, d in pairs]) for a, b in pairs)
     mul = tuple(
         tuple([swap[fmul[a][c] * q + fadd[fmul[a][d]][fmul[b][c]]] for c, d in pairs]) for a, b in pairs
     )
-    return validate_tables(add, mul, label=f"D({q})")
+    return add, mul
 
 
-def ternions(q: int) -> FiniteRing:
+def _ternion_tables(fadd: Table, fmul: Table) -> tuple[Table, Table]:
     """Upper-triangular 2x2 matrices (a b; 0 c) over GF(q).
 
     The matrix with digits (a, b, c) is listed at pos(a)*q^2 + pos(b)*q
     + pos(c), where pos lists the field as 0, 1, then generator powers;
     the identity (1, 0, 1) then swaps labels with the matrix listed second.
     """
-    fadd, fmul = _field_tables(q, f"T({q})")
+    q = len(fadd)
     listed = _field_enumeration(q, fmul)
     pos = [listed.index(x) for x in range(q)]
     fadd, fmul = ([[pos[table[x][y]] for y in listed] for x in listed] for table in (fadd, fmul))
@@ -120,7 +109,7 @@ def ternions(q: int) -> FiniteRing:
         tuple([swap[(fmul[a][d] * q + fadd[fmul[a][e]][fmul[b][f]]) * q + fmul[c][f]] for d, e, f in triples])
         for a, b, c in triples
     )
-    return validate_tables(add, mul, label=f"T({q})")
+    return add, mul
 
 
 def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
@@ -159,19 +148,19 @@ def _term(text: str) -> FiniteRing:
     if match is None:
         raise BadInput(f"bad ring spec term {text!r}")
     family, number = match.group(1), int(match.group(2))
-    if family == "Z":
-        return integers_mod(number)
-    if family == "GF":
-        return galois_field(number)
-    if family == "T":
-        return ternions(number)
-    return dual_numbers(number)
+    label = f"{family}({number})"
+    if family == "Z" and number < 2:
+        raise BadInput(f"{label} is not a ring with 1 != 0; n must be at least 2")
+    add, mul = _residue_tables(number) if family == "Z" else _field_tables(number, label)
+    if family in ("T", "D"):  # a ring over GF(q): its table rule reads the field's tables
+        add, mul = (_ternion_tables if family == "T" else _dual_tables)(add, mul)
+    return validate_tables(add, mul, label=label)
 
 
 def construct(spec: str) -> FiniteRing:
     """Build the ring described by a spec string like "GF(2)*T(2)"."""
     terms = [t.strip() for t in spec.split("*")]
-    if not terms or any(not t for t in terms):
+    if any(not t for t in terms):
         raise BadInput(f"bad ring spec {spec!r}")
     ring = _term(terms[0])
     for term in terms[1:]:

@@ -88,6 +88,8 @@ def commands() -> list[tuple[str, ...]]:
         found += [("ring", "info", f"file:{name}"), ("ring", "info", f"file:{name}", "--json")]
     for name in (REFUTED[0], MATRIX):
         found += [("line", "compute", f"file:{name}"), ("line", "compute", f"file:{name}", "--json")]
+    # exit 2: the refusals of a named term, alone and as a product factor
+    found += [("ring", "info", spec) for spec in ("Z(1)", "D(1)", "T(6)", "GF(2)*T(6)")]
     return found
 
 

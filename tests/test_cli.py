@@ -459,6 +459,21 @@ def test_line_report_searches_each_sector_and_relation_once(monkeypatch):
     line = compute_line(named)
     sizes = tuple(size_of(line, kind) for kind in ("distant", "neighbour"))
     assert (report.max_distant["unimodular"], report.max_neighbour["unimodular"]) == sizes == (3, 324)
+    # a partition refuted by its own search, the last check: a clique of
+    # the real size + 1 anchors no class, and the size is searched for alone
+    through = ringline.geometry.cliques_through
+
+    def one_too_large(rows, root):
+        size, cliques = through(rows, root)
+        return size + 1, cliques
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ringline.geometry, "cliques_through", one_too_large)
+        del calls[:], sized[:]
+        report = build_line_report(construct("T(2)"))
+    assert report.partition_failure == "3 classes cannot be anchored by a maximum distant clique of size 4"
+    assert ([call[1:3] for call in calls], sized) == ([(0, True), (0, False)], ["distant"])
+    assert (report.max_distant["unimodular"], report.max_neighbour["unimodular"]) == (3, 6)
     report = build_line_report(construct("T(2)"))
     # The 18 unimodular points form 9 distant twin classes of 2, and point 0
     # lies on 2 quotient cliques of 3 classes: 2 * 2 * 2 = 8 cliques through
@@ -609,6 +624,9 @@ def test_line_report_derives_the_whole_line_from_its_sectors(catalog, amphibian1
         if line.unimodular_points and line.nonunimodular_points:
             assert cross_sector_check(line) == (True, None), spec
             assert report.cross_sector_all_neighbour is True, spec
+        if spec == "amphibian16":  # its condensate matches no catalog ring
+            text = ringline.cli.render_line_report(report)
+            assert text.endswith("condensate: 28 classes, 9 edges, no catalog match"), text
 
 
 def test_line_compute_fixture_reuses_the_reported_line(capsys, tmp_path, monkeypatch):
@@ -653,6 +671,13 @@ def test_condense_json_custom_catalog(capsys):
     code, out, _ = run(capsys, "condense", "T(2)", "--json", "--catalog", catalog)
     assert code == 0
     assert json.loads(out)["matches"] == ["GF(2)"]
+    # a spec listed twice is matched and reported once
+    code, out, _ = run(capsys, "condense", "T(2)", "--json", "--catalog", "GF(2),Z(4),GF(2)")
+    assert code == 0
+    assert json.loads(out)["matches"] == ["GF(2)"]
+    code, out, _ = run(capsys, "condense", "T(2)", "--catalog", "GF(2),Z(4),GF(2)")
+    assert code == 0
+    assert out.splitlines()[-1] == "matches: GF(2)"
 
 
 @pytest.mark.parametrize("catalog", ["", ","], ids=["empty", "comma"])
