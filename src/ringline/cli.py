@@ -8,7 +8,7 @@ document (None for ``line export``) and its text view, a callable, so a
 document (stable key order) with ``--json``, else the text view.
 Repeated runs of the same command print byte-identical output.
 Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 on bad input, 141 when the reader closes stdout early.
+2 on bad input or a bound hit (``TooLarge``), 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import prod
 
 from . import jsontext
 from .condense import condensate_distant_analysis, identify_condensate
-from .constructors import SUPPORTED_FIELD_ORDERS, construct, load_ring_file
+from .constructors import construct, load_ring_file, one_term_specs
 from .errors import BadInput, NoAnswer, RinglineError, TooLarge
 from .geometry import (
     SECTORS,
@@ -42,25 +42,13 @@ from .rings import FiniteRing, ISOMORPHISM_MAX_ORDER, are_isomorphic, ideal_size
 Outcome = tuple[int, dict | None, Callable[[], str]]  # exit code, --json document, text view
 
 
-def _one_term_specs(order: int) -> list[str]:
-    specs = [f"Z({order})"]
-    if order in SUPPORTED_FIELD_ORDERS:
-        specs.append(f"GF({order})")
-    for q in SUPPORTED_FIELD_ORDERS:
-        if q * q == order:
-            specs.append(f"D({q})")
-        if q * q * q == order:
-            specs.append(f"T({q})")
-    return specs
-
-
 def _named_candidates(order: int) -> list[str]:
     """The one-term specs of this order, then its products of two or more one-term specs, once per multiset:
     factors ascend by (order, spec), a prime order p written GF(p), and products by factor tuples."""
     terms = sorted({(m, f"GF({m})" if all(m % d for d in range(2, m)) else spec)
-                    for m in range(2, order) if order % m == 0 for spec in _one_term_specs(m)})
+                    for m in range(2, order) if order % m == 0 for spec in one_term_specs(m)})
     found = (c for k in range(2, order.bit_length()) for c in combinations_with_replacement(terms, k))
-    return _one_term_specs(order) + ["*".join(s for _, s in c) for c in sorted(found) if prod(m for m, _ in c) == order]
+    return one_term_specs(order) + ["*".join(s for _, s in c) for c in sorted(found) if prod(m for m, _ in c) == order]
 
 
 def _identify_ring(ring: FiniteRing) -> list[str] | None:
@@ -105,7 +93,7 @@ def cmd_ring_info(args) -> Outcome:
     else:
         census_text = ", ".join(f"{size}:{count}" for size, count in census.items())
     data = {"schema": "ringline.ring_info/1", **summary, "ideals_by_size": census}
-    if args.spec.strip().startswith("file:"):
+    if "file:" in ring.label:  # a product's label joins its factors' labels with "*"
         data["isomorphic_to"] = _identify_ring(ring)
 
     def text() -> str:

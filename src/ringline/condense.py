@@ -239,5 +239,5 @@ def condensate_distant_analysis(structure: IncidenceStructure) -> int:
     zero = zero_classes[0]
     if not all(zero in e for e in structure.edges):
         raise NoAnswer("the zero vector's class is not on every edge")
-    masks = {c: sum(1 << e for e in vc.signature) for c, vc in enumerate(structure.vertices) if c != zero}
-    return maximum_size(RelationGraph.of(structure.edges, masks).distant())
+    masks = (sum(1 << e for e in vc.signature) for c, vc in enumerate(structure.vertices) if c != zero)
+    return maximum_size(RelationGraph.of(masks, len(structure.edges)).distant())

@@ -135,7 +135,16 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     )
 
 
-_TERM_RE = re.compile(r"(Z|GF|T|D)\((\d+)\)\Z")
+# Each named family: the power of its number that is its order, and its table rule over GF(q)'s tables.
+_FAMILIES = {"Z": (1, None), "GF": (1, None), "D": (2, _dual_tables), "T": (3, _ternion_tables)}
+
+_TERM_RE = re.compile(rf"({'|'.join(_FAMILIES)})\((\d+)\)\Z")
+
+
+def one_term_specs(order: int) -> list[str]:
+    """``Z(order)``, then each GF, D and T term over a supported q whose order, q ** power, is ``order``."""
+    return [f"Z({order})"] + [f"{family}({q})" for family, (power, _) in _FAMILIES.items() if family != "Z"
+                              for q in SUPPORTED_FIELD_ORDERS if q ** power == order]
 
 
 def _term(text: str) -> FiniteRing:
@@ -152,8 +161,8 @@ def _term(text: str) -> FiniteRing:
     if family == "Z" and number < 2:
         raise BadInput(f"{label} is not a ring with 1 != 0; n must be at least 2")
     add, mul = _residue_tables(number) if family == "Z" else _field_tables(number, label)
-    if family in ("T", "D"):  # a ring over GF(q): its table rule reads the field's tables
-        add, mul = (_ternion_tables if family == "T" else _dual_tables)(add, mul)
+    if rule := _FAMILIES[family][1]:
+        add, mul = rule(add, mul)
     return validate_tables(add, mul, label=label)
 
 

@@ -61,20 +61,18 @@ def relation(p: CyclicSubmodule, q: CyclicSubmodule, allow_same: bool = False) -
     return "distant" if zp & zq == {0} else "neighbour"
 
 
-def _meeting(masks, members) -> int:
-    """OR of the ``masks`` of ``members``; a member without a mask adds nothing."""
-    return reduce(or_, map(masks.get, members, repeat(0)), 0)
-
-
 class RelationGraph(namedtuple("RelationGraph", "neighbours")):
     """Neighbour bitmask rows of a sector or a condensate; ``distant()`` is the complement."""
 
     @classmethod
-    def of(cls, edges, masks) -> "RelationGraph":
-        """Row i ORs the ``masks`` of edge i's members (the codes of a point's
-        Z*v, or a condensed point's classes), without bit i; the zero, on
-        every edge, has no mask."""
-        return cls(tuple(_meeting(masks, edge) & ~(1 << i) for i, edge in enumerate(edges)))
+    def of(cls, masks, size) -> "RelationGraph":
+        """Row i (of ``size``) ORs the distinct ``masks`` holding bit i, without bit i; a mask is the
+        points on a nonzero shared vector, or the edges on a condensed class other than the zero's."""
+        rows = [0] * size
+        for mask in set(masks):
+            for i in mask_indices(mask):
+                rows[i] |= mask
+        return cls(tuple(row & ~(1 << i) for i, row in enumerate(rows)))
 
     def distant(self) -> tuple[int, ...]:
         full = (1 << len(self.neighbours)) - 1
@@ -122,8 +120,7 @@ class SectorIncidence(namedtuple("SectorIncidence", "ring points")):
 
     @cached_property
     def graph(self) -> RelationGraph:
-        edges = [multiple_codes(p.generator, self.ring.zero_divisor_multiples) for p in self.points]
-        return RelationGraph.of(edges, self.shared)
+        return RelationGraph.of(self.shared.values(), len(self.points))
 
     def rows(self, kind: str) -> tuple[int, ...]:
         """The bitmask rows of the ``kind`` ("distant" or "neighbour") relation."""
@@ -297,7 +294,8 @@ def cross_sector_check(line: ProjectiveLine) -> tuple[bool, tuple[CyclicSubmodul
     data = sector_incidence(line, "unimodular")
     sector = (1 << len(unimodular)) - 1
     for nu in nonunimodular:
-        distant = sector & ~_meeting(data.shared, multiple_codes(nu.generator, line.ring.zero_divisor_multiples))
+        codes = multiple_codes(nu.generator, line.ring.zero_divisor_multiples)
+        distant = sector & ~reduce(or_, map(data.shared.get, codes, repeat(0)), 0)
         if distant:
             return False, (nu, unimodular[mask_indices(distant)[0]])
     return True, None

@@ -90,6 +90,9 @@ def commands() -> list[tuple[str, ...]]:
         found += [("line", "compute", f"file:{name}"), ("line", "compute", f"file:{name}", "--json")]
     # exit 2: the refusals of a named term, alone and as a product factor
     found += [("ring", "info", spec) for spec in ("Z(1)", "D(1)", "T(6)", "GF(2)*T(6)")]
+    # a file term after the first, identified like one that comes first
+    spec = f"GF(2)*file:{PRODUCTS[0][0]}"
+    found += [("ring", "info", spec), ("ring", "info", spec, "--json")]
     return found
 
 

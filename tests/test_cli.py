@@ -71,6 +71,11 @@ def test_ring_info_identifies_ingested_file(capsys, tmp_path):
     assert code == 0
     assert "isomorphic to: T(2)" in out
     assert "units: 2" in out and "zero divisors: 6" in out
+    # a file term after the first is identified too
+    code, out, _ = run(capsys, "ring", "info", f"GF(2)*file:{bundled_ring_path()}")
+    assert code == 0 and out.endswith("isomorphic to: GF(2)*T(2)\n")
+    code, out, _ = run(capsys, "ring", "info", f"GF(2)*file:{bundled_ring_path()}", "--json")
+    assert code == 0 and json.loads(out)["isomorphic_to"] == ["GF(2)*T(2)"]
     # relabelled tables of each other family with a candidate at its order
     for seed, spec in enumerate(("GF(4)", "D(2)", "D(3)")):
         ring = construct(spec)
@@ -522,14 +527,21 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
 
     build = geometry.RelationGraph.of
 
-    def counted_build(cls, edges, masks):
-        edges = list(edges)
-        graphs.append(len(edges))
-        return build(edges, masks)
+    def counted_build(cls, masks, size):
+        graphs.append(size)
+        return build(masks, size)
+
+    walks = []
+    multiples = geometry.multiple_codes
+
+    def counted_multiples(vector, pair):
+        walks.append(vector)
+        return multiples(vector, pair)
 
     count_builds("masks", scans)
     count_builds("shared", indexes)
     monkeypatch.setattr(geometry.RelationGraph, "of", classmethod(counted_build))
+    monkeypatch.setattr(geometry, "multiple_codes", counted_multiples)
     ring = construct(spec)
     fresh = ringline.cli.compute_line(ring)
     before = line_to_json(fresh)
@@ -541,6 +553,11 @@ def test_line_report_scans_each_sector_once(spec, monkeypatch):
     assert indexes == [len(line.unimodular_points), len(line.nonunimodular_points)]
     assert graphs == [len(line.unimodular_points)]
     assert scans == [len(line.nonunimodular_points)]
+    # the rows are read off the index: each unimodular point's multiples are
+    # walked once, for ``shared``, and each non-unimodular point's Z*v and U*v
+    # once each, for ``masks``
+    assert len(walks) == len(line.unimodular_points) + 2 * len(line.nonunimodular_points) == {
+        "T(2)": 24, "GF(3)*T(2)": 96}[spec]
     # the per-sector cache is not part of the line's value
     assert set(line.derived) == {"unimodular", "nonunimodular"}
     assert line == fresh and hash(line) == hash(fresh)

@@ -552,6 +552,9 @@ def test_points_share_only_zero_divisor_multiples(spec, seed, amphibian16, monke
         assert data.shared == {code: mask for code, mask in codes.items() if code not in generators and code}, sector
         assert {code for code, mask in codes.items() if mask & (mask - 1) and code} <= data.shared.keys(), sector
         assert all(codes[code].bit_count() == 1 for code in generators), sector
+        if sector != "whole":  # the rows read off ``shared``; test_cliques_against_networkx covers the whole
+            rows = oracles.relation_adjacency(data.points, "neighbour")
+            assert data.graph.neighbours == tuple(sum(1 << j for j in row) for row in rows), sector
 
 
 @pytest.fixture(scope="module")
