@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import time
 from collections import Counter, namedtuple
@@ -263,10 +264,17 @@ _SECTOR_FLAGS = {"u": "unimodular", "n": "nonunimodular", "all": "whole"}
 def _atomic_write(path: str, content: str) -> None:
     """Write a unique temp file beside ``path`` (umask mode, not mkstemp's 0600), then rename it.
 
-    An OS error (missing directory, ``path`` a directory, ...) becomes a BadInput.
+    Only a regular file or a missing ``path`` is replaced so; any other
+    (a FIFO, a device, a symlink, which is written through) is written in
+    place.  An OS error (missing directory, ``path`` a directory, ...)
+    becomes a BadInput.
     """
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
+        if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(content)
+            return
         handle = open(tmp, "x", encoding="utf-8")
         try:
             with handle:

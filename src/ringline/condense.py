@@ -23,9 +23,11 @@ from operator import itemgetter
 from .cliques import maximum_size
 from .constructors import construct
 from .errors import NoAnswer, TooLarge
-from .geometry import ZERO, RelationGraph, SectorIncidence, _nonempty, sector_incidence
+from .geometry import SectorIncidence, _nonempty, sector_incidence
 from .line import ProjectiveLine, Vector, compute_line, mask_indices
 from .rings import ISOMORPHISM_MAX_ORDER
+
+ZERO: Vector = (0, 0)
 
 MAX_STRUCTURE_VERTICES = 200
 
@@ -39,9 +41,9 @@ class VectorClass(namedtuple("VectorClass", "members signature")):
 class IncidenceStructure(namedtuple("IncidenceStructure", "label vertices edges")):
     """Vector classes (vertices) and per-point vertex sets (edges).
 
-    The edges' meet matrix and invariants, which matching reads, are built
-    on first use and kept with the structure, so a cached catalog
-    reference builds them once per process.
+    The edges' meet matrix, which matching and the distant analysis read,
+    and their invariants are built on first use and kept with the
+    structure, so a cached catalog reference builds them once per process.
     """
 
     @property
@@ -229,15 +231,15 @@ def condensate_distant_analysis(structure: IncidenceStructure) -> int:
     """Maximum number of pairwise distant condensed points.
 
     Two edges count as distant when they share only the class of the zero
-    vector, mirroring the orbit-intersection rule one level up.
+    vector, mirroring the orbit-intersection rule one level up.  That class
+    lies on every edge, so edges i != j are distant when ``meets[i][j]`` is 1.
     """
     if structure.is_empty:
         raise NoAnswer("cannot analyse an empty incidence structure")
     zero_classes = [i for i, vc in enumerate(structure.vertices) if ZERO in vc.members]
     if len(zero_classes) != 1:
         raise NoAnswer("structure has no class containing the zero vector")
-    zero = zero_classes[0]
-    if not all(zero in e for e in structure.edges):
+    if not all(zero_classes[0] in e for e in structure.edges):
         raise NoAnswer("the zero vector's class is not on every edge")
-    masks = (sum(1 << e for e in vc.signature) for c, vc in enumerate(structure.vertices) if c != zero)
-    return maximum_size(RelationGraph.of(masks, len(structure.edges)).distant())
+    rows = [sum(1 << j for j, meet in enumerate(row) if meet == 1) & ~(1 << i) for i, row in enumerate(structure.meets)]
+    return maximum_size(rows)

@@ -24,11 +24,9 @@ from operator import or_
 from . import jsontext
 from .cliques import Clique, cliques_through, expand, maximum_cliques, maximum_size
 from .errors import BadInput, NoAnswer
-from .line import CyclicSubmodule, ProjectiveLine, Vector, mask_indices, multiple_codes
+from .line import CyclicSubmodule, ProjectiveLine, mask_indices, multiple_codes
 
 SECTORS = ("unimodular", "nonunimodular", "whole")
-
-ZERO: Vector = (0, 0)
 
 
 def sector_points(line: ProjectiveLine, sector: str) -> tuple[CyclicSubmodule, ...]:
@@ -62,12 +60,12 @@ def relation(p: CyclicSubmodule, q: CyclicSubmodule, allow_same: bool = False) -
 
 
 class RelationGraph(namedtuple("RelationGraph", "neighbours")):
-    """Neighbour bitmask rows of a sector or a condensate; ``distant()`` is the complement."""
+    """Neighbour bitmask rows of a sector; ``distant()`` is the complement."""
 
     @classmethod
     def of(cls, masks, size) -> "RelationGraph":
         """Row i (of ``size``) ORs the distinct ``masks`` holding bit i, without bit i; a mask is the
-        points on a nonzero shared vector, or the edges on a condensed class other than the zero's."""
+        points on a nonzero shared vector."""
         rows = [0] * size
         for mask in set(masks):
             for i in mask_indices(mask):

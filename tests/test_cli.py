@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shlex
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -407,6 +408,40 @@ def test_atomic_write_removes_its_temp_file_on_error(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         _atomic_write(str(target), "\ud800")  # a lone surrogate has no UTF-8 form
     assert list(tmp_path.iterdir()) == []
+
+
+def test_export_writes_a_fifo_and_a_symlink_in_place(capsys, tmp_path):
+    # only a regular file is replaced by a renamed temp file
+    document = export_graph(compute_line(construct("T(2)")), "nonunimodular", "json").encode()
+    argv = ("line", "export", "T(2)", "--sector", "n", "--format", "json", "--out")
+    fifo = tmp_path / "out.json"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # open first, so the writer's open does not block
+    try:
+        assert run(capsys, *argv, str(fifo))[0] == 0  # the document fits in one pipe buffer
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert b"".join(iter(functools.partial(os.read, reader, 1 << 16), b"")) == document
+    finally:
+        os.close(reader)
+    link, target = tmp_path / "link.json", tmp_path / "target.json"
+    target.write_text("old\n", encoding="utf-8")
+    link.symlink_to(target)
+    assert run(capsys, *argv, str(link))[0] == 0
+    assert link.is_symlink() and target.read_bytes() == document
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "out.json", "target.json"]
+
+
+def test_condense_reads_distant_points_off_the_meet_matrix(capsys, monkeypatch):
+    # the distant rows come from the meets matching built, not from a RelationGraph
+    built, build = [], ringline.geometry.RelationGraph.of
+
+    def counted(cls, masks, size):
+        built.append(size)
+        return build(masks, size)
+
+    monkeypatch.setattr(ringline.geometry.RelationGraph, "of", classmethod(counted))
+    code, out, _ = run(capsys, "condense", "GF(3)*T(2)", "--json")
+    assert (code, json.loads(out)["max_distant_set"], built) == (0, 3, [])
 
 
 def test_line_report_searches_each_sector_and_relation_once(monkeypatch):

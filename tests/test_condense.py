@@ -440,13 +440,23 @@ def test_distant_analysis_needs_the_zero_class():
         condensate_distant_analysis(structure)
 
 
-def test_condensate_distant_size_matches_networkx(catalog_lines, gf3_t2_line, amphibian16):
+def test_condensate_distant_size_matches_networkx(catalog_lines, gf3_t2_line, amphibian16, monkeypatch):
     # condensed points are distant when their class sets share only the
     # class holding the zero vector; the graph is built from the edges alone
+    monkeypatch.setenv("RINGLINE_MAX_ORDER", "64")
+    larger = ("T(3)", "GF(4)*T(2)", "GF(5)*T(2)", "Z(4)*T(2)", "D(2)*T(2)", "T(4)", "T(2)*T(2)")
     lines = [*catalog_lines.values(), gf3_t2_line, compute_line(amphibian16)]
-    checked = 0
-    for line in lines:
-        structure = condense(line)
+    structures = [condense(line) for line in lines + [compute_line(construct(spec)) for spec in larger]]
+
+    def zeroed(signatures, edge_count):
+        """``_from_signatures`` with vertex 0 holding the zero vector."""
+        structure = _from_signatures(signatures, edge_count)
+        return structure._replace(vertices=(structure.vertices[0]._replace(members=((0, 0),)), *structure.vertices[1:]))
+
+    # a second class on every edge, so every two edges meet twice; a class on no edge
+    structures += [zeroed(({0, 1, 2}, {0, 1, 2}, {0}, {1, 2}), 3), zeroed(({0, 1, 2, 3}, {0, 1}, {2}, {3}, set()), 4)]
+    sizes = []
+    for structure in structures:
         if structure.is_empty:
             continue
         zero = next(i for i, vc in enumerate(structure.vertices) if (0, 0) in vc.members)
@@ -454,9 +464,10 @@ def test_condensate_distant_size_matches_networkx(catalog_lines, gf3_t2_line, am
         adjacency = [
             [j for j, other in enumerate(edges) if j != i and not edge & other] for i, edge in enumerate(edges)
         ]
-        assert condensate_distant_analysis(structure) == oracles.nx_maximum_cliques(adjacency)[0], line.ring.label
-        checked += 1
-    assert checked == 4  # T(2), GF(2)*T(2), GF(3)*T(2), amphibian16
+        sizes.append(condensate_distant_analysis(structure))
+        assert sizes[-1] == oracles.nx_maximum_cliques(adjacency)[0], structure.label
+    # T(2), GF(2)*T(2), GF(3)*T(2), amphibian16, the larger rings, the two synthetic structures
+    assert sizes == [3, 3, 3, 1, 4, 3, 3, 3, 3, 5, 1, 1, 3]
 
 
 def test_unimodular_to_nonunimodular_ratio_is_six(ternion_line, catalog_lines, gf3_t2_line):

@@ -11,6 +11,7 @@ from types import ModuleType
 import pytest
 
 import ringline
+import snapshot_cli
 from ringline import (
     BadInput,
     NoAnswer,
@@ -141,3 +142,9 @@ def test_readme_library_example_prints_what_its_comments_say():
     with contextlib.redirect_stdout(printed):
         exec(block, {})
     assert expected and printed.getvalue().splitlines() == expected
+
+
+def test_readme_counts_the_snapshot_commands():
+    # the count is read, not run: each command would start its own process
+    counts = re.findall(r"runs (\d+) CLI commands", " ".join(README.read_text(encoding="utf-8").split()))
+    assert counts == [str(len(snapshot_cli.commands()))]
